@@ -394,6 +394,9 @@ def _verify(path: str) -> tuple[dict, int]:
 
 
 def _session_text_from_json(data: dict) -> str:
+    for key in ("source_ring", "target_ring", "map"):
+        if key not in data:
+            raise PolymapError(f"report session has no {key!r} entry")
     lines = [
         "source_ring: " + " ".join(data["source_ring"]),
         "target_ring: " + " ".join(data["target_ring"]),

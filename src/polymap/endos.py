@@ -28,7 +28,7 @@ class Endomorphism(Morphism):
 
     Source and target are full affine spaces of the same dimension; the
     target ring may use different variable names (handy for printing
-    inverses), but both are w-defined automatically so no membership
+    inverses), but both are well defined automatically so no membership
     checks run at construction.
     """
 
@@ -43,10 +43,6 @@ class Endomorphism(Morphism):
             check=False,
             assert_etale=assert_etale,
         )
-
-    @property
-    def dimension_n(self) -> int:
-        return self.source.ctx.arity
 
 
 @dataclass(frozen=True)

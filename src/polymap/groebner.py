@@ -36,39 +36,41 @@ def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) -> Poly:
-    """Remainder of multivariate division of ``f`` by ``basis``.
+def _divide(
+    f: Poly,
+    divisors: Sequence[Poly],
+    order: MonomialOrder,
+    quotient: dict[Monomial, Fraction] | None = None,
+) -> Poly:
+    """Remainder of multivariate division of ``f`` by ``divisors``.
 
-    The divisor picked at each step is the first basis element whose
-    leading monomial divides the current leading monomial, so the result
-    is deterministic for a fixed basis tuple; it is canonical whenever
-    the basis is a Groebner basis for ``order``.
+    The divisor picked at each step is the first one whose leading
+    monomial divides the current leading monomial.  When ``quotient`` is
+    given it receives the multiplier of each step, keyed by monomial;
+    with a single divisor that is the quotient of the division.
     """
-    if not basis:
-        return f
-    ctx = f.ctx
-    for g in basis:
-        if g.ctx != ctx:
-            raise ContextMismatchError("normal_form: mixed contexts")
-    key = order.key_function(ctx.arity)
-    divisors = [(g.leading_monomial(order), g._terms, g.leading_coefficient(order)) for g in basis if not g.is_zero()]
+    key = order.key_function(f.ctx.arity)
+    leads = []
+    for g in divisors:
+        if not g.is_zero():
+            glm = g.leading_monomial(order)
+            leads.append((glm, g._terms, g._terms[glm]))
     work = dict(f._terms)
     remainder: dict[Monomial, Fraction] = {}
     while work:
         lm = max(work, key=key)
         lc = work[lm]
-        hit = None
-        for glm, gterms, glc in divisors:
+        for glm, gterms, glc in leads:
             if _divides(glm, lm):
-                hit = (glm, gterms, glc)
                 break
-        if hit is None:
+        else:
             remainder[lm] = lc
             del work[lm]
             continue
-        glm, gterms, glc = hit
         shift = _mono_sub(lm, glm)
         factor = lc / glc
+        if quotient is not None:
+            quotient[shift] = factor
         for gm, gc in gterms.items():
             mono = _mono_mul(gm, shift)
             acc = work.get(mono, Fraction(0)) - factor * gc
@@ -79,6 +81,20 @@ def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) 
     return _raw(f.ctx, remainder)
 
 
+def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) -> Poly:
+    """Remainder of multivariate division of ``f`` by ``basis``.
+
+    Deterministic for a fixed basis tuple; canonical whenever the basis
+    is a Groebner basis for ``order``.
+    """
+    if not basis:
+        return f
+    for g in basis:
+        if g.ctx != f.ctx:
+            raise ContextMismatchError("normal_form: mixed contexts")
+    return _divide(f, basis, order)
+
+
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     lf = f.leading_monomial(order)
     lg = g.leading_monomial(order)
@@ -86,25 +102,6 @@ def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     mf = _raw(f.ctx, {_mono_sub(lcm, lf): Fraction(1) / f.leading_coefficient(order)})
     mg = _raw(f.ctx, {_mono_sub(lcm, lg): Fraction(1) / g.leading_coefficient(order)})
     return mf * f - mg * g
-
-
-def _interreduce(polys: list[Poly], order: MonomialOrder) -> list[Poly]:
-    """Reduce each element against the others until stable; drop zeros."""
-    current = [p.monic(order) for p in polys if not p.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(current)):
-            rest = current[:i] + current[i + 1:]
-            reduced = normal_form(current[i], rest, order)
-            if reduced != current[i]:
-                changed = True
-                if reduced.is_zero():
-                    current = [p for j, p in enumerate(current) if j != i]
-                else:
-                    current[i] = reduced.monic(order)
-                break
-    return current
 
 
 def buchberger(
@@ -128,9 +125,8 @@ def buchberger(
         raise ValueError(f"unknown selection strategy {strategy!r}")
     key = order.key_function(ctx.arity)
 
-    basis = _interreduce(gens, order)
-    if not basis:
-        return ()
+    # Redundant generators are pruned once, by the final _reduce_basis.
+    basis = list(dict.fromkeys(g.monic(order) for g in gens))
     lms = [g.leading_monomial(order) for g in basis]
 
     pairs: dict[tuple[int, int], Monomial] = {}
@@ -289,9 +285,6 @@ class Ideal:
         basis = self.groebner_basis()
         return len(basis) == 1 and basis[0].is_constant()
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def same_ideal(self, other: "Ideal") -> bool:
         """Exact ideal equality via canonical reduced bases."""
         if self.ctx != other.ctx:
@@ -428,26 +421,7 @@ def exact_div(f: Poly, divisor: Poly) -> Poly:
     """
     if divisor.is_zero():
         raise ZeroDivisionError("exact division by zero polynomial")
-    if f.is_zero():
-        return f
-    order = GREVLEX
-    lm = divisor.leading_monomial(order)
-    lc = divisor.leading_coefficient(order)
-    work = dict(f._terms)
     quotient: dict[Monomial, Fraction] = {}
-    key = order.key_function(f.ctx.arity)
-    while work:
-        top = max(work, key=key)
-        if not _divides(lm, top):
-            raise PolymapError(f"{divisor} does not divide {f}")
-        shift = _mono_sub(top, lm)
-        factor = work[top] / lc
-        quotient[shift] = factor
-        for gm, gc in divisor._terms.items():
-            mono = _mono_mul(gm, shift)
-            acc = work.get(mono, Fraction(0)) - factor * gc
-            if acc:
-                work[mono] = acc
-            elif mono in work:
-                del work[mono]
+    if _divide(f, (divisor,), GREVLEX, quotient):
+        raise PolymapError(f"{divisor} does not divide {f}")
     return _raw(f.ctx, quotient)

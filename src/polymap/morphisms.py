@@ -199,17 +199,13 @@ class _GraphData:
     def __init__(self, morphism: "Morphism"):
         src = morphism.source.ctx
         tgt = morphism.target.ctx
-        taken = set(tgt.names)
-        src_names: list[str] = []
+        taken = tgt
         for name in src.names:
-            fresh = name
-            while fresh in taken or fresh in src_names:
-                fresh += "'"
-            src_names.append(fresh)
-        self.src_names = tuple(src_names)
-        self.rename = dict(zip(src.names, src_names))
+            taken = taken.extended([taken.fresh_name(name)])
+        self.src_names = taken.names[tgt.arity:]
+        self.rename = dict(zip(src.names, self.src_names))
         self.ctx = VarContext(self.src_names + tgt.names)
-        self.head = tuple(range(len(src_names)))
+        self.head = tuple(range(src.arity))
         self.block = Block(self.head)
         gens = [g.transport(self.ctx, self.rename) for g in morphism.source.ideal.generators]
         for name, coord in zip(tgt.names, morphism.coords):
@@ -275,14 +271,10 @@ class Morphism:
         got = self._memo.get("fiber")
         if got is None:
             src = self.source.ctx
-            primed: list[str] = []
+            ctx2 = src
             for name in src.names:
-                fresh = name + "'"
-                while fresh in src.names or fresh in primed:
-                    fresh += "'"
-                primed.append(fresh)
-            ctx2 = VarContext(src.names + tuple(primed))
-            rename = dict(zip(src.names, primed))
+                ctx2 = ctx2.extended([ctx2.fresh_name(name)])
+            rename = dict(zip(src.names, ctx2.names[src.arity:]))
             gens = [g.transport(ctx2) for g in self.source.ideal.generators]
             gens += [g.transport(ctx2, rename) for g in self.source.ideal.generators]
             for c in self.coords:
@@ -309,18 +301,15 @@ class Morphism:
         elim: list[Poly] = []
         lc_product = Poly.one(tgt)
         for g in basis:
-            best = None
-            for mono in g.monomials():
-                part = tuple(mono[i] for i in head)
-                if best is None or GREVLEX.key(part) > GREVLEX.key(best):
-                    best = part
-            if best is None or not any(best):
+            lm = g.leading_monomial(graph.block)
+            head_part = tuple(lm[i] for i in head)
+            if not any(head_part):
                 elim.append(g.transport(tgt))
                 continue
             coeff_terms = {
                 mono: c
                 for mono, c in g.terms()
-                if tuple(mono[i] for i in head) == best
+                if tuple(mono[i] for i in head) == head_part
             }
             lead_coeff = Poly(graph.ctx, {
                 tuple(0 if i in head else e for i, e in enumerate(m)): c

@@ -1,16 +1,28 @@
 """Monomial orders on exponent vectors.
 
-An order is represented by a key function: ``m1`` is smaller than ``m2``
-exactly when ``order.key(m1) < order.key(m2)`` under tuple comparison.
-Every order here is a well-order compatible with multiplication, so the
-constant monomial is minimal and division algorithms terminate.
+An order has one representation: its compiled key.  ``key_function(arity)``
+returns a plain callable on exponent tuples of that length, and ``m1`` is
+smaller than ``m2`` exactly when ``key(m1) < key(m2)`` under tuple
+comparison.  Every order here is a well-order compatible with
+multiplication, so the constant monomial is minimal and division
+algorithms terminate.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 Monomial = tuple[int, ...]
+
+
+def _lex_key(exponents: Monomial) -> tuple:
+    return exponents
+
+
+def _grlex_key(exponents: Monomial) -> tuple:
+    return (sum(exponents), exponents)
 
 
 def _grevlex_key(exponents: Monomial) -> tuple:
@@ -23,21 +35,18 @@ def _grevlex_key(exponents: Monomial) -> tuple:
 class MonomialOrder:
     """Base class; subclasses are hashable and usable as cache keys."""
 
-    def key(self, exponents: Monomial) -> tuple:
+    def key_function(self, arity: int) -> Callable[[Monomial], tuple]:
+        """The order compiled for exponent tuples of length ``arity``."""
         raise NotImplementedError
 
-    def key_function(self, arity: int):
-        """A plain callable usable in hot loops; default is ``self.key``."""
-        return self.key
-
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
+    def key(self, exponents: Monomial) -> tuple:
+        return self.key_function(len(exponents))(exponents)
 
 
 @dataclass(frozen=True)
 class Lex(MonomialOrder):
-    def key(self, exponents: Monomial) -> tuple:
-        return exponents
+    def key_function(self, arity: int):
+        return _lex_key
 
     def __str__(self) -> str:
         return "lex"
@@ -45,8 +54,8 @@ class Lex(MonomialOrder):
 
 @dataclass(frozen=True)
 class GrLex(MonomialOrder):
-    def key(self, exponents: Monomial) -> tuple:
-        return (sum(exponents), exponents)
+    def key_function(self, arity: int):
+        return _grlex_key
 
     def __str__(self) -> str:
         return "grlex"
@@ -54,8 +63,8 @@ class GrLex(MonomialOrder):
 
 @dataclass(frozen=True)
 class GrevLex(MonomialOrder):
-    def key(self, exponents: Monomial) -> tuple:
-        return _grevlex_key(exponents)
+    def key_function(self, arity: int):
+        return _grevlex_key
 
     def __str__(self) -> str:
         return "grevlex"
@@ -77,16 +86,10 @@ class Block(MonomialOrder):
         """The order whose head block is the first ``k`` context variables."""
         return Block(tuple(range(k)))
 
-    def key(self, exponents: Monomial) -> tuple:
-        head = set(self.head)
-        inside = tuple(exponents[i] for i in self.head)
-        outside = tuple(e for i, e in enumerate(exponents) if i not in head)
-        return (_grevlex_key(inside), _grevlex_key(outside))
-
+    @functools.cache
     def key_function(self, arity: int):
-        """Precompiled key for a fixed arity; avoids per-call set building."""
         inside = self.head
-        outside = tuple(i for i in range(arity) if i not in set(self.head))
+        outside = tuple(i for i in range(arity) if i not in inside)
 
         def key(exponents: Monomial) -> tuple:
             hd = tuple(exponents[i] for i in inside)

@@ -175,13 +175,14 @@ class Poly:
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
         if not self._terms:
             raise ValueError("the zero polynomial has no leading monomial")
-        return max(self._terms, key=order.key)
+        return max(self._terms, key=order.key_function(self.ctx.arity))
 
     def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> Fraction:
         return self._terms[self.leading_monomial(order)]
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        key = order.key_function(self.ctx.arity)
+        return sorted(self._terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     # -- ring arithmetic ----------------------------------------------------
 

@@ -154,7 +154,10 @@ def parse_session(text: str) -> Session:
     if missing:
         raise SessionFormatError(f"map misses target variables {missing}")
 
-    depth = int(raw.get("depth", "8"))
+    try:
+        depth = int(raw.get("depth", "8"))
+    except ValueError:
+        raise SessionFormatError(f"depth must be an integer, got {raw['depth']!r}") from None
     if depth < 1:
         raise SessionFormatError("depth must be at least 1")
     order = raw.get("order", "grevlex")

@@ -98,12 +98,17 @@ class TestBuchberger:
     def test_reduced_basis_canonical_under_generator_shuffles(self):
         rng = random.Random(23)
         gens = [parse_poly(s, TUV) for s in ("u - t^2", "v - t^3", "u*v - t^5", "t*u - v")]
-        reference = buchberger(gens, GREVLEX)
-        for _ in range(6):
-            shuffled = gens[:]
-            rng.shuffle(shuffled)
-            scaled = [g * Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2])) for g in shuffled]
-            assert buchberger(scaled, GREVLEX) == reference
+        # A duplicate, a scalar multiple and a monomial multiple of other
+        # generators add nothing to the ideal or to its reduced basis.
+        redundant = [gens[0], gens[1] * Fraction(-3, 2), parse_poly("t*u^2", TUV) * gens[3]]
+        for order in (GREVLEX, Block.first(1)):
+            reference = buchberger(gens, order)
+            for extra in ([], redundant):
+                for _ in range(6):
+                    shuffled = gens + extra
+                    rng.shuffle(shuffled)
+                    scaled = [g * Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2])) for g in shuffled]
+                    assert buchberger(scaled, order) == reference, (order, extra)
 
     def test_strategies_produce_identical_reduced_bases(self):
         rng = random.Random(24)

@@ -57,6 +57,8 @@ class TestSessionParsing:
             parse_session("source_ring: x\nsource_ring: y\ntarget_ring: u\nmap: u = x\n")
         with pytest.raises(SessionFormatError):
             parse_session("source_ring: x\ntarget_ring: u\nmap: u = x\nassert_etale: maybe\n")
+        with pytest.raises(SessionFormatError):
+            parse_session("source_ring: x\ntarget_ring: u\nmap: u = x\ndepth: abc\n")
 
     def test_endomorphism_requires_affine_spaces(self):
         session = parse_session(SESSION_TEXT)
@@ -266,3 +268,14 @@ class TestVerify:
         path = self._report_file(capsys, tmp_path, "--fixture", "cusp", "injective")
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 0 and report["verdict"] is None
+
+    @pytest.mark.parametrize("missing", ["source_ring", "target_ring", "map"])
+    def test_report_with_incomplete_session_refused(self, capsys, tmp_path, missing):
+        session = {"source_ring": ["x"], "target_ring": ["u"], "map": ["u = x"]}
+        del session[missing]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"command": "interpolate", "session": session, "certificates": []}))
+        assert main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and missing in captured.err
