@@ -15,12 +15,14 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from .endos import etale_dichotomy, invert, is_etale, jacobian_determinant, jc_criteria
 from .errors import PolymapError
 from .fixtures import fixture_names, fixture_session_text, load_fixture
 from .groebner import normal_form
-from .morphisms import Morphism
+from .morphisms import AffineVariety, Morphism
 from .orders import order_by_name
 from .parsing import parse_poly
 from .poly import Poly
@@ -32,12 +34,343 @@ UNKNOWN_EXIT = 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
-
-    @staticmethod
-    def exit_with(message: str) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
+
+
+def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return names, kwargs
+
+
+_RING = _flag("--ring", choices=("source", "target"), default="source")
+_G = _flag("-g", required=True, metavar="POLY")
+
+
+def _load_session(ns) -> Session:
+    if ns.fixture and ns.session:
+        raise PolymapError("give either --session or --fixture, not both")
+    if ns.fixture:
+        return load_fixture(ns.fixture)
+    if ns.session:
+        with open(ns.session, "r", encoding="utf-8") as handle:
+            return parse_session(handle.read())
+    raise PolymapError(f"command {ns.command!r} needs --session FILE or --fixture NAME")
+
+
+def _variety(morphism: Morphism, ring: str) -> AffineVariety:
+    return morphism.source if ring == "source" else morphism.target
+
+
+def _optional_texts(polys) -> list[str] | None:
+    return [str(p) for p in polys] if polys else None
+
+
+# -- command handlers: each returns (args, verdict, certificates, exact) ------------
+
+
+def _gb(ns, session: Session, morphism: Morphism):
+    order_name = ns.order or session.order
+    basis = [str(g) for g in _variety(morphism, ns.ring).ideal.groebner_basis(order_by_name(order_name))]
+    certificate = {"kind": "groebner_basis", "ring": ns.ring, "order": order_name, "basis": basis}
+    return {"ring": ns.ring, "order": order_name}, basis, [certificate], True
+
+
+def _nf(ns, session: Session, morphism: Morphism):
+    variety = _variety(morphism, ns.ring)
+    f = parse_poly(ns.g, variety.ctx)
+    value = str(variety.ideal.normal_form(f))
+    certificate = {"kind": "normal_form", "ring": ns.ring, "g": str(f), "value": value}
+    return {"ring": ns.ring, "g": ns.g}, value, [certificate], True
+
+
+def _eliminate(ns, session: Session, morphism: Morphism):
+    drop = [v.strip() for v in ns.drop.split(",") if v.strip()]
+    result = _variety(morphism, ns.ring).ideal.eliminate(drop)
+    generators = [str(g) for g in result.generators]
+    certificate = {"kind": "elimination_ideal", "ring": ns.ring, "drop": drop,
+                   "kept_ring": list(result.ctx.names), "generators": generators}
+    return {"ring": ns.ring, "drop": drop}, generators, [certificate], True
+
+
+def _image(ns, session: Session, morphism: Morphism):
+    if ns.constructible:
+        image = morphism.constructible_image(session.depth)
+        description = image.to_json_dict()
+        certificate = {"kind": "constructible_image", **description}
+        return {"mode": "constructible"}, description, [certificate], image.exact
+    generators = [str(g) for g in morphism.image_closure().generators]
+    return {"mode": "closure"}, generators, [{"kind": "image_closure", "generators": generators}], True
+
+
+def _almost_surjective(ns, session: Session, morphism: Morphism):
+    rep = morphism.almost_surjective(session.depth)
+    certificate = {"kind": "surjectivity", "image": rep.image.to_json_dict(),
+                   "complement_closure": [str(g) for g in rep.complement_closure.generators],
+                   "complement_dim": rep.complement_dim, "target_dim": rep.target_dim,
+                   "almost_surjective": rep.almost_surjective, "surjective": rep.surjective}
+    return {}, rep.almost_surjective, [certificate], rep.image.exact
+
+
+def _determined(ns, session: Session, morphism: Morphism):
+    g = parse_poly(ns.g, morphism.source.ctx)
+    verdict = morphism.determined_by(g)
+    return {"g": str(g)}, verdict, [{"kind": "fiber_constancy", "g": str(g), "determined": verdict}], True
+
+
+def _interpolate(ns, session: Session, morphism: Morphism):
+    """``interpolate`` and ``extend``: the same question, the same certificate."""
+    g = parse_poly(ns.g, morphism.source.ctx)
+    result = morphism.interpolate(g) if ns.command == "interpolate" else morphism.extend(g)
+    interpolant = str(result.interpolant) if result.interpolant is not None else None
+    certificate = {"kind": "interpolation", "g": str(g), "interpolant": interpolant,
+                   "witness_normal_form": str(result.witness)}
+    return {"g": str(g)}, result.status, [certificate], True
+
+
+def _minpoly(ns, session: Session, morphism: Morphism):
+    g = parse_poly(ns.g, morphism.source.ctx)
+    result = morphism.minimal_polynomial(g)
+    relation = str(result.relation) if result.relation is not None else None
+    certificate = {"kind": "graph_relation", "var": result.var, "relation": relation, "degree": result.degree,
+                   "rational_pair": _optional_texts(result.rational_pair), "dominant": result.dominant,
+                   "graph_ideal": [str(p) for p in result.graph_ideal.generators]}
+    return {"g": str(g)}, result.status, [certificate], True
+
+
+def _divides(ns, session: Session, morphism: Morphism):
+    f = parse_poly(ns.f, morphism.target.ctx)
+    g = parse_poly(ns.g, morphism.target.ctx)
+    source_div, target_div = morphism.divides_transfer(f, g)
+    certificate = {"kind": "divisibility_transfer", "f": str(f), "g": str(g),
+                   "f_pullback": str(morphism.pullback(f)), "g_pullback": str(morphism.pullback(g)),
+                   "source_divides": source_div, "target_divides": target_div,
+                   "witnesses_non_almost_surjective": source_div and not target_div}
+    return {"f": str(f), "g": str(g)}, {"source": source_div, "target": target_div}, [certificate], True
+
+
+def _biregular(ns, session: Session, morphism: Morphism):
+    rep = morphism.biregular(session.depth)
+    certificate = {"kind": "biregularity", "injective": rep.injective,
+                   "almost_surjective": rep.surjectivity.almost_surjective,
+                   "inverse": _optional_texts(rep.inverse), "consistent": rep.consistent}
+    return {}, rep.verdict, [certificate], rep.surjectivity.image.exact
+
+
+def _etale(ns, session: Session, morphism: Morphism):
+    endo = session.endomorphism()
+    det = jacobian_determinant(endo)
+    verdict = is_etale(endo)
+    return {}, verdict, [{"kind": "jacobian", "determinant": str(det), "etale": verdict}], True
+
+
+def _invert(ns, session: Session, morphism: Morphism):
+    result = invert(session.endomorphism())
+    verdict = [str(c) for c in result.inverse.coords] if result.ok else None
+    certificate = {"kind": "inversion", "inverse": verdict, "failing_coordinate": result.failing_coordinate}
+    return {}, verdict, [certificate], True
+
+
+def _jc(ns, session: Session, morphism: Morphism):
+    rep = jc_criteria(session.endomorphism())
+    verdict = {"injective": rep.injective, "coords_determined": list(rep.coords_determined),
+               "invertible": rep.invertible, "consistent": rep.consistent}
+    certificate = {"kind": "invertibility_criteria", "etale": rep.etale,
+                   "inverse": _optional_texts(rep.inverse), **verdict}
+    return {}, verdict, [certificate], True
+
+
+def _dichotomy(ns, session: Session, morphism: Morphism):
+    rep = etale_dichotomy(morphism, session.depth)
+    closure = [str(g) for g in rep.surjectivity.complement_closure.generators]
+    certificate = {"kind": "dichotomy", "branch": rep.branch, "complement_codim": rep.complement_codim,
+                   "complement_closure": closure, "inverse": _optional_texts(rep.inverse)}
+    return {}, rep.branch, [certificate], rep.surjectivity.image.exact
+
+
+def _fixtures(ns):
+    names = fixture_names()
+    certificates = [{"kind": "session", "name": name, "text": fixture_session_text(name)} for name in names]
+    return None, names, certificates, True
+
+
+# -- verify: one check per certificate kind ----------------------------------------
+
+
+def _entry(data, key: str, where: str, required: bool = True):
+    """``data[key]`` of a JSON object read back from a report; refuses a
+    non-object or a missing required entry with a PolymapError naming it."""
+    if not isinstance(data, dict):
+        raise PolymapError(f"{where} is not a JSON object")
+    if required and key not in data:
+        raise PolymapError(f"{where} has no {key!r} entry")
+    return data.get(key)
+
+
+def _check_interpolation(cert: dict, report: dict, morphism: Morphism):
+    if cert.get("interpolant"):
+        g = parse_poly(_entry(cert, "g", "interpolation certificate"), morphism.source.ctx)
+        p = parse_poly(cert["interpolant"], morphism.target.ctx)
+        residual = morphism.pullback(p) - morphism.source.ideal.normal_form(g)
+        yield "interpolant pulls back to g", morphism.source.ideal.contains(residual)
+
+
+def _check_graph_relation(cert: dict, report: dict, morphism: Morphism):
+    if not cert.get("relation"):
+        return
+    src, tgt = morphism.source.ctx, morphism.target.ctx
+    var = _entry(cert, "var", "graph_relation certificate")
+    relation = parse_poly(cert["relation"], tgt.extended([var]))
+    g = parse_poly(_entry(_entry(report, "args", "report"), "g", "report args"), src)
+    assignment = dict(zip(tgt.names, morphism.coords))
+    assignment[var] = g
+    yield "relation vanishes on the graph", morphism.source.ideal.contains(relation.substitute(assignment))
+    if cert.get("rational_pair"):
+        num = parse_poly(cert["rational_pair"][0], tgt)
+        den = parse_poly(cert["rational_pair"][1], tgt)
+        residual = morphism.pullback(den) * g - morphism.pullback(num)
+        yield "degree-1 pair represents g", morphism.source.ideal.contains(residual)
+
+
+def _check_inverse(cert: dict, report: dict, morphism: Morphism):
+    if not cert.get("inverse"):
+        return
+    src, tgt = morphism.source.ctx, morphism.target.ctx
+    inverse = [parse_poly(text, tgt) for text in cert["inverse"]]
+    back = dict(zip(src.names, inverse))
+    forward = dict(zip(tgt.names, morphism.coords))
+    left = all(morphism.source.ideal.contains(q.substitute(forward) - Poly.variable(src, n))
+               for q, n in zip(inverse, src.names))
+    right = all(morphism.target.ideal.contains(c.substitute(back) - Poly.variable(tgt, n))
+                for c, n in zip(morphism.coords, tgt.names))
+    yield "inverse composes to identity on both sides", left and right
+
+
+def _check_divisibility(cert: dict, report: dict, morphism: Morphism):
+    where = "divisibility_transfer certificate"
+    f = parse_poly(_entry(cert, "f", where), morphism.target.ctx)
+    g = parse_poly(_entry(cert, "g", where), morphism.target.ctx)
+    source_div, target_div = morphism.divides_transfer(f, g)
+    yield "divisibility verdicts reproduce", (source_div == _entry(cert, "source_divides", where)
+                                              and target_div == _entry(cert, "target_divides", where))
+
+
+def _check_groebner_basis(cert: dict, report: dict, morphism: Morphism):
+    where = "groebner_basis certificate"
+    variety = _variety(morphism, _entry(cert, "ring", where))
+    basis = [parse_poly(text, variety.ctx) for text in _entry(cert, "basis", where)]
+    gens_reduce = all(normal_form(g, basis).is_zero() for g in variety.ideal.generators)
+    basis_member = all(variety.ideal.contains(b) for b in basis)
+    yield "basis and generators span the same ideal", gens_reduce and basis_member
+
+
+def _check_image_closure(cert: dict, report: dict, morphism: Morphism):
+    again = [str(g) for g in morphism.image_closure().generators]
+    yield "image closure reproduces", again == _entry(cert, "generators", "image_closure certificate")
+
+
+# Certificate kinds that ``verify`` re-checks; every other kind is read as data.
+_CHECKS = {
+    "interpolation": _check_interpolation,
+    "graph_relation": _check_graph_relation,
+    "biregularity": _check_inverse,
+    "inversion": _check_inverse,
+    "invertibility_criteria": _check_inverse,
+    "dichotomy": _check_inverse,
+    "divisibility_transfer": _check_divisibility,
+    "groebner_basis": _check_groebner_basis,
+    "image_closure": _check_image_closure,
+}
+
+
+def _verify(ns):
+    """Re-check a report's defining identities from the report alone."""
+    with open(ns.report, "r", encoding="utf-8") as handle:
+        original = json.load(handle)
+    command = _entry(original, "command", "report", required=False)
+    session_data = _entry(original, "session", "report", required=False)
+    checks: list[dict] = []
+    if session_data is not None:
+        morphism = parse_session(_session_text_from_json(session_data)).morphism()
+        certificates = _entry(original, "certificates", "report", required=False) or []
+        if not isinstance(certificates, list):
+            raise PolymapError("report certificates are not a JSON array")
+        for cert in certificates:
+            kind = _entry(cert, "kind", "report certificate", required=False)
+            check = _CHECKS.get(kind) if isinstance(kind, str) else None
+            for name, ok in check(cert, original, morphism) if check else ():
+                checks.append({"check": name, "ok": bool(ok)})
+    verified = all(c["ok"] for c in checks) if checks else None
+    return {"report": ns.report, "verified_command": command}, verified, checks, True
+
+
+def _session_text_from_json(data: dict) -> str:
+    lines = [
+        "source_ring: " + " ".join(_entry(data, "source_ring", "report session")),
+        "target_ring: " + " ".join(_entry(data, "target_ring", "report session")),
+        "map: " + " ; ".join(_entry(data, "map", "report session")),
+    ]
+    if data.get("source_ideal"):
+        lines.insert(1, "source_ideal: " + " ; ".join(data["source_ideal"]))
+    if data.get("target_ideal"):
+        lines.insert(-1, "target_ideal: " + " ; ".join(data["target_ideal"]))
+    for flag in ("assert_factorial", "assert_irreducible", "assert_etale"):
+        if data.get(flag):
+            lines.append(f"{flag}: true")
+    lines.append(f"depth: {data.get('depth', 8)}")
+    lines.append(f"order: {data.get('order', 'grevlex')}")
+    return "\n".join(lines) + "\n"
+
+
+# -- the command table -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One CLI command.  ``run`` gets (ns, session, morphism), or only ns
+    when the command reads no session.  Exit 2 means undecided: a null
+    verdict from an inexact description or, with ``inexact_undecided``,
+    any inexact description.  A ``check`` verdict of false exits 1."""
+
+    run: Callable
+    flags: tuple = ()
+    session: bool = True
+    inexact_undecided: bool = False
+    check: bool = False
+
+
+_COMMANDS: dict[str, _Command] = {
+    "gb": _Command(_gb, (_RING, _flag("--order", choices=("grevlex", "grlex", "lex"), default=None))),
+    "dim": _Command(lambda ns, session, morphism: (
+        {"ring": ns.ring}, _variety(morphism, ns.ring).ideal.dimension(), [], True), (_RING,)),
+    "nf": _Command(_nf, (_G, _RING)),
+    "eliminate": _Command(_eliminate, (
+        _flag("--drop", required=True, metavar="VARS", help="comma-separated variables to eliminate"), _RING)),
+    "image": _Command(_image, ([_flag("--closure", action="store_true", default=True),
+                                _flag("--constructible", action="store_true")],), inexact_undecided=True),
+    "almost-surjective": _Command(_almost_surjective),
+    "determined": _Command(_determined, (_G,)),
+    "interpolate": _Command(_interpolate, (_G,)),
+    "minpoly": _Command(_minpoly, (_G,)),
+    "extend": _Command(_interpolate, (_G,)),
+    "divides": _Command(_divides, (_flag("-f", required=True, metavar="POLY"), _G)),
+    "injective": _Command(lambda ns, session, morphism: ({}, morphism.is_injective(), [], True)),
+    "biregular": _Command(_biregular),
+    "etale": _Command(_etale),
+    "invert": _Command(_invert),
+    "jc": _Command(_jc),
+    "dichotomy": _Command(_dichotomy),
+    "fixtures": _Command(_fixtures, session=False),
+    "verify": _Command(_verify, (_flag("report", metavar="REPORT.json"),), session=False, check=True),
+}
+
+
+def _add_flags(target, flags) -> None:
+    for flag in flags:
+        if isinstance(flag, list):  # mutually exclusive flags
+            _add_flags(target.add_mutually_exclusive_group(), flag)
+        else:
+            names, kwargs = flag
+            target.add_argument(*names, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,364 +387,31 @@ def build_parser() -> argparse.ArgumentParser:
                         help="include wall-clock timings (non-deterministic)")
     parser = _Parser(prog="polymap", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    for name in ("gb", "dim"):
-        c = cmd(name)
-        c.add_argument("--ring", choices=("source", "target"), default="source")
-        if name == "gb":
-            # default comes from the session's order option
-            c.add_argument("--order", choices=("grevlex", "grlex", "lex"), default=None)
-    c = cmd("nf")
-    c.add_argument("-g", required=True, metavar="POLY")
-    c.add_argument("--ring", choices=("source", "target"), default="source")
-    c = cmd("eliminate")
-    c.add_argument("--drop", required=True, metavar="VARS", help="comma-separated variables to eliminate")
-    c.add_argument("--ring", choices=("source", "target"), default="source")
-    c = cmd("image")
-    mode = c.add_mutually_exclusive_group()
-    mode.add_argument("--closure", action="store_true", default=True)
-    mode.add_argument("--constructible", action="store_true")
-    cmd("almost-surjective")
-    for name in ("determined", "interpolate", "minpoly", "extend"):
-        cmd(name).add_argument("-g", required=True, metavar="POLY")
-    c = cmd("divides")
-    c.add_argument("-f", required=True, metavar="POLY")
-    c.add_argument("-g", required=True, metavar="POLY")
-    cmd("injective")
-    cmd("biregular")
-    cmd("etale")
-    cmd("invert")
-    cmd("jc")
-    cmd("dichotomy")
-    cmd("fixtures")
-    cmd("verify").add_argument("report", metavar="REPORT.json")
+    for name, command in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, parents=[common]), command.flags)
     return parser
-
-
-def _load_session(ns) -> Session:
-    if ns.fixture and ns.session:
-        raise PolymapError("give either --session or --fixture, not both")
-    if ns.fixture:
-        return load_fixture(ns.fixture)
-    if ns.session:
-        with open(ns.session, "r", encoding="utf-8") as handle:
-            return parse_session(handle.read())
-    raise PolymapError(f"command {ns.command!r} needs --session FILE or --fixture NAME")
-
-
-def _ring_data(session: Session, morphism: Morphism, ring: str):
-    if ring == "source":
-        return morphism.source.ctx, morphism.source.ideal
-    return morphism.target.ctx, morphism.target.ideal
 
 
 def run_command(ns) -> tuple[dict, int]:
     """Execute one parsed command; returns (report dict, exit code)."""
+    command = _COMMANDS[ns.command]
     report: dict = {"command": ns.command}
-    exit_code = 0
-
-    if ns.command == "fixtures":
-        report["verdict"] = fixture_names()
-        report["certificates"] = [
-            {"kind": "session", "name": name, "text": fixture_session_text(name)}
-            for name in fixture_names()
-        ]
-        report["exact"] = True
-        return report, 0
-
-    if ns.command == "verify":
-        return _verify(ns.report)
-
-    session = _load_session(ns)
-    report["session"] = session.to_json_dict()
-    morphism = session.morphism()
-    args: dict = {}
-    certificates: list[dict] = []
-    verdict = None
-    exact = True
-
-    if ns.command in ("gb", "dim", "nf", "eliminate"):
-        ctx, ideal = _ring_data(session, morphism, ns.ring)
-        args["ring"] = ns.ring
-        if ns.command == "gb":
-            order_name = ns.order or session.order
-            order = order_by_name(order_name)
-            args["order"] = order_name
-            basis = ideal.groebner_basis(order)
-            verdict = [str(g) for g in basis]
-            certificates.append({"kind": "groebner_basis", "ring": ns.ring, "order": order_name, "basis": verdict})
-        elif ns.command == "dim":
-            verdict = ideal.dimension()
-        elif ns.command == "nf":
-            args["g"] = ns.g
-            f = parse_poly(ns.g, ctx)
-            value = ideal.normal_form(f)
-            verdict = str(value)
-            certificates.append({"kind": "normal_form", "ring": ns.ring, "g": str(f), "value": verdict})
-        else:
-            drop = [v.strip() for v in ns.drop.split(",") if v.strip()]
-            args["drop"] = drop
-            result = ideal.eliminate(drop)
-            verdict = [str(g) for g in result.generators]
-            certificates.append({
-                "kind": "elimination_ideal",
-                "ring": ns.ring,
-                "drop": drop,
-                "kept_ring": list(result.ctx.names),
-                "generators": verdict,
-            })
-
-    elif ns.command == "image":
-        if ns.constructible:
-            args["mode"] = "constructible"
-            image = morphism.constructible_image(session.depth)
-            verdict = image.to_json_dict()
-            exact = image.exact
-            if not exact:
-                exit_code = UNKNOWN_EXIT
-            certificates.append({"kind": "constructible_image", **image.to_json_dict()})
-        else:
-            args["mode"] = "closure"
-            closure = morphism.image_closure()
-            verdict = [str(g) for g in closure.generators]
-            certificates.append({"kind": "image_closure", "generators": verdict})
-
-    elif ns.command == "almost-surjective":
-        rep = morphism.almost_surjective(session.depth)
-        verdict = rep.almost_surjective
-        exact = rep.image.exact
-        if verdict is None:
-            exit_code = UNKNOWN_EXIT
-        certificates.append({
-            "kind": "surjectivity",
-            "image": rep.image.to_json_dict(),
-            "complement_closure": [str(g) for g in rep.complement_closure.generators],
-            "complement_dim": rep.complement_dim,
-            "target_dim": rep.target_dim,
-            "almost_surjective": rep.almost_surjective,
-            "surjective": rep.surjective,
-        })
-
-    elif ns.command in ("determined", "interpolate", "minpoly", "extend"):
-        g = parse_poly(ns.g, morphism.source.ctx)
-        args["g"] = str(g)
-        if ns.command == "determined":
-            verdict = morphism.determined_by(g)
-            certificates.append({"kind": "fiber_constancy", "g": str(g), "determined": verdict})
-        elif ns.command == "minpoly":
-            result = morphism.minimal_polynomial(g)
-            verdict = result.status
-            certificates.append({
-                "kind": "graph_relation",
-                "var": result.var,
-                "relation": str(result.relation) if result.relation is not None else None,
-                "degree": result.degree,
-                "rational_pair": [str(p) for p in result.rational_pair] if result.rational_pair else None,
-                "dominant": result.dominant,
-                "graph_ideal": [str(p) for p in result.graph_ideal.generators],
-            })
-        else:
-            result = morphism.interpolate(g) if ns.command == "interpolate" else morphism.extend(g)
-            verdict = result.status
-            certificates.append({
-                "kind": "interpolation",
-                "g": str(g),
-                "interpolant": str(result.interpolant) if result.interpolant is not None else None,
-                "witness_normal_form": str(result.witness),
-            })
-
-    elif ns.command == "divides":
-        f = parse_poly(ns.f, morphism.target.ctx)
-        g = parse_poly(ns.g, morphism.target.ctx)
-        args["f"], args["g"] = str(f), str(g)
-        source_div, target_div = morphism.divides_transfer(f, g)
-        verdict = {"source": source_div, "target": target_div}
-        certificates.append({
-            "kind": "divisibility_transfer",
-            "f": str(f),
-            "g": str(g),
-            "f_pullback": str(morphism.pullback(f)),
-            "g_pullback": str(morphism.pullback(g)),
-            "source_divides": source_div,
-            "target_divides": target_div,
-            "witnesses_non_almost_surjective": source_div and not target_div,
-        })
-
-    elif ns.command == "injective":
-        verdict = morphism.is_injective()
-
-    elif ns.command == "biregular":
-        rep = morphism.biregular(session.depth)
-        verdict = rep.verdict
-        exact = rep.surjectivity.image.exact
-        if verdict is None:
-            exit_code = UNKNOWN_EXIT
-        certificates.append({
-            "kind": "biregularity",
-            "injective": rep.injective,
-            "almost_surjective": rep.surjectivity.almost_surjective,
-            "inverse": [str(p) for p in rep.inverse] if rep.inverse else None,
-            "consistent": rep.consistent,
-        })
-
-    elif ns.command in ("etale", "invert", "jc"):
-        endo = session.endomorphism()
-        if ns.command == "etale":
-            det = jacobian_determinant(endo)
-            verdict = is_etale(endo)
-            certificates.append({"kind": "jacobian", "determinant": str(det), "etale": verdict})
-        elif ns.command == "invert":
-            result = invert(endo)
-            verdict = [str(c) for c in result.inverse.coords] if result.ok else None
-            certificates.append({
-                "kind": "inversion",
-                "inverse": verdict,
-                "failing_coordinate": result.failing_coordinate,
-            })
-            # A failed inversion is a definite verdict, not an unknown.
-            exit_code = 0
-        else:
-            rep = jc_criteria(endo, session.depth)
-            verdict = {
-                "injective": rep.injective,
-                "coords_determined": list(rep.coords_determined),
-                "invertible": rep.invertible,
-                "consistent": rep.consistent,
-            }
-            certificates.append({
-                "kind": "invertibility_criteria",
-                "etale": rep.etale,
-                "inverse": [str(p) for p in rep.inverse] if rep.inverse else None,
-                **verdict,
-            })
-
-    elif ns.command == "dichotomy":
-        rep = etale_dichotomy(morphism, session.depth)
-        verdict = rep.branch
-        exact = rep.surjectivity.image.exact
-        if verdict is None:
-            exit_code = UNKNOWN_EXIT
-        certificates.append({
-            "kind": "dichotomy",
-            "branch": rep.branch,
-            "complement_codim": rep.complement_codim,
-            "complement_closure": [str(g) for g in rep.surjectivity.complement_closure.generators],
-            "inverse": [str(p) for p in rep.inverse] if rep.inverse else None,
-        })
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise PolymapError(f"unknown command {ns.command!r}")
-
-    report["args"] = args
-    report["verdict"] = verdict
-    report["certificates"] = certificates
-    report["exact"] = exact
-    return report, exit_code
-
-
-def _verify(path: str) -> tuple[dict, int]:
-    """Re-check a report's defining identities from the report alone."""
-    with open(path, "r", encoding="utf-8") as handle:
-        original = json.load(handle)
-    command = original.get("command")
-    session_data = original.get("session")
-    checks: list[dict] = []
-
-    def check(name: str, ok: bool) -> None:
-        checks.append({"check": name, "ok": bool(ok)})
-
-    if session_data is not None:
-        session = parse_session(_session_text_from_json(session_data))
-        morphism = session.morphism()
-        src_ctx, tgt_ctx = morphism.source.ctx, morphism.target.ctx
-        for cert in original.get("certificates", ()):
-            kind = cert.get("kind")
-            if kind == "interpolation" and cert.get("interpolant"):
-                g = parse_poly(cert["g"], src_ctx)
-                p = parse_poly(cert["interpolant"], tgt_ctx)
-                residual = morphism.pullback(p) - morphism.source.ideal.normal_form(g)
-                check("interpolant pulls back to g", morphism.source.ideal.contains(residual))
-            elif kind == "graph_relation" and cert.get("relation"):
-                big = tgt_ctx.extended([cert["var"]])
-                relation = parse_poly(cert["relation"], big)
-                g_text = original.get("args", {}).get("g")
-                if g_text is not None:
-                    g = parse_poly(g_text, src_ctx)
-                    assignment = dict(zip(tgt_ctx.names, morphism.coords))
-                    assignment[cert["var"]] = g
-                    check("relation vanishes on the graph", morphism.source.ideal.contains(relation.substitute(assignment)))
-                if cert.get("rational_pair"):
-                    num = parse_poly(cert["rational_pair"][0], tgt_ctx)
-                    den = parse_poly(cert["rational_pair"][1], tgt_ctx)
-                    g = parse_poly(original["args"]["g"], src_ctx)
-                    residual = morphism.pullback(den) * g - morphism.pullback(num)
-                    check("degree-1 pair represents g", morphism.source.ideal.contains(residual))
-            elif kind in ("biregularity", "inversion", "invertibility_criteria", "dichotomy") and cert.get("inverse"):
-                inverse = [parse_poly(text, tgt_ctx) for text in cert["inverse"]]
-                back = dict(zip(src_ctx.names, inverse))
-                forward = dict(zip(tgt_ctx.names, morphism.coords))
-                left = all(
-                    morphism.source.ideal.contains(q.substitute(forward) - Poly.variable(src_ctx, n))
-                    for q, n in zip(inverse, src_ctx.names)
-                )
-                right = all(
-                    morphism.target.ideal.contains(c.substitute(back) - Poly.variable(tgt_ctx, n))
-                    for c, n in zip(morphism.coords, tgt_ctx.names)
-                )
-                check("inverse composes to identity on both sides", left and right)
-            elif kind == "divisibility_transfer":
-                f = parse_poly(cert["f"], tgt_ctx)
-                g = parse_poly(cert["g"], tgt_ctx)
-                source_div, target_div = morphism.divides_transfer(f, g)
-                check("divisibility verdicts reproduce", source_div == cert["source_divides"] and target_div == cert["target_divides"])
-            elif kind == "groebner_basis":
-                ideal = morphism.source.ideal if cert["ring"] == "source" else morphism.target.ideal
-                ctx = src_ctx if cert["ring"] == "source" else tgt_ctx
-                basis = [parse_poly(text, ctx) for text in cert["basis"]]
-                gens_reduce = all(normal_form(g, basis).is_zero() for g in ideal.generators)
-                basis_member = all(ideal.contains(b) for b in basis)
-                check("basis and generators span the same ideal", gens_reduce and basis_member)
-            elif kind == "image_closure":
-                closure = morphism.image_closure()
-                again = [str(g) for g in closure.generators]
-                check("image closure reproduces", again == cert["generators"])
-
-    verified = all(c["ok"] for c in checks) if checks else None
-    report = {
-        "command": "verify",
-        "args": {"report": path, "verified_command": command},
-        "verdict": verified,
-        "certificates": checks,
-        "exact": True,
-    }
-    if verified is None:
+    if command.session:
+        session = _load_session(ns)
+        report["session"] = session.to_json_dict()
+        args, verdict, certificates, exact = command.run(ns, session, session.morphism())
+    else:
+        args, verdict, certificates, exact = command.run(ns)
+    if args is not None:
+        report["args"] = args
+    report.update(verdict=verdict, certificates=certificates, exact=exact)
+    if command.check and verdict is None:
         report["note"] = "report contains no re-checkable certificate"
-        return report, 0
-    return report, 0 if verified else 1
-
-
-def _session_text_from_json(data: dict) -> str:
-    for key in ("source_ring", "target_ring", "map"):
-        if key not in data:
-            raise PolymapError(f"report session has no {key!r} entry")
-    lines = [
-        "source_ring: " + " ".join(data["source_ring"]),
-        "target_ring: " + " ".join(data["target_ring"]),
-        "map: " + " ; ".join(data["map"]),
-    ]
-    if data.get("source_ideal"):
-        lines.insert(1, "source_ideal: " + " ; ".join(data["source_ideal"]))
-    if data.get("target_ideal"):
-        lines.insert(-1, "target_ideal: " + " ; ".join(data["target_ideal"]))
-    for flag in ("assert_factorial", "assert_irreducible", "assert_etale"):
-        if data.get(flag):
-            lines.append(f"{flag}: true")
-    lines.append(f"depth: {data.get('depth', 8)}")
-    lines.append(f"order: {data.get('order', 'grevlex')}")
-    return "\n".join(lines) + "\n"
+    if command.check and verdict is False:
+        return report, 1
+    if not exact and (verdict is None or command.inexact_undecided):
+        return report, UNKNOWN_EXIT
+    return report, 0
 
 
 def _render_human(report: dict) -> str:
@@ -441,10 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report, exit_code = run_command(ns)
-    except PolymapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (PolymapError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report["timings"] = {"seconds": round(time.perf_counter() - started, 6)} if ns.timings else None

@@ -101,34 +101,19 @@ def is_etale(endo: Endomorphism) -> bool:
 def invert(endo: Endomorphism) -> InversionResult:
     """Constructive two-sided inverse, if one exists.
 
-    Each source coordinate is interpolated through the map; on success
-    the candidate inverse must satisfy both composition identities as
-    pure polynomial identities (no ideal reduction is involved since
-    source and target are affine spaces), otherwise no inverse exists
-    and the first non-interpolable coordinate is reported.
+    Built by :meth:`Morphism.construct_inverse`; since source and target
+    are affine spaces, both composition identities hold as plain
+    polynomial identities.  On failure ``failing_coordinate`` is the
+    first source coordinate that does not interpolate, or None when
+    every coordinate does but the map is not onto.
     """
-    inverse_coords: list[Poly] = []
-    src = endo.source.ctx
-    tgt = endo.target.ctx
-    for j, name in enumerate(src.names):
-        result = endo.interpolate(Poly.variable(src, name))
-        if not result.ok:
-            return InversionResult(None, j)
-        inverse_coords.append(result.interpolant)
-    back = dict(zip(src.names, inverse_coords))
-    forward = dict(zip(tgt.names, endo.coords))
-    for j, name in enumerate(src.names):
-        if inverse_coords[j].substitute(forward) != Poly.variable(src, name):
-            raise EngineInconsistencyError("inverse candidate failed left composition identity")
-    for i, name in enumerate(tgt.names):
-        if endo.coords[i].substitute(back) != Poly.variable(tgt, name):
-            # All coordinates interpolate yet the map is not onto: the
-            # candidate is a retraction, not an inverse.
-            return InversionResult(None, None)
-    return InversionResult(Endomorphism(tgt, src, inverse_coords), None)
+    inverse, failing = endo.construct_inverse()
+    if inverse is None:
+        return InversionResult(None, failing)
+    return InversionResult(Endomorphism(endo.target.ctx, endo.source.ctx, inverse), None)
 
 
-def jc_criteria(endo: Endomorphism, depth: int = 8) -> JCReport:
+def jc_criteria(endo: Endomorphism) -> JCReport:
     """Evaluate the invertibility criteria independently and compare.
 
     Requires an etale input (constant nonzero Jacobian determinant);

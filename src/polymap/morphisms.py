@@ -65,9 +65,6 @@ class AffineVariety:
         # Polynomial rings are factorial, so the flag defaults to set.
         return AffineVariety(ctx, Ideal.zero(ctx), assert_irreducible=True, assert_factorial=assert_factorial)
 
-    def is_empty(self) -> bool:
-        return self.ideal.is_unit()
-
     def dimension(self) -> int:
         return self.ideal.dimension()
 
@@ -176,10 +173,6 @@ class SurjectivityReport:
     target_dim: int
     almost_surjective: bool | None
     surjective: bool | None
-
-    @property
-    def known(self) -> bool:
-        return self.almost_surjective is not None
 
 
 @dataclass(frozen=True)
@@ -580,7 +573,7 @@ class Morphism:
         if surj.almost_surjective is None:
             return BiregularReport(None, injective, surj, None, True)
         verdict = injective and surj.almost_surjective
-        inverse = self._try_inverse()
+        inverse, _ = self.construct_inverse()
         consistent = verdict == (inverse is not None)
         if not consistent:
             raise EngineInconsistencyError(
@@ -588,20 +581,27 @@ class Morphism:
             )
         return BiregularReport(verdict, injective, surj, inverse, consistent)
 
-    def _try_inverse(self) -> tuple[Poly, ...] | None:
-        """Interpolate every source coordinate and check both compositions."""
+    def construct_inverse(self) -> tuple[tuple[Poly, ...] | None, int | None]:
+        """Interpolate every source coordinate and check the other composition.
+
+        Returns ``(inverse, None)`` on success.  On failure the inverse is
+        None and the second entry is the index of the first source
+        coordinate that does not interpolate, or None when all of them
+        do but the map is not onto (the candidate is only a retraction).
+        ``interpolate`` has already checked inverse o map on the source.
+        """
         inverse: list[Poly] = []
-        for name in self.source.ctx.names:
+        for j, name in enumerate(self.source.ctx.names):
             result = self.interpolate(Poly.variable(self.source.ctx, name))
             if not result.ok:
-                return None
+                return None, j
             inverse.append(result.interpolant)
         back = dict(zip(self.source.ctx.names, inverse))
         for name, coord in zip(self.target.ctx.names, self.coords):
             residual = coord.substitute(back) - Poly.variable(self.target.ctx, name)
             if not self.target.ideal.contains(residual):
-                return None
-        return tuple(inverse)
+                return None, None
+        return tuple(inverse), None
 
     def __str__(self) -> str:
         arrows = ", ".join(f"{n} = {c}" for n, c in zip(self.target.ctx.names, self.coords))

@@ -32,6 +32,22 @@ def run_cli(capsys, *argv):
     return code, (json.loads(out) if out.strip().startswith("{") else out)
 
 
+def session_commands(name):
+    """Every session command, with -g, -f and --drop on the first ring variables."""
+    session = load_fixture(name)
+    x, u, v = session.source_ring[0], session.target_ring[0], session.target_ring[-1]
+    return [
+        ["gb"], ["gb", "--ring", "target"], ["dim"], ["nf", "-g", x], ["eliminate", "--drop", x],
+        ["image", "--closure"], ["image", "--constructible"], ["almost-surjective"], ["injective"],
+        ["biregular"], ["etale"], ["invert"], ["jc"], ["dichotomy"],
+        *[[command, "-g", x] for command in ("determined", "interpolate", "minpoly", "extend")],
+        ["divides", "-f", u, "-g", v],
+    ]
+
+
+MAP_SESSION = {"source_ring": ["x"], "target_ring": ["u"], "map": ["u = x"]}
+
+
 class TestSessionParsing:
     def test_full_session(self):
         session = parse_session(SESSION_TEXT)
@@ -269,13 +285,46 @@ class TestVerify:
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 0 and report["verdict"] is None
 
-    @pytest.mark.parametrize("missing", ["source_ring", "target_ring", "map"])
-    def test_report_with_incomplete_session_refused(self, capsys, tmp_path, missing):
-        session = {"source_ring": ["x"], "target_ring": ["u"], "map": ["u = x"]}
-        del session[missing]
+    @staticmethod
+    def _assert_refused(capsys, tmp_path, report, named):
         path = tmp_path / "report.json"
-        path.write_text(json.dumps({"command": "interpolate", "session": session, "certificates": []}))
+        path.write_text(json.dumps(report))
         assert main(["verify", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1 and missing in captured.err
+        assert captured.err.count("\n") == 1 and named in captured.err
+
+    @pytest.mark.parametrize("missing", ["source_ring", "target_ring", "map"])
+    def test_report_with_incomplete_session_refused(self, capsys, tmp_path, missing):
+        session = dict(MAP_SESSION)
+        del session[missing]
+        report = {"command": "interpolate", "session": session, "certificates": []}
+        self._assert_refused(capsys, tmp_path, report, missing)
+
+    @pytest.mark.parametrize("report, named", [
+        ([{"command": "gb", "session": MAP_SESSION}], "report is not a JSON object"),
+        ({"command": "gb", "session": MAP_SESSION, "certificates": [1]}, "certificate is not a JSON object"),
+        ({"command": "interpolate", "session": MAP_SESSION,
+          "certificates": [{"kind": "interpolation", "interpolant": "u"}]}, "'g'"),
+        ({"command": "gb", "session": MAP_SESSION,
+          "certificates": [{"kind": "groebner_basis", "order": "grevlex", "basis": ["x"]}]}, "'ring'"),
+        ({"command": "minpoly", "session": MAP_SESSION, "args": {},
+          "certificates": [{"kind": "graph_relation", "var": "w", "relation": "w - u",
+                            "rational_pair": ["u", "1"]}]}, "'g'"),
+    ], ids=["list", "certificate-not-object", "interpolation-without-g", "basis-without-ring",
+            "rational-pair-without-args-g"])
+    def test_malformed_report_refused(self, capsys, tmp_path, report, named):
+        self._assert_refused(capsys, tmp_path, report, named)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_every_report_verifies(self, capsys, tmp_path, name):
+        for argv in session_commands(name):
+            code = main(["--fixture", name, *argv])
+            captured = capsys.readouterr()
+            if code == 1:  # a refused precondition, e.g. etale on a map between different spaces
+                assert captured.out == "" and captured.err.count("\n") == 1, argv
+                continue
+            path = tmp_path / "report.json"
+            path.write_text(captured.out)
+            code, report = run_cli(capsys, "verify", str(path))
+            assert code == 0 and report["verdict"] in (True, None), argv
