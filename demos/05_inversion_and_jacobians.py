@@ -3,8 +3,9 @@
 equivalence harness for etale maps.
 
 For a polynomial self-map with constant nonzero Jacobian determinant,
-injectivity, per-coordinate determinacy, and constructive invertibility
-are computed along independent code paths and must agree.
+injectivity (every coordinate determined on the fibers, a fiber-ideal
+computation) and constructive invertibility (interpolation on the graph
+ideal) must agree.
 """
 
 import random

@@ -196,46 +196,65 @@ def _fixtures(ns):
 # -- verify: one check per certificate kind ----------------------------------------
 
 
-def _entry(data, key: str, where: str, required: bool = True):
+def _entry(data, key: str, where: str, kind: type = object, required: bool = True):
     """``data[key]`` of a JSON object read back from a report; refuses a
-    non-object or a missing required entry with a PolymapError naming it."""
+    non-object, a missing required entry, or an entry that is not a
+    ``kind`` (an optional one may be null) with a PolymapError naming it."""
     if not isinstance(data, dict):
         raise PolymapError(f"{where} is not a JSON object")
     if required and key not in data:
         raise PolymapError(f"{where} has no {key!r} entry")
-    return data.get(key)
+    value = data.get(key)
+    if not isinstance(value, kind) and (required or value is not None):
+        raise PolymapError(f"{where} entry {key!r} is not a {'string' if kind is str else 'JSON array'}")
+    return value
+
+
+def _texts(data, key: str, where: str, required: bool = True, length: int | None = None) -> list[str] | None:
+    """A JSON array of polynomial or variable texts (exactly ``length``
+    of them, when given), read through ``_entry``."""
+    texts = _entry(data, key, where, list, required)
+    if texts is not None and (not all(isinstance(t, str) for t in texts) or length not in (None, len(texts))):
+        size = f"{length} " if length else ""
+        raise PolymapError(f"{where} entry {key!r} is not an array of {size}strings")
+    return texts
 
 
 def _check_interpolation(cert: dict, report: dict, morphism: Morphism):
-    if cert.get("interpolant"):
-        g = parse_poly(_entry(cert, "g", "interpolation certificate"), morphism.source.ctx)
-        p = parse_poly(cert["interpolant"], morphism.target.ctx)
+    where = "interpolation certificate"
+    interpolant = _entry(cert, "interpolant", where, str, required=False)
+    if interpolant:
+        g = parse_poly(_entry(cert, "g", where, str), morphism.source.ctx)
+        p = parse_poly(interpolant, morphism.target.ctx)
         residual = morphism.pullback(p) - morphism.source.ideal.normal_form(g)
         yield "interpolant pulls back to g", morphism.source.ideal.contains(residual)
 
 
 def _check_graph_relation(cert: dict, report: dict, morphism: Morphism):
-    if not cert.get("relation"):
+    where = "graph_relation certificate"
+    text = _entry(cert, "relation", where, str, required=False)
+    if not text:
         return
     src, tgt = morphism.source.ctx, morphism.target.ctx
-    var = _entry(cert, "var", "graph_relation certificate")
-    relation = parse_poly(cert["relation"], tgt.extended([var]))
-    g = parse_poly(_entry(_entry(report, "args", "report"), "g", "report args"), src)
+    var = _entry(cert, "var", where, str)
+    relation = parse_poly(text, tgt.extended([var]))
+    g = parse_poly(_entry(_entry(report, "args", "report"), "g", "report args", str), src)
     assignment = dict(zip(tgt.names, morphism.coords))
     assignment[var] = g
     yield "relation vanishes on the graph", morphism.source.ideal.contains(relation.substitute(assignment))
-    if cert.get("rational_pair"):
-        num = parse_poly(cert["rational_pair"][0], tgt)
-        den = parse_poly(cert["rational_pair"][1], tgt)
+    pair = _texts(cert, "rational_pair", where, required=False, length=2)
+    if pair:
+        num, den = (parse_poly(text, tgt) for text in pair)
         residual = morphism.pullback(den) * g - morphism.pullback(num)
         yield "degree-1 pair represents g", morphism.source.ideal.contains(residual)
 
 
 def _check_inverse(cert: dict, report: dict, morphism: Morphism):
-    if not cert.get("inverse"):
+    texts = _texts(cert, "inverse", f"{cert['kind']} certificate", required=False)
+    if not texts:
         return
     src, tgt = morphism.source.ctx, morphism.target.ctx
-    inverse = [parse_poly(text, tgt) for text in cert["inverse"]]
+    inverse = [parse_poly(text, tgt) for text in texts]
     back = dict(zip(src.names, inverse))
     forward = dict(zip(tgt.names, morphism.coords))
     left = all(morphism.source.ideal.contains(q.substitute(forward) - Poly.variable(src, n))
@@ -247,8 +266,8 @@ def _check_inverse(cert: dict, report: dict, morphism: Morphism):
 
 def _check_divisibility(cert: dict, report: dict, morphism: Morphism):
     where = "divisibility_transfer certificate"
-    f = parse_poly(_entry(cert, "f", where), morphism.target.ctx)
-    g = parse_poly(_entry(cert, "g", where), morphism.target.ctx)
+    f = parse_poly(_entry(cert, "f", where, str), morphism.target.ctx)
+    g = parse_poly(_entry(cert, "g", where, str), morphism.target.ctx)
     source_div, target_div = morphism.divides_transfer(f, g)
     yield "divisibility verdicts reproduce", (source_div == _entry(cert, "source_divides", where)
                                               and target_div == _entry(cert, "target_divides", where))
@@ -257,7 +276,7 @@ def _check_divisibility(cert: dict, report: dict, morphism: Morphism):
 def _check_groebner_basis(cert: dict, report: dict, morphism: Morphism):
     where = "groebner_basis certificate"
     variety = _variety(morphism, _entry(cert, "ring", where))
-    basis = [parse_poly(text, variety.ctx) for text in _entry(cert, "basis", where)]
+    basis = [parse_poly(text, variety.ctx) for text in _texts(cert, "basis", where)]
     gens_reduce = all(normal_form(g, basis).is_zero() for g in variety.ideal.generators)
     basis_member = all(variety.ideal.contains(b) for b in basis)
     yield "basis and generators span the same ideal", gens_reduce and basis_member
@@ -291,10 +310,7 @@ def _verify(ns):
     checks: list[dict] = []
     if session_data is not None:
         morphism = parse_session(_session_text_from_json(session_data)).morphism()
-        certificates = _entry(original, "certificates", "report", required=False) or []
-        if not isinstance(certificates, list):
-            raise PolymapError("report certificates are not a JSON array")
-        for cert in certificates:
+        for cert in _entry(original, "certificates", "report", list, required=False) or []:
             kind = _entry(cert, "kind", "report certificate", required=False)
             check = _CHECKS.get(kind) if isinstance(kind, str) else None
             for name, ok in check(cert, original, morphism) if check else ():
@@ -304,15 +320,16 @@ def _verify(ns):
 
 
 def _session_text_from_json(data: dict) -> str:
+    where = "report session"
     lines = [
-        "source_ring: " + " ".join(_entry(data, "source_ring", "report session")),
-        "target_ring: " + " ".join(_entry(data, "target_ring", "report session")),
-        "map: " + " ; ".join(_entry(data, "map", "report session")),
+        "source_ring: " + " ".join(_texts(data, "source_ring", where)),
+        "target_ring: " + " ".join(_texts(data, "target_ring", where)),
+        "map: " + " ; ".join(_texts(data, "map", where)),
     ]
-    if data.get("source_ideal"):
-        lines.insert(1, "source_ideal: " + " ; ".join(data["source_ideal"]))
-    if data.get("target_ideal"):
-        lines.insert(-1, "target_ideal: " + " ; ".join(data["target_ideal"]))
+    if source_ideal := _texts(data, "source_ideal", where, required=False):
+        lines.insert(1, "source_ideal: " + " ; ".join(source_ideal))
+    if target_ideal := _texts(data, "target_ideal", where, required=False):
+        lines.insert(-1, "target_ideal: " + " ; ".join(target_ideal))
     for flag in ("assert_factorial", "assert_irreducible", "assert_etale"):
         if data.get(flag):
             lines.append(f"{flag}: true")

@@ -1,6 +1,7 @@
 """Polynomial self-maps of affine space: Jacobians, etale checks,
-constructive inversion, and the equivalence harness tying injectivity,
-coordinate determinacy and invertibility together for etale maps.
+constructive inversion, and the Jacobian criteria for etale maps, where
+injectivity (every coordinate determined on the fibers) is checked
+against the constructed inverse.
 
 Etaleness is machine-decided only here, where it reduces to "the
 Jacobian determinant is a nonzero constant".  For maps between general
@@ -59,9 +60,12 @@ class InversionResult:
 class JCReport:
     """Joint verdicts of the invertibility criteria for an etale map.
 
-    ``consistent`` records that injectivity, coordinate determinacy and
-    constructive invertibility all agreed; a False value is a potential
-    engine defect, never a mathematical discovery.
+    ``injective`` is ``all(coords_determined)``: a map is injective
+    exactly when every source coordinate is constant on its fibers.
+    ``consistent`` records that this fiber verdict agreed with
+    constructive invertibility, which works on the graph ideal instead;
+    a False value is a potential engine defect, never a mathematical
+    discovery.
     """
 
     etale: bool
@@ -114,23 +118,21 @@ def invert(endo: Endomorphism) -> InversionResult:
 
 
 def jc_criteria(endo: Endomorphism) -> JCReport:
-    """Evaluate the invertibility criteria independently and compare.
+    """Evaluate the invertibility criteria and compare them.
 
-    Requires an etale input (constant nonzero Jacobian determinant);
-    injectivity, per-coordinate determinacy and constructive inversion
-    are then computed along separate code paths and must agree.
+    Requires an etale input (constant nonzero Jacobian determinant).
+    Determinacy of each source coordinate is decided on the fiber ideal,
+    and injectivity is their conjunction; constructive inversion
+    interpolates on the graph ideal.  The two verdicts must agree.
     """
     if not is_etale(endo):
         raise NotEtaleError(
             f"Jacobian determinant {jacobian_determinant(endo)} is not a nonzero constant"
         )
-    injective = endo.is_injective()
-    determined = tuple(
-        endo.determined_by(Poly.variable(endo.source.ctx, name))
-        for name in endo.source.ctx.names
-    )
+    determined = tuple(endo.determined_by(x) for x in Poly.variables(endo.source.ctx))
+    injective = all(determined)
     inversion = invert(endo)
-    consistent = injective == all(determined) == inversion.ok
+    consistent = injective == inversion.ok
     inverse = inversion.inverse.coords if inversion.ok else None
     return JCReport(True, injective, determined, inversion.ok, inverse, consistent)
 
@@ -152,10 +154,10 @@ def etale_dichotomy(morphism: Morphism, depth: int = 8) -> DichotomyReport:
     if surj.almost_surjective is None:
         return DichotomyReport(None, surj, None, None)
     if surj.almost_surjective:
-        bireg = morphism.biregular(depth)
-        if bireg.verdict is not True:
+        inverse, _ = morphism.construct_inverse()
+        if inverse is None:
             raise EngineInconsistencyError("injective almost-surjective map failed the biregularity check")
-        return DichotomyReport("biregular", surj, surj.target_dim - surj.complement_dim, bireg.inverse)
+        return DichotomyReport("biregular", surj, surj.target_dim - surj.complement_dim, inverse)
     codim = surj.target_dim - surj.complement_dim
     if codim != 1:
         raise EngineInconsistencyError(

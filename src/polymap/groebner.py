@@ -223,7 +223,7 @@ class Ideal:
                 gens.append(g)
         self.ctx = ctx
         self.generators = tuple(gens)
-        self._cache: dict[tuple[MonomialOrder, str], tuple[Poly, ...]] = {}
+        self._cache: dict[MonomialOrder, tuple[Poly, ...]] = {}
         self._lock = threading.Lock()
 
     @staticmethod
@@ -236,20 +236,14 @@ class Ideal:
 
     # -- bases ---------------------------------------------------------------
 
-    def groebner_basis(self, order: MonomialOrder = GREVLEX, strategy: str = "normal") -> tuple[Poly, ...]:
-        cache_key = (order, strategy)
+    def groebner_basis(self, order: MonomialOrder = GREVLEX) -> tuple[Poly, ...]:
         with self._lock:
-            got = self._cache.get(cache_key)
+            got = self._cache.get(order)
         if got is not None:
             return got
-        basis = buchberger(self.generators, order, strategy)
+        basis = buchberger(self.generators, order)
         with self._lock:
-            self._cache.setdefault(cache_key, basis)
-            return self._cache[cache_key]
-
-    def _prime_cache(self, order: MonomialOrder, basis: tuple[Poly, ...]) -> None:
-        with self._lock:
-            self._cache.setdefault((order, "normal"), basis)
+            return self._cache.setdefault(order, basis)
 
     def normal_form(self, f: Poly, order: MonomialOrder = GREVLEX) -> Poly:
         if f.ctx != self.ctx:
@@ -327,7 +321,7 @@ class Ideal:
         result = Ideal(small, kept)
         # The head-free part of a reduced block basis is itself the reduced
         # grevlex basis of the elimination ideal; seed the cache with it.
-        result._prime_cache(GREVLEX, tuple(kept))
+        result._cache[GREVLEX] = tuple(kept)
         return result
 
     def quotient(self, f: Poly) -> "Ideal":

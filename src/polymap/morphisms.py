@@ -21,7 +21,7 @@ Verdict semantics worth pinning down:
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -36,7 +36,7 @@ from .errors import (
     TargetNotAffineSpaceError,
 )
 from .groebner import Ideal, normal_form
-from .orders import Block, GREVLEX
+from .orders import Block
 from .poly import Poly, VarContext
 
 
@@ -236,7 +236,7 @@ class Morphism:
         self.assert_etale = assert_etale
         self._memo: dict = {}
         if check:
-            assignment = dict(zip(target.ctx.names, coords))
+            assignment = self._coord_assignment()
             for g in target.ideal.generators:
                 if not source.ideal.contains(g.substitute(assignment)):
                     raise PreconditionError(
@@ -276,41 +276,30 @@ class Morphism:
             self._memo["fiber"] = got
         return got
 
-    def _elimination_split(self) -> tuple[tuple[Poly, ...], Poly]:
-        """Target-only part of the graph basis, and the product of the
-        leading coefficients (over the source block) of the rest.
+    def _lc_product(self) -> Poly:
+        """Product of the leading coefficients, over the source block, of
+        the graph basis elements that involve the source.
 
-        The second value cuts out the locus where specializing the basis
-        at a target point could degenerate; away from it every point of
-        the eliminated variety lifts to the source.
+        It cuts out the locus where specializing the basis at a target
+        point could degenerate; away from it every point of the
+        eliminated variety lifts to the source.
         """
-        got = self._memo.get("elim")
+        got = self._memo.get("lc_product")
         if got is not None:
             return got
         graph = self._graph()
-        basis = graph.ideal.groebner_basis(graph.block)
-        tgt = self.target.ctx
         head = graph.head
-        elim: list[Poly] = []
-        lc_product = Poly.one(tgt)
-        for g in basis:
-            lm = g.leading_monomial(graph.block)
-            head_part = tuple(lm[i] for i in head)
-            if not any(head_part):
-                elim.append(g.transport(tgt))
-                continue
-            coeff_terms = {
-                mono: c
-                for mono, c in g.terms()
-                if tuple(mono[i] for i in head) == head_part
-            }
-            lead_coeff = Poly(graph.ctx, {
-                tuple(0 if i in head else e for i, e in enumerate(m)): c
-                for m, c in coeff_terms.items()
-            })
-            lc_product = lc_product * lead_coeff.transport(tgt)
-        got = (tuple(elim), lc_product)
-        self._memo["elim"] = got
+        got = Poly.one(self.target.ctx)
+        for g in graph.ideal.groebner_basis(graph.block):
+            head_part = tuple(g.leading_monomial(graph.block)[i] for i in head)
+            if any(head_part):
+                lead_coeff = Poly(graph.ctx, {
+                    tuple(0 if i in head else e for i, e in enumerate(m)): c
+                    for m, c in g.terms()
+                    if tuple(m[i] for i in head) == head_part
+                })
+                got = got * lead_coeff.transport(self.target.ctx)
+        self._memo["lc_product"] = got
         return got
 
     # -- ring-level operations ---------------------------------------------------
@@ -325,10 +314,8 @@ class Morphism:
         """Ideal of the Zariski closure of the image."""
         got = self._memo.get("image_closure")
         if got is None:
-            elim, _ = self._elimination_split()
-            got = Ideal(self.target.ctx, elim)
-            got._prime_cache(GREVLEX, tuple(elim))
-            self._memo["image_closure"] = got
+            graph = self._graph()
+            got = self._memo["image_closure"] = graph.ideal.eliminate(graph.src_names)
         return got
 
     def dominant(self) -> bool:
@@ -423,7 +410,7 @@ class Morphism:
             # Present the relation with a positively-normalized top
             # coefficient in the graph variable (same principal ideal).
             generator = -generator
-        assignment = {n: c for n, c in zip(self.target.ctx.names, self.coords)}
+        assignment = self._coord_assignment()
         assignment[w] = g
         if not self.source.ideal.contains(generator.substitute(assignment)):
             raise EngineInconsistencyError("graph relation certificate failed to verify")
@@ -461,13 +448,9 @@ class Morphism:
     # -- injectivity / image ------------------------------------------------------
 
     def is_injective(self) -> bool:
-        """Geometric injectivity: the fiber product lies in the diagonal."""
-        ctx2, fiber, rename = self._fiber()
-        for name in self.source.ctx.names:
-            delta = Poly.variable(ctx2, name) - Poly.variable(ctx2, rename[name])
-            if not fiber.radical_contains(delta):
-                return False
-        return True
+        """Geometric injectivity: the fiber product lies in the diagonal,
+        that is, every source coordinate is determined by the map."""
+        return all(self.determined_by(x) for x in Poly.variables(self.source.ctx))
 
     def constructible_image(self, depth: int = 8) -> ConstructibleSet:
         """Piecewise description of the image, by leading-coefficient descent.
@@ -493,7 +476,7 @@ class Morphism:
                 exact = True
                 remaining = None
                 break
-            _, lc_product = current._elimination_split()
+            lc_product = current._lc_product()
             minus = Ideal(tgt_ctx, (lc_product,))
             if not _piece_is_empty(closure, minus):
                 pieces.append((closure, minus))
@@ -539,9 +522,7 @@ class Morphism:
         comp_closure = _intersect_many(self.target.ctx, [_piece_closure(c, m) for c, m in comp_pieces])
         comp_dim = comp_closure.dimension()
         certain = _intersect_many(
-            self.target.ctx,
-            [target_ideal.saturation(g) for g in self.image_closure().generators if not g.is_zero()],
-        ) if self.image_closure().generators else Ideal.unit(self.target.ctx)
+            self.target.ctx, [target_ideal.saturation(g) for g in self.image_closure().generators])
         certain_dim = certain.dimension()
         threshold = target_dim - 2
         if image.exact:
@@ -613,19 +594,11 @@ class Morphism:
 
 def _piece_closure(closed: Ideal, minus: Ideal) -> Ideal:
     """Ideal of the closure of V(closed) - V(minus)."""
-    gens = [g for g in minus.generators if not g.is_zero()]
-    if not gens:
-        return Ideal.unit(closed.ctx)
-    return _intersect_many(closed.ctx, [closed.saturation(g) for g in gens])
+    return _intersect_many(closed.ctx, [closed.saturation(g) for g in minus.generators])
 
 
 def _piece_is_empty(closed: Ideal, minus: Ideal) -> bool:
-    if closed.is_unit():
-        return True
-    gens = [g for g in minus.generators if not g.is_zero()]
-    if not gens:
-        return True
-    return all(closed.radical_contains(g) for g in gens)
+    return closed.is_unit() or all(closed.radical_contains(g) for g in minus.generators)
 
 
 def _intersect_many(ctx: VarContext, ideals: list[Ideal]) -> Ideal:
@@ -643,13 +616,8 @@ def _covered_by_closed(remaining: Ideal, closed_parts: list[Ideal]) -> bool:
     """
     if not closed_parts:
         return False
-    for combo in itertools.product(*[part.generators for part in closed_parts]):
-        product = combo[0]
-        for g in combo[1:]:
-            product = product * g
-        if not remaining.radical_contains(product):
-            return False
-    return True
+    product = functools.reduce(Ideal.product, closed_parts)
+    return all(remaining.radical_contains(g) for g in product.generators)
 
 
 def _complement_pieces(ambient_ideal: Ideal, cset: ConstructibleSet) -> list[tuple[Ideal, Ideal]]:

@@ -3,12 +3,14 @@ dichotomy, and the certified random-automorphism generator."""
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
 
 from polymap import (
     Endomorphism,
+    Ideal,
     MissingAssertionError,
     NotEtaleError,
     NotInjectiveError,
@@ -19,6 +21,8 @@ from polymap import (
     is_etale,
     jacobian_determinant,
     jc_criteria,
+    load_fixture,
+    Morphism,
     parse_poly,
     random_tame_automorphism,
 )
@@ -164,6 +168,26 @@ class TestDichotomy:
         )
         with pytest.raises(NotInjectiveError):
             etale_dichotomy(shear_like)
+
+
+class TestPartsComputedOnce:
+    """Composite verdicts reuse their parts instead of deriving them again."""
+
+    @pytest.mark.parametrize("verdict, owner, expected", [
+        (lambda: etale_dichotomy(load_fixture("triangular").morphism()).branch == "biregular",
+         Morphism, {"almost_surjective": 1, "is_injective": 1}),
+        (lambda: jc_criteria(load_fixture("identity2").endomorphism()).consistent,
+         Ideal, {"radical_contains": 2}),
+    ], ids=["dichotomy", "jc"])
+    def test_call_counts(self, monkeypatch, verdict, owner, expected):
+        calls = collections.Counter()
+        for name in expected:
+            def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        assert verdict()
+        assert calls == expected
 
 
 class TestTameGenerator:

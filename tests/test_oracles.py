@@ -1,0 +1,47 @@
+"""Differential oracle: reduced Groebner bases against sympy's, which
+shares no code with the polymap kernel."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
+
+from polymap import Block, GREVLEX, GRLEX, LEX, Poly, VarContext, buchberger  # noqa: E402
+
+from conftest import random_nonzero_poly  # noqa: E402
+
+XYZ = VarContext(("x", "y", "z"))
+SYMBOLS = sympy.symbols("x y z")
+ORDERS = {
+    "lex": (LEX, "lex"),
+    "grlex": (GRLEX, "grlex"),
+    "grevlex": (GREVLEX, "grevlex"),
+    # Block.first(1): grevlex on x, ties broken by grevlex on (y, z).
+    "block1": (Block.first(1), ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:]))),
+}
+
+
+def to_sympy(p: Poly):
+    return sum((sympy.Rational(c.numerator, c.denominator) * sympy.prod(s ** e for s, e in zip(SYMBOLS, m))
+                for m, c in p.terms()), sympy.Integer(0))
+
+
+def from_sympy(expr) -> Poly:
+    return Poly(XYZ, {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(expr, *SYMBOLS).terms()})
+
+
+@pytest.mark.parametrize("name", ORDERS)
+def test_reduced_bases_match_sympy(name):
+    order, sympy_order = ORDERS[name]
+    rng = random.Random(4242)
+    for trial in range(40):
+        gens = [random_nonzero_poly(rng, XYZ, max_deg=3, max_terms=5) for _ in range(rng.randint(2, 3))]
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *SYMBOLS, order=sympy_order, domain="QQ")
+        expected = {from_sympy(g).monic(order) for g in theirs.exprs}
+        ours = buchberger(gens, order)
+        assert len(ours) == len(expected) and set(ours) == expected, (name, trial, gens)

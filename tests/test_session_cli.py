@@ -311,8 +311,17 @@ class TestVerify:
         ({"command": "minpoly", "session": MAP_SESSION, "args": {},
           "certificates": [{"kind": "graph_relation", "var": "w", "relation": "w - u",
                             "rational_pair": ["u", "1"]}]}, "'g'"),
+        ({"command": "interpolate", "session": MAP_SESSION,
+          "certificates": [{"kind": "interpolation", "g": 5, "interpolant": "u"}]}, "'g' is not a string"),
+        ({"command": "gb", "session": MAP_SESSION,
+          "certificates": [{"kind": "groebner_basis", "ring": "source", "basis": 5}]}, "'basis' is not a JSON array"),
+        ({"command": "gb", "session": {**MAP_SESSION, "map": 5}, "certificates": []}, "'map' is not a JSON array"),
+        ({"command": "minpoly", "session": MAP_SESSION, "args": {"g": "x"},
+          "certificates": [{"kind": "graph_relation", "var": "w", "relation": "w - u",
+                            "rational_pair": ["u"]}]}, "'rational_pair' is not an array of 2 strings"),
     ], ids=["list", "certificate-not-object", "interpolation-without-g", "basis-without-ring",
-            "rational-pair-without-args-g"])
+            "rational-pair-without-args-g", "g-not-a-string", "basis-not-an-array", "map-not-an-array",
+            "rational-pair-of-one"])
     def test_malformed_report_refused(self, capsys, tmp_path, report, named):
         self._assert_refused(capsys, tmp_path, report, named)
 
