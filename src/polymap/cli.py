@@ -217,7 +217,14 @@ def _texts(data, key: str, where: str, required: bool = True, length: int | None
     if texts is not None and (not all(isinstance(t, str) for t in texts) or length not in (None, len(texts))):
         size = f"{length} " if length else ""
         raise PolymapError(f"{where} entry {key!r} is not an array of {size}strings")
+    if texts is not None and not all(_one_line(t) for t in texts):
+        raise PolymapError(f"{where} entry {key!r} contains a line break")
     return texts
+
+
+def _one_line(text: str) -> bool:
+    """Whether ``text`` holds no line break that ``str.splitlines`` would split at."""
+    return "".join(text.splitlines()) == text
 
 
 def _check_interpolation(cert: dict, report: dict, morphism: Morphism):
@@ -333,8 +340,13 @@ def _session_text_from_json(data: dict) -> str:
     for flag in ("assert_factorial", "assert_irreducible", "assert_etale"):
         if data.get(flag):
             lines.append(f"{flag}: true")
-    lines.append(f"depth: {data.get('depth', 8)}")
-    lines.append(f"order: {data.get('order', 'grevlex')}")
+    depth, order = data.get("depth", 8), data.get("order", "grevlex")
+    if type(depth) is not int or depth < 1:
+        raise PolymapError(f"{where} entry 'depth' is not a positive integer")
+    if not isinstance(order, str) or not _one_line(order):
+        raise PolymapError(f"{where} entry 'order' is not a one-line string")
+    lines.append(f"depth: {depth}")
+    lines.append(f"order: {order}")
     return "\n".join(lines) + "\n"
 
 

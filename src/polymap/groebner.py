@@ -6,12 +6,21 @@ criteria and a normal selection strategy; inputs here are desk scale
 (few variables, small degrees) and determinism matters more than raw
 speed.  Reduced bases are canonical for (ideal, order): every run, under
 any selection strategy, returns the identical monic reduced basis.
+
+Every division goes through ``_divide``, which keeps its pending terms
+ordered, as heap division does (Monagan & Pearce, "Sparse polynomial
+division using a heap", J. Symb. Comp. 2011), so each monomial's order
+key is computed once per call, when the monomial first enters the work
+set.  Buchberger likewise
+ranks each critical pair once, when the pair is formed.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
+from bisect import insort
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -44,40 +53,51 @@ def _divide(
 ) -> Poly:
     """Remainder of multivariate division of ``f`` by ``divisors``.
 
-    The divisor picked at each step is the first one whose leading
-    monomial divides the current leading monomial.  When ``quotient`` is
-    given it receives the multiplier of each step, keyed by monomial;
-    with a single divisor that is the quotient of the division.
+    Terms are reduced largest first.  The divisor picked at each step is
+    the first one whose leading monomial divides the current leading
+    monomial.  When ``quotient`` is given it receives the multiplier of
+    each step, keyed by monomial; with a single divisor that is the
+    quotient of the division.
+
+    The pending terms are kept ordered: ``pending`` is an ascending list
+    of ``(key, monomial)`` with one entry per monomial of ``work``, so
+    each monomial's order key is computed once per call, when it enters
+    ``work``.  A term that cancels keeps its entry with coefficient zero
+    and is dropped when popped.
     """
     key = order.key_function(f.ctx.arity)
     leads = []
     for g in divisors:
         if not g.is_zero():
             glm = g.leading_monomial(order)
-            leads.append((glm, g._terms, g._terms[glm]))
+            tail = [(gm, gc) for gm, gc in g._terms.items() if gm != glm]
+            leads.append((glm, g._terms[glm], tail))
     work = dict(f._terms)
+    pending = sorted((key(m), m) for m in work)
     remainder: dict[Monomial, Fraction] = {}
-    while work:
-        lm = max(work, key=key)
-        lc = work[lm]
-        for glm, gterms, glc in leads:
+    while pending:
+        lm = pending.pop()[1]
+        lc = work.pop(lm)
+        if not lc:
+            continue
+        for glm, glc, tail in leads:
             if _divides(glm, lm):
                 break
         else:
             remainder[lm] = lc
-            del work[lm]
             continue
         shift = _mono_sub(lm, glm)
         factor = lc / glc
         if quotient is not None:
             quotient[shift] = factor
-        for gm, gc in gterms.items():
+        # The leading term cancels lm exactly; only the tail is subtracted.
+        for gm, gc in tail:
             mono = _mono_mul(gm, shift)
-            acc = work.get(mono, Fraction(0)) - factor * gc
-            if acc:
-                work[mono] = acc
-            elif mono in work:
-                del work[mono]
+            if mono in work:
+                work[mono] -= factor * gc
+            else:
+                work[mono] = -factor * gc
+                insort(pending, (key(mono), mono))
     return _raw(f.ctx, remainder)
 
 
@@ -129,26 +149,26 @@ def buchberger(
     basis = list(dict.fromkeys(g.monic(order) for g in gens))
     lms = [g.leading_monomial(order) for g in basis]
 
+    # Live pairs with their lcm, and a heap of (rank, pair).  A pair's rank
+    # is computed once, when it is added; ranks are unique by ticket.
     pairs: dict[tuple[int, int], Monomial] = {}
+    queue: list[tuple[tuple, tuple[int, int]]] = []
     counter = itertools.count()
-    ticket: dict[tuple[int, int], int] = {}
 
     def add_pair(i: int, j: int) -> None:
         pair = (i, j) if i < j else (j, i)
-        pairs[pair] = _mono_lcm(lms[pair[0]], lms[pair[1]])
-        ticket[pair] = next(counter)
+        lcm = _mono_lcm(lms[pair[0]], lms[pair[1]])
+        pairs[pair] = lcm
+        ticket = next(counter)
+        rank = (ticket,) if strategy == "first" else (sum(lcm), key(lcm), ticket)
+        heapq.heappush(queue, (rank, pair))
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             add_pair(i, j)
 
-    def select() -> tuple[int, int]:
-        if strategy == "first":
-            return min(pairs, key=lambda p: ticket[p])
-        return min(pairs, key=lambda p: (sum(pairs[p]), key(pairs[p]), ticket[p]))
-
-    while pairs:
-        i, j = select()
+    while queue:
+        i, j = heapq.heappop(queue)[1]
         lcm = pairs.pop((i, j))
         # Buchberger's first criterion: coprime leading monomials.
         if lcm == _mono_mul(lms[i], lms[j]):

@@ -12,6 +12,7 @@ import pytest
 from polymap import (
     Block,
     GREVLEX,
+    GRLEX,
     LEX,
     Ideal,
     Poly,
@@ -64,6 +65,73 @@ class TestNormalForm:
         for _ in range(20):
             nf = ideal.normal_form(random_poly(rng, XY))
             assert ideal.normal_form(nf) == nf
+
+
+def reference_divide(f: Poly, divisors, order, quotient: dict | None = None) -> Poly:
+    """Multivariate division by a full scan for the largest pending term at
+    every step: the plain loop the ordered kernel must agree with."""
+    key = order.key_function(f.ctx.arity)
+    leads = [(g.leading_monomial(order), dict(g.terms())) for g in divisors]
+    work = dict(f.terms())
+    remainder = {}
+    while work:
+        lm = max(work, key=key)
+        lc = work[lm]
+        for glm, gterms in leads:
+            if all(a <= b for a, b in zip(glm, lm)):
+                break
+        else:
+            remainder[lm] = work.pop(lm)
+            continue
+        shift = tuple(a - b for a, b in zip(lm, glm))
+        factor = lc / gterms[glm]
+        if quotient is not None:
+            quotient[shift] = factor
+        for gm, gc in gterms.items():
+            mono = tuple(a + b for a, b in zip(gm, shift))
+            acc = work.get(mono, Fraction(0)) - factor * gc
+            if acc:
+                work[mono] = acc
+            else:
+                work.pop(mono, None)
+    return Poly(f.ctx, remainder)
+
+
+class TestDivisionKernel:
+    ORDERS = (LEX, GRLEX, GREVLEX, Block.first(1))
+
+    @pytest.mark.parametrize("order", ORDERS, ids=str)
+    def test_matches_reference_division(self, order):
+        rng = random.Random(34)
+        for trial in range(40):
+            f = random_poly(rng, TUV, max_deg=6, max_terms=10)
+            divisors = [random_nonzero_poly(rng, TUV, max_deg=3, max_terms=4) for _ in range(rng.randint(1, 4))]
+            r = normal_form(f, divisors, order)
+            assert r == reference_divide(f, divisors, order), (trial, f, divisors)
+            leads = [d.leading_monomial(order) for d in divisors]
+            for mono in r.monomials():
+                assert not any(all(a <= b for a, b in zip(lm, mono)) for lm in leads), (trial, mono)
+
+    def test_exact_quotients_match_reference(self):
+        rng = random.Random(35)
+        for trial in range(40):
+            g = random_nonzero_poly(rng, TUV, max_deg=3, max_terms=4)
+            f = random_poly(rng, TUV, max_deg=3, max_terms=5) * g
+            quotient: dict = {}
+            assert reference_divide(f, [g], GREVLEX, quotient).is_zero()
+            assert exact_div(f, g) == Poly(TUV, quotient), (trial, f, g)
+
+    def test_term_that_cancels_and_reappears(self):
+        # Modulo x^2 - x*y - y^2 (grevlex), reducing x^3 adds x^2*y + x*y^2,
+        # which cancels the -x*y^2 of f; reducing x^2*y then brings x*y^2
+        # back.  The remainder is f - (x + y)*g = x*y^2 + y^3.
+        g = parse_poly("x^2 - x*y - y^2", XY)
+        f = parse_poly("x^3 - x*y^2", XY)
+        assert normal_form(f, [g]) == parse_poly("x*y^2 + y^3", XY) == reference_divide(f, [g], GREVLEX)
+        assert exact_div(f - parse_poly("x*y^2 + y^3", XY), g) == parse_poly("x + y", XY)
+        # Here x^2*y cancels and never comes back: x^3 - x^2*y = x*g + x*y^2.
+        f = parse_poly("x^3 - x^2*y", XY)
+        assert normal_form(f, [g]) == parse_poly("x*y^2", XY) == reference_divide(f, [g], GREVLEX)
 
 
 class TestBuchberger:

@@ -1,5 +1,5 @@
-"""Differential oracle: reduced Groebner bases against sympy's, which
-shares no code with the polymap kernel."""
+"""Differential oracle: reduced Groebner bases and normal forms against
+sympy's, which shares no code with the polymap kernel."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 
-from polymap import Block, GREVLEX, GRLEX, LEX, Poly, VarContext, buchberger  # noqa: E402
+from polymap import Block, GREVLEX, GRLEX, LEX, Poly, VarContext, buchberger, normal_form  # noqa: E402
 
 from conftest import random_nonzero_poly  # noqa: E402
 
@@ -45,3 +45,19 @@ def test_reduced_bases_match_sympy(name):
         expected = {from_sympy(g).monic(order) for g in theirs.exprs}
         ours = buchberger(gens, order)
         assert len(ours) == len(expected) and set(ours) == expected, (name, trial, gens)
+
+
+@pytest.mark.parametrize("name", ORDERS)
+def test_normal_forms_match_sympy(name):
+    # A remainder modulo a Groebner basis depends only on the ideal and the
+    # order, so the two engines must agree term for term.
+    order, sympy_order = ORDERS[name]
+    rng = random.Random(4343)
+    for trial in range(30):
+        gens = [random_nonzero_poly(rng, XYZ, max_deg=3, max_terms=5) for _ in range(rng.randint(2, 3))]
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *SYMBOLS, order=sympy_order, domain="QQ")
+        ours = buchberger(gens, order)
+        for _ in range(3):
+            f = random_nonzero_poly(rng, XYZ, max_deg=4, max_terms=8)
+            expected = sympy.reduced(to_sympy(f), theirs.exprs, *SYMBOLS, order=sympy_order, domain="QQ")[1]
+            assert normal_form(f, ours, order) == from_sympy(expected), (name, trial, gens, f)

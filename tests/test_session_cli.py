@@ -319,9 +319,24 @@ class TestVerify:
         ({"command": "minpoly", "session": MAP_SESSION, "args": {"g": "x"},
           "certificates": [{"kind": "graph_relation", "var": "w", "relation": "w - u",
                             "rational_pair": ["u"]}]}, "'rational_pair' is not an array of 2 strings"),
+        # A line break in a session entry would add a line of its own to the
+        # session text that verify re-parses: here g = t would be checked on
+        # the ring t/<t>, where its interpolant 0 holds, not on u = t^2.
+        ({"command": "interpolate",
+          "session": {"source_ring": ["t"], "target_ring": ["u"], "map": ["u = t^2"],
+                      "depth": "8\nsource_ideal: t", "order": "grevlex"},
+          "certificates": [{"kind": "interpolation", "g": "t", "interpolant": "0"}]},
+         "'depth' is not a positive integer"),
+        ({"command": "gb", "session": {**MAP_SESSION, "depth": 0}, "certificates": []},
+         "'depth' is not a positive integer"),
+        ({"command": "gb", "session": {**MAP_SESSION, "order": "grevlex\nsource_ideal: x"}, "certificates": []},
+         "'order' is not a one-line string"),
+        ({"command": "gb", "session": {**MAP_SESSION, "map": ["u = x\rsource_ideal: x"]}, "certificates": []},
+         "'map' contains a line break"),
     ], ids=["list", "certificate-not-object", "interpolation-without-g", "basis-without-ring",
             "rational-pair-without-args-g", "g-not-a-string", "basis-not-an-array", "map-not-an-array",
-            "rational-pair-of-one"])
+            "rational-pair-of-one", "depth-with-line-break", "depth-zero", "order-with-line-break",
+            "map-with-line-break"])
     def test_malformed_report_refused(self, capsys, tmp_path, report, named):
         self._assert_refused(capsys, tmp_path, report, named)
 
