@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Exact polynomial arithmetic: parsing, calculus, resultants.
+"""Exact polynomial arithmetic: parsing, substitution, calculus.
 
 Everything is computed over the rationals with no floating point
 anywhere, so every identity printed below is exact.
@@ -7,7 +7,7 @@ anywhere, so every identity printed below is exact.
 
 from fractions import Fraction
 
-from polymap import Poly, VarContext, parse_poly, resultant
+from polymap import Poly, VarContext, parse_poly
 
 print("=" * 60)
 print("1. Contexts and parsing")
@@ -48,15 +48,3 @@ f = parse_poly("x^3*y - 2*x*y + 1/2", xy)
 print(f"f           = {f}")
 print(f"df/dx       = {f.derivative('x')}")
 print(f"f(2, 1/3)   = {f.evaluate([2, Fraction(1, 3)])}")
-
-print()
-print("=" * 60)
-print("4. Sylvester resultants")
-print("=" * 60)
-
-wab = VarContext(("w", "a", "b"))
-print(f"Res_w(w - a, w - b)   = {resultant(parse_poly('w - a', wab), parse_poly('w - b', wab), 'w')}")
-wu = VarContext(("w", "u"))
-fw = parse_poly("w^2 - u", wu)
-print(f"Res_w(w^2 - u, 2*w)   = {resultant(fw, fw.derivative('w'), 'w')}  (discriminant-style)")
-print(f"Res_w(f, f)           = {resultant(fw, fw, 'w')}  (shared factor forces zero)")

@@ -27,7 +27,6 @@ from .errors import (
 from .orders import Block, GREVLEX, GRLEX, LEX, GrevLex, GrLex, Lex, MonomialOrder, order_by_name
 from .poly import Poly, VarContext
 from .parsing import parse_poly
-from .resultants import poly_matrix_det, resultant, sylvester_matrix
 from .groebner import Ideal, buchberger, exact_div, normal_form, s_polynomial
 from .morphisms import (
     AffineVariety,
@@ -49,6 +48,7 @@ from .endos import (
     jacobian_determinant,
     jacobian_matrix,
     jc_criteria,
+    poly_matrix_det,
     random_tame_automorphism,
 )
 from .session import Session, parse_session
@@ -111,7 +111,5 @@ __all__ = [
     "parse_session",
     "poly_matrix_det",
     "random_tame_automorphism",
-    "resultant",
     "s_polynomial",
-    "sylvester_matrix",
 ]

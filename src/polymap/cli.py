@@ -26,7 +26,7 @@ from .morphisms import AffineVariety, Morphism
 from .orders import order_by_name
 from .parsing import parse_poly
 from .poly import Poly
-from .session import Session, parse_session
+from .session import Session, _entry, _texts, parse_session
 
 UNKNOWN_EXIT = 2
 
@@ -196,37 +196,6 @@ def _fixtures(ns):
 # -- verify: one check per certificate kind ----------------------------------------
 
 
-def _entry(data, key: str, where: str, kind: type = object, required: bool = True):
-    """``data[key]`` of a JSON object read back from a report; refuses a
-    non-object, a missing required entry, or an entry that is not a
-    ``kind`` (an optional one may be null) with a PolymapError naming it."""
-    if not isinstance(data, dict):
-        raise PolymapError(f"{where} is not a JSON object")
-    if required and key not in data:
-        raise PolymapError(f"{where} has no {key!r} entry")
-    value = data.get(key)
-    if not isinstance(value, kind) and (required or value is not None):
-        raise PolymapError(f"{where} entry {key!r} is not a {'string' if kind is str else 'JSON array'}")
-    return value
-
-
-def _texts(data, key: str, where: str, required: bool = True, length: int | None = None) -> list[str] | None:
-    """A JSON array of polynomial or variable texts (exactly ``length``
-    of them, when given), read through ``_entry``."""
-    texts = _entry(data, key, where, list, required)
-    if texts is not None and (not all(isinstance(t, str) for t in texts) or length not in (None, len(texts))):
-        size = f"{length} " if length else ""
-        raise PolymapError(f"{where} entry {key!r} is not an array of {size}strings")
-    if texts is not None and not all(_one_line(t) for t in texts):
-        raise PolymapError(f"{where} entry {key!r} contains a line break")
-    return texts
-
-
-def _one_line(text: str) -> bool:
-    """Whether ``text`` holds no line break that ``str.splitlines`` would split at."""
-    return "".join(text.splitlines()) == text
-
-
 def _check_interpolation(cert: dict, report: dict, morphism: Morphism):
     where = "interpolation certificate"
     interpolant = _entry(cert, "interpolant", where, str, required=False)
@@ -311,12 +280,15 @@ _CHECKS = {
 def _verify(ns):
     """Re-check a report's defining identities from the report alone."""
     with open(ns.report, "r", encoding="utf-8") as handle:
-        original = json.load(handle)
+        try:
+            original = json.load(handle)
+        except ValueError as exc:  # not JSON, or an integer longer than Python's digit limit
+            raise PolymapError(str(exc)) from None
     command = _entry(original, "command", "report", required=False)
     session_data = _entry(original, "session", "report", required=False)
     checks: list[dict] = []
     if session_data is not None:
-        morphism = parse_session(_session_text_from_json(session_data)).morphism()
+        morphism = Session.from_json_dict(session_data).morphism()
         for cert in _entry(original, "certificates", "report", list, required=False) or []:
             kind = _entry(cert, "kind", "report certificate", required=False)
             check = _CHECKS.get(kind) if isinstance(kind, str) else None
@@ -324,30 +296,6 @@ def _verify(ns):
                 checks.append({"check": name, "ok": bool(ok)})
     verified = all(c["ok"] for c in checks) if checks else None
     return {"report": ns.report, "verified_command": command}, verified, checks, True
-
-
-def _session_text_from_json(data: dict) -> str:
-    where = "report session"
-    lines = [
-        "source_ring: " + " ".join(_texts(data, "source_ring", where)),
-        "target_ring: " + " ".join(_texts(data, "target_ring", where)),
-        "map: " + " ; ".join(_texts(data, "map", where)),
-    ]
-    if source_ideal := _texts(data, "source_ideal", where, required=False):
-        lines.insert(1, "source_ideal: " + " ; ".join(source_ideal))
-    if target_ideal := _texts(data, "target_ideal", where, required=False):
-        lines.insert(-1, "target_ideal: " + " ; ".join(target_ideal))
-    for flag in ("assert_factorial", "assert_irreducible", "assert_etale"):
-        if data.get(flag):
-            lines.append(f"{flag}: true")
-    depth, order = data.get("depth", 8), data.get("order", "grevlex")
-    if type(depth) is not int or depth < 1:
-        raise PolymapError(f"{where} entry 'depth' is not a positive integer")
-    if not isinstance(order, str) or not _one_line(order):
-        raise PolymapError(f"{where} entry 'order' is not a one-line string")
-    lines.append(f"depth: {depth}")
-    lines.append(f"order: {order}")
-    return "\n".join(lines) + "\n"
 
 
 # -- the command table -------------------------------------------------------------
@@ -470,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report, exit_code = run_command(ns)
-    except (PolymapError, OSError, json.JSONDecodeError) as exc:
+    except (PolymapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report["timings"] = {"seconds": round(time.perf_counter() - started, 6)} if ns.timings else None

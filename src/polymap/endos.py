@@ -89,10 +89,43 @@ def jacobian_matrix(endo: Endomorphism) -> list[list[Poly]]:
     return [[coord.derivative(name) for name in names] for coord in endo.coords]
 
 
+def poly_matrix_det(rows: list[list[Poly]], ctx: VarContext) -> Poly:
+    """Determinant of a square matrix of polynomials over ``ctx``, by
+    division-free Laplace expansion memoized over column subsets: exact,
+    and fast at the sizes of Jacobians of desk-scale maps."""
+    n = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+    if n == 0:
+        return Poly.one(ctx)
+
+    memo: dict[tuple[int, ...], Poly] = {}
+
+    def minor(cols: tuple[int, ...]) -> Poly:
+        # Expand along row n - len(cols), over the still-available columns.
+        if not cols:
+            return Poly.one(ctx)
+        got = memo.get(cols)
+        if got is not None:
+            return got
+        i = n - len(cols)
+        total = Poly.zero(ctx)
+        for pos, j in enumerate(cols):
+            entry = rows[i][j]
+            if entry.is_zero():
+                continue
+            sub = minor(cols[:pos] + cols[pos + 1:])
+            contribution = entry * sub
+            total = total + contribution if pos % 2 == 0 else total - contribution
+        memo[cols] = total
+        return total
+
+    return minor(tuple(range(n)))
+
+
 def jacobian_determinant(endo: Endomorphism) -> Poly:
     """Determinant of the matrix of partial derivatives, exactly."""
-    from .resultants import poly_matrix_det
-
     return poly_matrix_det(jacobian_matrix(endo), endo.source.ctx)
 
 

@@ -56,4 +56,4 @@ class EngineInconsistencyError(PolymapError):
 
 
 class SessionFormatError(PolymapError):
-    """Malformed session file."""
+    """Malformed session file, or a malformed session or certificate in a report."""

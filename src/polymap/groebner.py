@@ -292,9 +292,6 @@ class Ideal:
         gens.append(Poly.variable(big, s) * f.transport(big) - 1)
         return Ideal(big, gens).is_unit()
 
-    def is_zero_ideal(self) -> bool:
-        return not self.groebner_basis()
-
     def is_unit(self) -> bool:
         basis = self.groebner_basis()
         return len(basis) == 1 and basis[0].is_constant()

@@ -139,11 +139,6 @@ class ConstructibleSet:
                     return True
         return False
 
-    def closure_ideal(self) -> Ideal:
-        """Ideal of the Zariski closure of the union."""
-        parts = [_piece_closure(closed, minus) for closed, minus in self.pieces]
-        return _intersect_many(self.ctx, parts)
-
     def to_json_dict(self) -> dict:
         return {
             "pieces": [
@@ -338,10 +333,6 @@ class Morphism:
         gens.append(Poly.variable(big, w) - g.transport(big, graph.rename))
         big_ideal = Ideal(big, gens)
         return big_ideal.eliminate(graph.src_names), w
-
-    def dimension_of_graph(self, g: Poly) -> int:
-        ideal, _ = self.graph_closure(g)
-        return ideal.dimension()
 
     # -- determinacy and interpolation ----------------------------------------------
 

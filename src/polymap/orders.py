@@ -39,9 +39,6 @@ class MonomialOrder:
         """The order compiled for exponent tuples of length ``arity``."""
         raise NotImplementedError
 
-    def key(self, exponents: Monomial) -> tuple:
-        return self.key_function(len(exponents))(exponents)
-
 
 @dataclass(frozen=True)
 class Lex(MonomialOrder):

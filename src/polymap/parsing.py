@@ -18,6 +18,7 @@ round-trip on canonical forms.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -126,13 +127,13 @@ class _Parser:
             if ekind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", epos)
             self.advance()
-            return base ** int(evalue)
+            return base ** _literal(evalue, epos)
         return base
 
     def atom(self) -> Poly:
         kind, value, pos = self.advance()
         if kind == "int":
-            return Poly.constant(self.ctx, int(value))
+            return Poly.constant(self.ctx, _literal(value, pos))
         if kind == "name":
             if value not in self.ctx:
                 raise ParseError(f"unknown variable {value!r}", pos)
@@ -142,6 +143,15 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError(f"expected a number, variable or '(', got {value!r}" if value else "unexpected end of input", pos)
+
+
+def _literal(digits: str, pos: int) -> int:
+    """An integer literal; one longer than Python's integer string
+    conversion limit is refused at its position."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal exceeds the limit of {sys.get_int_max_str_digits()} digits", pos) from None
 
 
 def parse_poly(text: str, ctx: VarContext) -> Poly:

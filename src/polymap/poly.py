@@ -15,11 +15,12 @@ values are immutable and safe to share between threads.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ContextMismatchError, UnknownVariableError
+from .errors import ContextMismatchError, PolymapError, UnknownVariableError
 from .orders import GREVLEX, MonomialOrder
 
 Monomial = tuple[int, ...]
@@ -74,6 +75,13 @@ class VarContext:
 
     def __str__(self) -> str:
         return "(" + ", ".join(self.names) + ")"
+
+
+def _scalar_text(value: Fraction) -> str:
+    try:
+        return str(value)
+    except ValueError:  # more digits than Python's integer string conversion limit
+        raise PolymapError(f"cannot print a coefficient of more than {sys.get_int_max_str_digits()} digits") from None
 
 
 class Poly:
@@ -404,11 +412,11 @@ class Poly:
             ]
             magnitude = abs(coeff)
             if not factors:
-                body = str(magnitude)
+                body = _scalar_text(magnitude)
             elif magnitude == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(magnitude)] + factors)
+                body = "*".join([_scalar_text(magnitude)] + factors)
             if not chunks:
                 chunks.append(body if coeff > 0 else f"-{body}")
             else:

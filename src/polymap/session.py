@@ -1,6 +1,14 @@
-"""Line-oriented session files describing a map between two varieties.
+"""Sessions: a map between two varieties, with the flags and settings
+the commands read.
 
-Format (keys in any order, ``#`` starts a comment, blank lines ignored)::
+A session has one model, the JSON object that :meth:`Session.to_json_dict`
+writes, and one builder, :meth:`Session.from_json_dict`, which reads it
+field by field: one variable per ring entry, one polynomial per ideal
+entry, one ``name = polynomial`` per map entry.  Session files spell the
+same object line by line; :func:`parse_session` only splits each value
+into its JSON shape and calls the builder.
+
+File format (keys in any order, ``#`` starts a comment, blank lines ignored)::
 
     source_ring: x y
     source_ideal: x*y - 1          # ';'-separated generators, optional
@@ -13,9 +21,9 @@ Format (keys in any order, ``#`` starts a comment, blank lines ignored)::
     depth: 8                       # image-recursion depth
     order: grevlex                 # default report order
 
-Every target variable must get exactly one map entry.  Parsing builds a
-well-defined :class:`~polymap.morphisms.Morphism` (the membership checks
-run on load).
+Every target variable must get exactly one map entry.  The membership
+checks that make the map well defined run when :meth:`Session.morphism`
+builds it.
 """
 
 from __future__ import annotations
@@ -32,6 +40,39 @@ from .poly import Poly, VarContext
 
 _FLAGS = ("assert_factorial", "assert_irreducible", "assert_etale")
 _KEYS = ("source_ring", "source_ideal", "target_ring", "target_ideal", "map", "depth", "order") + _FLAGS
+_KIND_NAMES = {str: "string", list: "JSON array", bool: "boolean"}
+
+
+def _entry(data, key: str, where: str, kind: type = object, required: bool = True):
+    """``data[key]`` of a JSON object; refuses a non-object, a missing
+    required entry, or an entry that is not a ``kind`` (an optional one
+    may be null) with a SessionFormatError naming it."""
+    if not isinstance(data, dict):
+        raise SessionFormatError(f"{where} is not a JSON object")
+    if required and key not in data:
+        raise SessionFormatError(f"{where} has no {key!r} entry")
+    value = data.get(key)
+    if not isinstance(value, kind) and (required or value is not None):
+        raise SessionFormatError(f"{where} entry {key!r} is not a {_KIND_NAMES[kind]}")
+    return value
+
+
+def _texts(data, key: str, where: str, required: bool = True, length: int | None = None) -> list[str] | None:
+    """A JSON array of polynomial or variable texts (exactly ``length``
+    of them, when given), read through ``_entry``.  A line break is
+    refused, so every accepted session stays writable as a session file."""
+    texts = _entry(data, key, where, list, required)
+    if texts is not None and (not all(isinstance(t, str) for t in texts) or length not in (None, len(texts))):
+        size = f"{length} " if length else ""
+        raise SessionFormatError(f"{where} entry {key!r} is not an array of {size}strings")
+    if texts is not None and not all(_one_line(t) for t in texts):
+        raise SessionFormatError(f"{where} entry {key!r} contains a line break")
+    return texts
+
+
+def _one_line(text: str) -> bool:
+    """Whether ``text`` holds no line break that ``str.splitlines`` would split at."""
+    return "".join(text.splitlines()) == text
 
 
 @dataclass
@@ -79,6 +120,53 @@ class Session:
             raise SessionFormatError("endomorphism commands need equal source and target dimension")
         return Endomorphism(self.source_ctx, self.target_ctx, self.map_coords)
 
+    @classmethod
+    def from_json_dict(cls, data) -> Session:
+        """The session that :meth:`to_json_dict` wrote as ``data``.  Each
+        field is read with its JSON type and checked once: variable names,
+        one polynomial per ideal entry, one assignment per map entry with
+        every target variable assigned once, ``depth >= 1`` and a known
+        ``order``."""
+        where = "session"
+        source_ring = tuple(_texts(data, "source_ring", where))
+        target_ring = tuple(_texts(data, "target_ring", where))
+        src, tgt = VarContext(source_ring), VarContext(target_ring)
+        assignments: dict[str, Poly] = {}
+        for entry in _texts(data, "map", where):
+            name, equals, expr = entry.partition("=")
+            name = name.strip()
+            if not equals:
+                raise SessionFormatError(f"map entry {entry!r} is not of the form 'var = polynomial'")
+            if name not in tgt:
+                raise SessionFormatError(f"map assigns unknown target variable {name!r}")
+            if name in assignments:
+                raise SessionFormatError(f"map assigns target variable {name!r} twice")
+            assignments[name] = parse_poly(expr.strip(), src)
+        missing = [n for n in target_ring if n not in assignments]
+        if missing:
+            raise SessionFormatError(f"map misses target variables {missing}")
+        depth, order = data.get("depth", 8), data.get("order", "grevlex")
+        if type(depth) is not int or depth < 1:
+            raise SessionFormatError(f"{where} entry 'depth' is not a positive integer")
+        if not isinstance(order, str) or not _one_line(order):
+            raise SessionFormatError(f"{where} entry 'order' is not a one-line string")
+        if order not in ORDERS_BY_NAME:
+            raise SessionFormatError(f"unknown order {order!r}")
+
+        def ideal(key: str, ctx: VarContext) -> tuple[Poly, ...]:
+            return tuple(parse_poly(text, ctx) for text in _texts(data, key, where, required=False) or ())
+
+        return cls(
+            source_ring=source_ring,
+            target_ring=target_ring,
+            source_ideal=ideal("source_ideal", src),
+            target_ideal=ideal("target_ideal", tgt),
+            map_coords=tuple(assignments[n] for n in target_ring),
+            **{flag: bool(_entry(data, flag, where, bool, required=False)) for flag in _FLAGS},
+            depth=depth,
+            order=order,
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "source_ring": list(self.source_ring),
@@ -102,8 +190,24 @@ def _parse_bool(value: str, key: str) -> bool:
     raise SessionFormatError(f"{key} expects true/false, got {value!r}")
 
 
+def _json_value(key: str, value: str):
+    """A session-file value in the JSON shape of its key."""
+    if key in _FLAGS:
+        return _parse_bool(value, key)
+    if key == "depth":
+        try:
+            return int(value)
+        except ValueError:
+            raise SessionFormatError(f"depth must be an integer, got {value!r}") from None
+    if key == "order":
+        return value
+    if key.endswith("_ring"):
+        return value.split()
+    return [chunk.strip() for chunk in value.split(";") if chunk.strip()]
+
+
 def parse_session(text: str) -> Session:
-    raw: dict[str, str] = {}
+    data: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -114,65 +218,7 @@ def parse_session(text: str) -> Session:
         key = key.strip()
         if key not in _KEYS:
             raise SessionFormatError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in data:
             raise SessionFormatError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value.strip()
-
-    for required in ("source_ring", "target_ring", "map"):
-        if required not in raw:
-            raise SessionFormatError(f"missing required key {required!r}")
-
-    source_ring = tuple(raw["source_ring"].split())
-    target_ring = tuple(raw["target_ring"].split())
-    src_ctx = VarContext(source_ring)
-    tgt_ctx = VarContext(target_ring)
-
-    def parse_ideal(key: str, ctx: VarContext) -> tuple[Poly, ...]:
-        value = raw.get(key, "")
-        gens = []
-        for chunk in value.split(";"):
-            chunk = chunk.strip()
-            if chunk:
-                gens.append(parse_poly(chunk, ctx))
-        return tuple(gens)
-
-    assignments: dict[str, Poly] = {}
-    for chunk in raw["map"].split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise SessionFormatError(f"map entry {chunk!r} is not of the form 'var = polynomial'")
-        name, expr = chunk.split("=", 1)
-        name = name.strip()
-        if name not in tgt_ctx:
-            raise SessionFormatError(f"map assigns unknown target variable {name!r}")
-        if name in assignments:
-            raise SessionFormatError(f"map assigns target variable {name!r} twice")
-        assignments[name] = parse_poly(expr.strip(), src_ctx)
-    missing = [n for n in target_ring if n not in assignments]
-    if missing:
-        raise SessionFormatError(f"map misses target variables {missing}")
-
-    try:
-        depth = int(raw.get("depth", "8"))
-    except ValueError:
-        raise SessionFormatError(f"depth must be an integer, got {raw['depth']!r}") from None
-    if depth < 1:
-        raise SessionFormatError("depth must be at least 1")
-    order = raw.get("order", "grevlex")
-    if order not in ORDERS_BY_NAME:
-        raise SessionFormatError(f"unknown order {order!r}")
-
-    return Session(
-        source_ring=source_ring,
-        target_ring=target_ring,
-        source_ideal=parse_ideal("source_ideal", src_ctx),
-        target_ideal=parse_ideal("target_ideal", tgt_ctx),
-        map_coords=tuple(assignments[n] for n in target_ring),
-        assert_factorial=_parse_bool(raw["assert_factorial"], "assert_factorial") if "assert_factorial" in raw else False,
-        assert_irreducible=_parse_bool(raw["assert_irreducible"], "assert_irreducible") if "assert_irreducible" in raw else False,
-        assert_etale=_parse_bool(raw["assert_etale"], "assert_etale") if "assert_etale" in raw else False,
-        depth=depth,
-        order=order,
-    )
+        data[key] = _json_value(key, value.strip())
+    return Session.from_json_dict(data)

@@ -1,18 +1,16 @@
-"""Sylvester resultants and polynomial-matrix determinants."""
+"""Polynomial-matrix determinants against the Leibniz permutation sum."""
 
 from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
-from polymap import Poly, UnknownVariableError, VarContext, parse_poly, poly_matrix_det, resultant
+from polymap import Poly, VarContext, poly_matrix_det
 
 from conftest import random_poly
 
-WAB = VarContext(("w", "a", "b"))
 WU = VarContext(("w", "u"))
 
 
@@ -32,105 +30,6 @@ def det_by_permutations(rows, ctx):
             term = term * rows[i][perm[i]]
         total = total + term
     return total
-
-
-def univariate_gcd_degree(f: Poly, g: Poly, var: str) -> int:
-    """Oracle: Euclid's algorithm on dense coefficient lists over Q."""
-
-    def dense(p: Poly) -> list[Fraction]:
-        coeffs = p.coefficients_in(var)
-        deg = max(coeffs, default=0)
-        out = [Fraction(0)] * (deg + 1)
-        for e, c in coeffs.items():
-            out[e] = c.constant_value()
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return out
-
-    a, b = dense(f), dense(g)
-    if a == [Fraction(0)]:
-        return len(b) - 1
-    while b != [Fraction(0)]:
-        # remainder of a by b
-        a = a[:]
-        while len(a) >= len(b) and a != [Fraction(0)]:
-            factor = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] -= factor * c
-            while len(a) > 1 and a[-1] == 0:
-                a.pop()
-            if all(c == 0 for c in a):
-                a = [Fraction(0)]
-        a, b = b, a
-    return len(a) - 1
-
-
-class TestResultant:
-    def test_linear_pair_by_hand(self):
-        # 2x2 Sylvester determinant of (w - a, w - b) is a - b.
-        f = parse_poly("w - a", WAB)
-        g = parse_poly("w - b", WAB)
-        assert resultant(f, g, "w") == parse_poly("a - b", WAB)
-
-    def test_derivative_pair_by_hand(self):
-        # 3x3 Sylvester determinant of (w^2 - u, 2w) is -4u.
-        assert resultant(parse_poly("w^2 - u", WU), parse_poly("2*w", WU), "w") == parse_poly("-4*u", WU)
-
-    def test_self_resultant_vanishes(self):
-        f = parse_poly("w^2 + u*w - 1", WU)
-        assert resultant(f, f, "w").is_zero()
-
-    def test_constant_conventions(self):
-        f = parse_poly("w^2 - u", WU)
-        c = parse_poly("u", WU)  # degree 0 in w
-        assert resultant(f, c, "w") == c ** 2
-        assert resultant(c, f, "w") == c ** 2
-        assert resultant(parse_poly("3", WU), parse_poly("u", WU), "w") == Poly.one(WU)
-
-    def test_errors(self):
-        f = parse_poly("w", WU)
-        with pytest.raises(UnknownVariableError):
-            resultant(f, f, "zz")
-        with pytest.raises(ValueError):
-            resultant(Poly.zero(WU), Poly.zero(WU), "w")
-
-    def test_vanishes_iff_common_factor(self):
-        # Cross-check against the Euclidean gcd oracle on degree <= 4 pairs.
-        rng = random.Random(11)
-        X = VarContext(("x",))
-        checked_zero = checked_nonzero = 0
-        for _ in range(120):
-            if rng.random() < 0.5:
-                # force a common factor
-                common = random_poly(rng, X, max_deg=2, max_terms=3)
-                if common.degree_in("x") < 1:
-                    common = common + Poly.variable(X, "x")
-                f = common * random_poly(rng, X, max_deg=2, max_terms=3)
-                g = common * random_poly(rng, X, max_deg=2, max_terms=3)
-            else:
-                f = random_poly(rng, X, max_deg=4, max_terms=4)
-                g = random_poly(rng, X, max_deg=4, max_terms=4)
-            if f.is_zero() or g.is_zero() or f.degree_in("x") < 1 or g.degree_in("x") < 1:
-                continue
-            res = resultant(f, g, "x")
-            gcd_deg = univariate_gcd_degree(f, g, "x")
-            if res.is_zero():
-                checked_zero += 1
-                assert gcd_deg >= 1
-            else:
-                checked_nonzero += 1
-                assert gcd_deg == 0
-        assert checked_zero >= 20 and checked_nonzero >= 20
-
-    def test_free_of_eliminated_variable(self):
-        rng = random.Random(12)
-        for _ in range(25):
-            f = random_poly(rng, WU, max_deg=3)
-            g = random_poly(rng, WU, max_deg=3)
-            if f.is_zero() and g.is_zero():
-                continue
-            assert resultant(f, g, "w").degree_in("w") <= 0
 
 
 class TestDeterminant:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 from polymap import (
+    Session,
     SessionFormatError,
     fixture_names,
+    fixture_session_text,
     load_fixture,
     parse_session,
 )
@@ -24,6 +27,8 @@ assert_factorial: true
 depth: 4
 order: grevlex
 """
+AUTOMORPHISM_TEXT = "source_ring: x y\ntarget_ring: u v\nmap: u = x + y^2 ; v = y\nassert_factorial: true\n"
+SHALLOW_SHEAR_TEXT = "source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = x*y\nassert_factorial: true\ndepth: 1\n"
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +51,9 @@ def session_commands(name):
 
 
 MAP_SESSION = {"source_ring": ["x"], "target_ring": ["u"], "map": ["u = x"]}
+
+needs_digit_limit = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                                       reason="no integer string conversion limit")
 
 
 class TestSessionParsing:
@@ -75,6 +83,13 @@ class TestSessionParsing:
             parse_session("source_ring: x\ntarget_ring: u\nmap: u = x\nassert_etale: maybe\n")
         with pytest.raises(SessionFormatError):
             parse_session("source_ring: x\ntarget_ring: u\nmap: u = x\ndepth: abc\n")
+
+    @pytest.mark.parametrize("text", [*map(fixture_session_text, fixture_names()),
+                                      SESSION_TEXT, AUTOMORPHISM_TEXT, SHALLOW_SHEAR_TEXT],
+                             ids=[*fixture_names(), "toy", "automorphism", "shallow-shear"])
+    def test_json_round_trip(self, text):
+        session = parse_session(text)
+        assert Session.from_json_dict(session.to_json_dict()) == session
 
     def test_endomorphism_requires_affine_spaces(self):
         session = parse_session(SESSION_TEXT)
@@ -138,9 +153,7 @@ class TestCLI:
 
     def test_invert_session_file(self, capsys, tmp_path):
         session = tmp_path / "auto.session"
-        session.write_text(
-            "source_ring: x y\ntarget_ring: u v\nmap: u = x + y^2 ; v = y\nassert_factorial: true\n"
-        )
+        session.write_text(AUTOMORPHISM_TEXT)
         code, report = run_cli(capsys, "--session", str(session), "invert")
         assert code == 0
         assert report["verdict"] == ["-v^2 + u", "v"]
@@ -154,10 +167,7 @@ class TestCLI:
         # At recursion depth 1 the shear image description stays inexact
         # and neither bound settles the verdict: honest unknown, exit 2.
         session = tmp_path / "shallow.session"
-        session.write_text(
-            "source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = x*y\n"
-            "assert_factorial: true\ndepth: 1\n"
-        )
+        session.write_text(SHALLOW_SHEAR_TEXT)
         code, report = run_cli(capsys, "--session", str(session), "almost-surjective")
         assert code == 2
         assert report["verdict"] is None
@@ -172,6 +182,19 @@ class TestCLI:
         capsys.readouterr()
         assert main(["definitely-not-a-command"]) == 1
         capsys.readouterr()
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("make_g, named", [
+        (lambda limit: f"10^{limit + 700}*t", "cannot print a coefficient"),
+        (lambda limit: "1" * (limit + 1) + "*t", "exceeds the limit"),
+        (lambda limit: "t^" + "1" * (limit + 1), "(at position 2)"),
+    ], ids=["printed-coefficient", "literal", "exponent"])
+    def test_integer_over_digit_limit_refused(self, capsys, make_g, named):
+        limit = sys.get_int_max_str_digits()
+        assert main(["--fixture", "square", "nf", "-g", make_g(limit)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and named in captured.err and f"{limit} digits" in captured.err
 
     def test_gb_dim_nf_eliminate(self, capsys):
         code, report = run_cli(capsys, "--fixture", "sl2row", "gb", "--ring", "source")
@@ -288,7 +311,7 @@ class TestVerify:
     @staticmethod
     def _assert_refused(capsys, tmp_path, report, named):
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(report))
+        path.write_text(report if isinstance(report, str) else json.dumps(report))
         assert main(["verify", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -333,10 +356,29 @@ class TestVerify:
          "'order' is not a one-line string"),
         ({"command": "gb", "session": {**MAP_SESSION, "map": ["u = x\rsource_ideal: x"]}, "certificates": []},
          "'map' contains a line break"),
+        # Each session entry is one item, never re-split on ';' or on
+        # whitespace: each report below would otherwise be checked against
+        # a map other than the one it shows, and verify to true.
+        ({"command": "interpolate",
+          "session": {"source_ring": ["x", "y"], "target_ring": ["u", "v"], "map": ["u = x ; v = x*y"]},
+          "certificates": [{"kind": "interpolation", "g": "x", "interpolant": "u"}]},
+         "unexpected character ';'"),
+        ({"command": "interpolate",
+          "session": {"source_ring": ["t s"], "target_ring": ["u"], "map": ["u = t"], "source_ideal": ["s ; t"]},
+          "certificates": [{"kind": "interpolation", "g": "s", "interpolant": "0"}]},
+         "invalid variable name 't s'"),
+        ({"command": "interpolate", "session": {**MAP_SESSION, "source_ideal": ["x^2 ; x"]},
+          "certificates": [{"kind": "interpolation", "g": "x", "interpolant": "0"}]},
+         "unexpected character ';'"),
+        pytest.param('{"command": "gb", "certificates": [], "session": {"source_ring": ["x"], "target_ring": ["u"], '
+                     '"map": ["u = x"], "depth": 1' + "0" * 5000 + "}}", "integer string conversion",
+                     marks=needs_digit_limit),
+        ("{", "Expecting property name"),
     ], ids=["list", "certificate-not-object", "interpolation-without-g", "basis-without-ring",
             "rational-pair-without-args-g", "g-not-a-string", "basis-not-an-array", "map-not-an-array",
             "rational-pair-of-one", "depth-with-line-break", "depth-zero", "order-with-line-break",
-            "map-with-line-break"])
+            "map-with-line-break", "map-entry-with-semicolon", "ring-entry-with-space",
+            "ideal-entry-with-semicolon", "integer-over-digit-limit", "not-json"])
     def test_malformed_report_refused(self, capsys, tmp_path, report, named):
         self._assert_refused(capsys, tmp_path, report, named)
 
