@@ -1,0 +1,107 @@
+"""Compare the CLI reports of two checkouts call by call.
+
+    python3 bench/compare_reports.py PARENT CHANGE
+
+Each CHECKOUT is the root of a source checkout.  One subprocess per
+checkout imports polymap from its ``src/`` and, in-process through
+``cli.main``, runs every fixture through every command of its
+``cli._COMMANDS`` table that reads a session.  A command that declares
+``-g``, ``-f`` or ``--drop`` runs once with the first source variable and
+once with the first target variable as their value.  Every call runs
+with and without ``--human``, and ``verify`` runs on each JSON report.
+Reports are written under the same relative name in both checkouts, so
+a ``verify`` report's path field compares equal.
+
+Every call whose exit code, stdout or stderr differs between the two
+checkouts is printed, as is a call that only one checkout makes; the
+script exits 1 if there is any.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# Runs inside one checkout: argv[1] is its src/ directory.  Prints one JSON
+# list of {"argv", "exit", "stdout", "stderr"}.
+DRIVER = r"""
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from polymap import cli, fixture_names, load_fixture
+
+VALUE_FLAGS = ("-g", "-f", "--drop")
+
+def flag_names(flags):
+    for flag in flags:
+        if isinstance(flag, list):
+            yield from flag_names(flag)
+        else:
+            yield from flag[0]
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = "exception"
+            print(f"{type(exc).__name__}: {exc}", file=err)
+    calls.append({"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
+    return code, out.getvalue()
+
+calls = []
+for fixture in fixture_names():
+    session = load_fixture(fixture)
+    firsts = dict.fromkeys((session.source_ring[0], session.target_ring[0]))
+    for name, command in cli._COMMANDS.items():
+        if not command.session:
+            continue
+        takes = [f for f in VALUE_FLAGS if f in set(flag_names(command.flags))]
+        for var in (firsts if takes else [None]):
+            argv = ["--fixture", fixture, name] + [a for f in takes for a in (f, var)]
+            call(argv + ["--human"])
+            code, out = call(argv)
+            try:
+                json.loads(out)
+            except ValueError:
+                continue
+            report = "-".join([fixture, name] + ([var] if var else [])) + ".json"
+            with open(report, "w", encoding="utf-8") as handle:
+                handle.write(out)
+            call(["verify", report])
+json.dump(calls, sys.stdout)
+"""
+
+
+def run_checkout(checkout: Path) -> dict[tuple[str, ...], dict]:
+    with tempfile.TemporaryDirectory() as scratch:
+        done = subprocess.run([sys.executable, "-c", DRIVER, str(checkout.resolve() / "src")],
+                              cwd=scratch, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"{checkout}: the driver failed:\n{done.stderr}")
+    return {tuple(c["argv"]): c for c in json.loads(done.stdout)}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    parent, change = (run_checkout(Path(a)) for a in argv)
+    differing = 0
+    for key in list(parent) + [k for k in change if k not in parent]:
+        old, new = parent.get(key), change.get(key)
+        if old is None or new is None:
+            fields = ["only in " + ("change" if old is None else "parent")]
+        else:
+            fields = [f for f in ("exit", "stdout", "stderr") if old[f] != new[f]]
+        if fields:
+            differing += 1
+            print(f"{' '.join(key)}: {', '.join(fields)} differ")
+    print(f"{differing} of {len(set(parent) | set(change))} calls differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -52,11 +52,10 @@ print(f"y in rad(x^2): {squares.radical_contains(Poly.variable(xy, 'y'))}")
 
 print()
 print("=" * 60)
-print("5. Quotients, saturation, dimension")
+print("5. Saturation, dimension")
 print("=" * 60)
 
 x, y = Poly.variables(xy)
-print(f"(x*y : x)        = {Ideal(xy, (x * y,)).quotient(x)}")
 print(f"sat(x^2*y, x)    = {Ideal(xy, (x ** 2 * y,)).saturation(x)}")
 uv = VarContext(("u", "v"))
 print(f"dim of the cusp curve  : {Ideal(uv, (parse_poly('u^3 - v^2', uv),)).dimension()}")

@@ -27,7 +27,7 @@ from .errors import (
 from .orders import Block, GREVLEX, GRLEX, LEX, GrevLex, GrLex, Lex, MonomialOrder, order_by_name
 from .poly import Poly, VarContext
 from .parsing import parse_poly
-from .groebner import Ideal, buchberger, exact_div, normal_form, s_polynomial
+from .groebner import Ideal, buchberger, normal_form, s_polynomial
 from .morphisms import (
     AffineVariety,
     BiregularReport,
@@ -96,7 +96,6 @@ __all__ = [
     "VarContext",
     "buchberger",
     "etale_dichotomy",
-    "exact_div",
     "fixture_names",
     "fixture_session_text",
     "invert",

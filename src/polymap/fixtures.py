@@ -102,7 +102,7 @@ SNAPSHOTS: dict[str, dict] = {
         "almost_surjective": True,
         "surjective": False,
         "image_exact": True,
-        "complement_closure": ["v", "u"],
+        "complement_closure": ["u", "v"],
     },
     "hyperbola": {
         "image_closure": [],

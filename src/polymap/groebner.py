@@ -1,5 +1,5 @@
 """Groebner-basis kernel: division, Buchberger, elimination, membership,
-radical membership, quotients, saturation and Krull dimension.
+radical membership, saturation and Krull dimension.
 
 The kernel is deliberately plain Buchberger with the two classical pair
 criteria and a normal selection strategy; inputs here are desk scale
@@ -24,7 +24,7 @@ from bisect import insort
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ContextMismatchError, PolymapError
+from .errors import ContextMismatchError
 from .orders import Block, GREVLEX, MonomialOrder
 from .poly import Monomial, Poly, VarContext, _raw
 
@@ -45,19 +45,12 @@ def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _divide(
-    f: Poly,
-    divisors: Sequence[Poly],
-    order: MonomialOrder,
-    quotient: dict[Monomial, Fraction] | None = None,
-) -> Poly:
+def _divide(f: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> Poly:
     """Remainder of multivariate division of ``f`` by ``divisors``.
 
     Terms are reduced largest first.  The divisor picked at each step is
     the first one whose leading monomial divides the current leading
-    monomial.  When ``quotient`` is given it receives the multiplier of
-    each step, keyed by monomial; with a single divisor that is the
-    quotient of the division.
+    monomial.
 
     The pending terms are kept ordered: ``pending`` is an ascending list
     of ``(key, monomial)`` with one entry per monomial of ``work``, so
@@ -88,8 +81,6 @@ def _divide(
             continue
         shift = _mono_sub(lm, glm)
         factor = lc / glc
-        if quotient is not None:
-            quotient[shift] = factor
         # The leading term cancels lm exactly; only the tail is subtracted.
         for gm, gc in tail:
             mono = _mono_mul(gm, shift)
@@ -276,21 +267,17 @@ class Ideal:
         return self.normal_form(f).is_zero()
 
     def radical_contains(self, f: Poly) -> bool:
-        """Membership in the radical, decided with a fresh inverse variable.
+        """Membership in the radical, decided on the inverse-variable ideal.
 
         ``f`` vanishes on the vanishing locus of this ideal (over an
-        algebraically closed extension) exactly when adjoining s*f - 1
-        makes the ideal trivial.
+        algebraically closed extension) exactly when I + <s*f - 1>
+        (``_with_inverse``) is the unit ideal.
         """
         if f.ctx != self.ctx:
             raise ContextMismatchError("radical membership argument context differs")
         if f.is_zero():
             return True
-        s = self.ctx.fresh_name("s")
-        big = self.ctx.extended([s])
-        gens = [g.transport(big) for g in self.generators]
-        gens.append(Poly.variable(big, s) * f.transport(big) - 1)
-        return Ideal(big, gens).is_unit()
+        return self._with_inverse(f).is_unit()
 
     def is_unit(self) -> bool:
         basis = self.groebner_basis()
@@ -341,23 +328,32 @@ class Ideal:
         result._cache[GREVLEX] = tuple(kept)
         return result
 
-    def quotient(self, f: Poly) -> "Ideal":
-        """Colon ideal (I : f) = {g : g*f in I}."""
-        if f.ctx != self.ctx:
-            raise ContextMismatchError("quotient argument context differs")
-        if f.is_zero():
-            raise ValueError("quotient by the zero polynomial")
-        intersection = self.intersect(Ideal(self.ctx, (f,)))
-        return Ideal(self.ctx, tuple(exact_div(g, f) for g in intersection.generators))
+    def _with_inverse(self, f: Poly) -> "Ideal":
+        """I + <s*f - 1> over this context extended by a fresh last variable s.
+
+        Its points are those of V(I) off V(f), with s = 1/f there: it is
+        the unit ideal exactly when f lies in the radical of I, and its
+        intersection with the original ring is the saturation I : f^inf
+        (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, 4.4).
+        """
+        s = self.ctx.fresh_name("s")
+        big = self.ctx.extended([s])
+        gens = [g.transport(big) for g in self.generators]
+        gens.append(Poly.variable(big, s) * f.transport(big) - 1)
+        return Ideal(big, gens)
 
     def saturation(self, f: Poly) -> "Ideal":
-        """Stable colon ideal (I : f^inf), by iterating quotients."""
-        current = self
-        while True:
-            step = current.quotient(f)
-            if step.same_ideal(current):
-                return current
-            current = step
+        """The saturation I : f^inf = {g : g*f^k in I for some k}.
+
+        It is (I + <s*f - 1>) meet k[x]: one elimination of s from the
+        inverse-variable ideal (``_with_inverse``) that ``radical_contains``
+        tests.  The result's generators are its reduced grevlex basis; for
+        f = 0 it is the unit ideal.
+        """
+        if f.ctx != self.ctx:
+            raise ContextMismatchError("saturation argument context differs")
+        inverted = self._with_inverse(f)
+        return inverted.eliminate(inverted.ctx.names[-1:])
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """Ideal intersection via a scaling variable and elimination."""
@@ -368,8 +364,7 @@ class Ideal:
         tv = Poly.variable(big, t)
         gens = [tv * g.transport(big) for g in self.generators]
         gens += [(Poly.one(big) - tv) * g.transport(big) for g in other.generators]
-        mixed = Ideal(big, gens).eliminate([t])
-        return Ideal(self.ctx, tuple(g.transport(self.ctx) for g in mixed.generators))
+        return Ideal(big, gens).eliminate([t])
 
     # -- invariants -----------------------------------------------------------------
 
@@ -422,17 +417,3 @@ class Ideal:
 
     def __repr__(self) -> str:
         return f"Ideal{self}"
-
-
-def exact_div(f: Poly, divisor: Poly) -> Poly:
-    """Exact polynomial quotient f / divisor; raises if it does not divide.
-
-    For a lone divisor the division algorithm keeps the whole remainder
-    tail divisible, so divisibility shows up as a zero remainder.
-    """
-    if divisor.is_zero():
-        raise ZeroDivisionError("exact division by zero polynomial")
-    quotient: dict[Monomial, Fraction] = {}
-    if _divide(f, (divisor,), GREVLEX, quotient):
-        raise PolymapError(f"{divisor} does not divide {f}")
-    return _raw(f.ctx, quotient)

@@ -512,8 +512,7 @@ class Morphism:
         comp_pieces = _complement_pieces(target_ideal, image)
         comp_closure = _intersect_many(self.target.ctx, [_piece_closure(c, m) for c, m in comp_pieces])
         comp_dim = comp_closure.dimension()
-        certain = _intersect_many(
-            self.target.ctx, [target_ideal.saturation(g) for g in self.image_closure().generators])
+        certain = _piece_closure(target_ideal, self.image_closure())
         certain_dim = certain.dimension()
         threshold = target_dim - 2
         if image.exact:

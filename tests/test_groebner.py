@@ -1,5 +1,5 @@
 """Groebner kernel: division, bases, elimination, membership, radicals,
-quotients, saturation, dimension, principality."""
+saturation, dimension, principality."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 
 from polymap import (
     Block,
+    ContextMismatchError,
     GREVLEX,
     GRLEX,
     LEX,
@@ -18,7 +19,6 @@ from polymap import (
     Poly,
     VarContext,
     buchberger,
-    exact_div,
     normal_form,
     parse_poly,
 )
@@ -67,7 +67,7 @@ class TestNormalForm:
             assert ideal.normal_form(nf) == nf
 
 
-def reference_divide(f: Poly, divisors, order, quotient: dict | None = None) -> Poly:
+def reference_divide(f: Poly, divisors, order) -> Poly:
     """Multivariate division by a full scan for the largest pending term at
     every step: the plain loop the ordered kernel must agree with."""
     key = order.key_function(f.ctx.arity)
@@ -85,8 +85,6 @@ def reference_divide(f: Poly, divisors, order, quotient: dict | None = None) -> 
             continue
         shift = tuple(a - b for a, b in zip(lm, glm))
         factor = lc / gterms[glm]
-        if quotient is not None:
-            quotient[shift] = factor
         for gm, gc in gterms.items():
             mono = tuple(a + b for a, b in zip(gm, shift))
             acc = work.get(mono, Fraction(0)) - factor * gc
@@ -112,15 +110,6 @@ class TestDivisionKernel:
             for mono in r.monomials():
                 assert not any(all(a <= b for a, b in zip(lm, mono)) for lm in leads), (trial, mono)
 
-    def test_exact_quotients_match_reference(self):
-        rng = random.Random(35)
-        for trial in range(40):
-            g = random_nonzero_poly(rng, TUV, max_deg=3, max_terms=4)
-            f = random_poly(rng, TUV, max_deg=3, max_terms=5) * g
-            quotient: dict = {}
-            assert reference_divide(f, [g], GREVLEX, quotient).is_zero()
-            assert exact_div(f, g) == Poly(TUV, quotient), (trial, f, g)
-
     def test_term_that_cancels_and_reappears(self):
         # Modulo x^2 - x*y - y^2 (grevlex), reducing x^3 adds x^2*y + x*y^2,
         # which cancels the -x*y^2 of f; reducing x^2*y then brings x*y^2
@@ -128,7 +117,6 @@ class TestDivisionKernel:
         g = parse_poly("x^2 - x*y - y^2", XY)
         f = parse_poly("x^3 - x*y^2", XY)
         assert normal_form(f, [g]) == parse_poly("x*y^2 + y^3", XY) == reference_divide(f, [g], GREVLEX)
-        assert exact_div(f - parse_poly("x*y^2 + y^3", XY), g) == parse_poly("x + y", XY)
         # Here x^2*y cancels and never comes back: x^3 - x^2*y = x*g + x*y^2.
         f = parse_poly("x^3 - x^2*y", XY)
         assert normal_form(f, [g]) == parse_poly("x*y^2", XY) == reference_divide(f, [g], GREVLEX)
@@ -273,24 +261,51 @@ class TestQuotientSaturation:
     def test_hand_examples(self):
         x = Poly.variable(XY, "x")
         y = Poly.variable(XY, "y")
-        assert Ideal(XY, (x * y,)).quotient(x).groebner_basis() == (y,)
-        ideal = Ideal(XY, (parse_poly("x^2 - y", XY),))
-        assert ideal.quotient(Poly.one(XY)).same_ideal(ideal)
+        assert Ideal(XY, (x * y,)).saturation(x).groebner_basis() == (y,)
         assert Ideal(XY, (x ** 2 * y,)).saturation(x).groebner_basis() == (y,)
+        # V(x*y) off V(x) is the punctured x-axis, whose closure is V(y).
+        assert Ideal(XY, (x ** 2 * y, x * y ** 2)).saturation(x).groebner_basis() == (y,)
 
-    def test_quotient_by_zero_rejected(self):
-        with pytest.raises(ValueError):
-            Ideal(XY, (Poly.variable(XY, "x"),)).quotient(Poly.zero(XY))
+    def test_saturation_by_zero_is_unit(self):
+        # I : 0^inf is the whole ring: 0^k = 0 lies in every ideal.
+        x = Poly.variable(XY, "x")
+        assert Ideal(XY, (x,)).saturation(Poly.zero(XY)).is_unit()
+        assert Ideal.zero(XY).saturation(Poly.zero(XY)).is_unit()
 
-    def test_quotient_characterization(self):
+    def test_saturation_edge_cases(self):
+        x = Poly.variable(XY, "x")
+        y = Poly.variable(XY, "y")
+        ideal = Ideal(XY, (parse_poly("x^2 - y", XY), x * y))
+        assert ideal.saturation(Poly.one(XY)).same_ideal(ideal)
+        assert ideal.saturation(Poly.constant(XY, Fraction(-3, 2))).same_ideal(ideal)
+        # f in the radical of I: V(I) - V(f) is empty.
+        assert Ideal(XY, (x ** 2, y ** 3)).saturation(x + y).is_unit()
+        assert ideal.saturation(y).is_unit()
+        assert Ideal.zero(XY).saturation(x).groebner_basis() == ()
+        assert Ideal.unit(XY).saturation(x).is_unit()
+        with pytest.raises(ContextMismatchError):
+            ideal.saturation(Poly.variable(UV, "u"))
+
+    def test_saturation_characterization(self):
+        # J = I : f^inf contains I, each generator of J is pushed into I by
+        # a power of f, and J is closed under cancelling f.  Multiplying
+        # every generator by f^2 leaves the saturation unchanged.
         rng = random.Random(29)
-        for _ in range(12):
+        for trial in range(12):
             ideal = Ideal(XY, tuple(random_poly(rng, XY, max_deg=2, max_terms=2) for _ in range(2)))
             f = random_nonzero_poly(rng, XY, max_deg=2, max_terms=2)
-            quotient_ideal = ideal.quotient(f)
+            padded = Ideal(XY, tuple(g * f ** 2 for g in ideal.generators))
+            saturated = ideal.saturation(f)
+            for base in (ideal, padded):
+                sat = base.saturation(f)
+                assert sat.same_ideal(saturated), trial
+                assert sat.generators == buchberger(sat.generators), trial
+                assert all(sat.contains(g) for g in base.generators), trial
+                for g in sat.generators:
+                    assert any(base.contains(g * f ** k) for k in range(7)), (trial, g)
             for _ in range(6):
                 g = random_poly(rng, XY, max_deg=2)
-                assert quotient_ideal.contains(g) == ideal.contains(g * f)
+                assert saturated.contains(g * f) == saturated.contains(g), (trial, g)
 
 
 class TestDimension:
@@ -328,21 +343,6 @@ class TestPrincipal:
         f = parse_poly("x^2 - y", XY)
         ideal = Ideal(XY, (f * x, f * y, f * (x + y + 1)))
         assert ideal.principal_generator() == f.monic()
-
-
-class TestExactDiv:
-    def test_round_trip(self):
-        rng = random.Random(32)
-        for _ in range(25):
-            f = random_poly(rng, XY, max_deg=3)
-            g = random_nonzero_poly(rng, XY, max_deg=3)
-            assert exact_div(f * g, g) == f
-
-    def test_non_divisible_raises(self):
-        from polymap import PolymapError
-
-        with pytest.raises(PolymapError):
-            exact_div(parse_poly("x + 1", XY), Poly.variable(XY, "x"))
 
 
 class TestIdealInfrastructure:

@@ -11,7 +11,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 
-from polymap import Block, GREVLEX, GRLEX, LEX, Poly, VarContext, buchberger, normal_form  # noqa: E402
+from polymap import Block, GREVLEX, GRLEX, LEX, Ideal, Poly, VarContext, buchberger, normal_form  # noqa: E402
 
 from conftest import random_nonzero_poly  # noqa: E402
 
@@ -61,3 +61,22 @@ def test_normal_forms_match_sympy(name):
             f = random_nonzero_poly(rng, XYZ, max_deg=4, max_terms=8)
             expected = sympy.reduced(to_sympy(f), theirs.exprs, *SYMBOLS, order=sympy_order, domain="QQ")[1]
             assert normal_form(f, ours, order) == from_sympy(expected), (name, trial, gens, f)
+
+
+def test_saturations_match_sympy():
+    # I : f^inf = (I + <s*f - 1>) meet Q[x, y, z].  Lex with s first is an
+    # elimination order, so sympy's s-free elements generate the
+    # saturation; re-reduced under grevlex they are its reduced basis.
+    s = sympy.Symbol("s")
+    rng = random.Random(4444)
+    for trial in range(30):
+        f = random_nonzero_poly(rng, XYZ, max_deg=2, max_terms=2)
+        gens = [random_nonzero_poly(rng, XYZ, max_deg=2, max_terms=3) * f ** rng.randint(0, 2)
+                for _ in range(rng.randint(1, 3))]
+        theirs = sympy.groebner([to_sympy(g) for g in gens] + [s * to_sympy(f) - 1], s, *SYMBOLS,
+                                order="lex", domain="QQ")
+        kept = [g for g in theirs.exprs if not g.has(s)]
+        reduced = sympy.groebner(kept, *SYMBOLS, order="grevlex", domain="QQ").exprs if kept else []
+        expected = {from_sympy(g).monic() for g in reduced}
+        ours = Ideal(XYZ, gens).saturation(f).groebner_basis()
+        assert len(ours) == len(expected) and set(ours) == expected, (trial, gens, f)

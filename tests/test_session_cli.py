@@ -134,6 +134,15 @@ class TestFixtureLibrary:
                 bireg = m.biregular()
                 assert [str(p) for p in bireg.inverse] == expected["inverse"], name
 
+    def test_complement_closure_is_reduced_basis(self, fixture_morphisms):
+        # The printed complement closure is canonical: its generators are
+        # the reduced grevlex basis, recomputed here from scratch.
+        from polymap import buchberger
+
+        for name, m in fixture_morphisms.items():
+            closure = m.almost_surjective().complement_closure
+            assert [str(g) for g in closure.generators] == [str(g) for g in buchberger(closure.generators)], name
+
 
 class TestCLI:
     def test_interpolate_cusp(self, capsys):
