@@ -12,6 +12,11 @@ with and without ``--human``, and ``verify`` runs on each JSON report.
 Reports are written under the same relative name in both checkouts, so
 a ``verify`` report's path field compares equal.
 
+Beside the fixtures it sweeps the sessions in ``SESSIONS`` below, written
+to session files: maps whose variable names clash with the names the
+engine picks for the graph and the line coordinate, and a parabola whose
+coordinate inverse is only one-sided.
+
 Every call whose exit code, stdout or stderr differs between the two
 checkouts is printed, as is a call that only one checkout makes; the
 script exits 1 if there is any.  Only the standard library is used.
@@ -30,9 +35,15 @@ from pathlib import Path
 DRIVER = r"""
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
-from polymap import cli, fixture_names, load_fixture
+from polymap import cli, fixture_names, load_fixture, parse_session
 
 VALUE_FLAGS = ("-g", "-f", "--drop")
+SESSIONS = {
+    "clash-line": "source_ring: w\ntarget_ring: u\nmap: u = w^2\n",
+    "clash-rings": "source_ring: x y\ntarget_ring: x y\nmap: x = x + y^2 ; y = y\n",
+    "clash-graph": "source_ring: w x\ntarget_ring: w\nmap: w = x*w\n",
+    "parabola": "source_ring: t\ntarget_ring: u v\nmap: u = t ; v = t^2\nassert_factorial: true\n",
+}
 
 def flag_names(flags):
     for flag in flags:
@@ -53,22 +64,26 @@ def call(argv):
     return code, out.getvalue()
 
 calls = []
-for fixture in fixture_names():
-    session = load_fixture(fixture)
+sources = [(fixture, ["--fixture", fixture], load_fixture(fixture)) for fixture in fixture_names()]
+for label, text in SESSIONS.items():
+    with open(label + ".session", "w", encoding="utf-8") as handle:
+        handle.write(text)
+    sources.append((label, ["--session", label + ".session"], parse_session(text)))
+for label, source, session in sources:
     firsts = dict.fromkeys((session.source_ring[0], session.target_ring[0]))
     for name, command in cli._COMMANDS.items():
         if not command.session:
             continue
         takes = [f for f in VALUE_FLAGS if f in set(flag_names(command.flags))]
         for var in (firsts if takes else [None]):
-            argv = ["--fixture", fixture, name] + [a for f in takes for a in (f, var)]
+            argv = source + [name] + [a for f in takes for a in (f, var)]
             call(argv + ["--human"])
             code, out = call(argv)
             try:
                 json.loads(out)
             except ValueError:
                 continue
-            report = "-".join([fixture, name] + ([var] if var else [])) + ".json"
+            report = "-".join([label, name] + ([var] if var else [])) + ".json"
             with open(report, "w", encoding="utf-8") as handle:
                 handle.write(out)
             call(["verify", report])

@@ -24,7 +24,7 @@ from .errors import (
     TargetNotAffineSpaceError,
     UnknownVariableError,
 )
-from .orders import Block, GREVLEX, GRLEX, LEX, GrevLex, GrLex, Lex, MonomialOrder, order_by_name
+from .orders import Block, GREVLEX, GRLEX, LEX, GrevLex, GrLex, Lex, MonomialOrder
 from .poly import Poly, VarContext
 from .parsing import parse_poly
 from .groebner import Ideal, buchberger, normal_form, s_polynomial
@@ -105,7 +105,6 @@ __all__ = [
     "jc_criteria",
     "load_fixture",
     "normal_form",
-    "order_by_name",
     "parse_poly",
     "parse_session",
     "poly_matrix_det",

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .endos import etale_dichotomy, invert, is_etale, jacobian_determinant, jc_criteria
-from .errors import PolymapError
+from .errors import PolymapError, SessionFormatError
 from .fixtures import fixture_names, fixture_session_text, load_fixture
 from .groebner import normal_form
 from .morphisms import AffineVariety, Morphism
-from .orders import order_by_name
+from .orders import ORDERS_BY_NAME
 from .parsing import parse_poly
 from .poly import Poly
 from .session import Session, _entry, _texts, parse_session
@@ -70,7 +70,7 @@ def _optional_texts(polys) -> list[str] | None:
 
 def _gb(ns, session: Session, morphism: Morphism):
     order_name = ns.order or session.order
-    basis = [str(g) for g in _variety(morphism, ns.ring).ideal.groebner_basis(order_by_name(order_name))]
+    basis = [str(g) for g in _variety(morphism, ns.ring).ideal.groebner_basis(ORDERS_BY_NAME[order_name])]
     certificate = {"kind": "groebner_basis", "ring": ns.ring, "order": order_name, "basis": basis}
     return {"ring": ns.ring, "order": order_name}, basis, [certificate], True
 
@@ -202,8 +202,7 @@ def _check_interpolation(cert: dict, report: dict, morphism: Morphism):
     if interpolant:
         g = parse_poly(_entry(cert, "g", where, str), morphism.source.ctx)
         p = parse_poly(interpolant, morphism.target.ctx)
-        residual = morphism.pullback(p) - morphism.source.ideal.normal_form(g)
-        yield "interpolant pulls back to g", morphism.source.ideal.contains(residual)
+        yield "interpolant pulls back to g", morphism.pulls_back_to(p, g)
 
 
 def _check_graph_relation(cert: dict, report: dict, morphism: Morphism):
@@ -211,32 +210,24 @@ def _check_graph_relation(cert: dict, report: dict, morphism: Morphism):
     text = _entry(cert, "relation", where, str, required=False)
     if not text:
         return
-    src, tgt = morphism.source.ctx, morphism.target.ctx
     var = _entry(cert, "var", where, str)
-    relation = parse_poly(text, tgt.extended([var]))
-    g = parse_poly(_entry(_entry(report, "args", "report"), "g", "report args", str), src)
-    assignment = dict(zip(tgt.names, morphism.coords))
-    assignment[var] = g
-    yield "relation vanishes on the graph", morphism.source.ideal.contains(relation.substitute(assignment))
+    relation = parse_poly(text, morphism.target.ctx.extended([var]))
+    g = parse_poly(_entry(_entry(report, "args", "report"), "g", "report args", str), morphism.source.ctx)
+    yield "relation vanishes on the graph", morphism._lifted(g, var).pulls_back_to(relation, 0)
     pair = _texts(cert, "rational_pair", where, required=False, length=2)
     if pair:
-        num, den = (parse_poly(text, tgt) for text in pair)
-        residual = morphism.pullback(den) * g - morphism.pullback(num)
-        yield "degree-1 pair represents g", morphism.source.ideal.contains(residual)
+        num, den = (parse_poly(text, morphism.target.ctx) for text in pair)
+        yield "degree-1 pair represents g", morphism.pulls_back_to(num, morphism.pullback(den) * g)
 
 
 def _check_inverse(cert: dict, report: dict, morphism: Morphism):
-    texts = _texts(cert, "inverse", f"{cert['kind']} certificate", required=False)
+    src, tgt = morphism.source.ctx, morphism.target.ctx
+    texts = _texts(cert, "inverse", f"{cert['kind']} certificate", required=False, length=src.arity)
     if not texts:
         return
-    src, tgt = morphism.source.ctx, morphism.target.ctx
-    inverse = [parse_poly(text, tgt) for text in texts]
-    back = dict(zip(src.names, inverse))
-    forward = dict(zip(tgt.names, morphism.coords))
-    left = all(morphism.source.ideal.contains(q.substitute(forward) - Poly.variable(src, n))
-               for q, n in zip(inverse, src.names))
-    right = all(morphism.target.ideal.contains(c.substitute(back) - Poly.variable(tgt, n))
-                for c, n in zip(morphism.coords, tgt.names))
+    back = Morphism(morphism.target, morphism.source, [parse_poly(text, tgt) for text in texts], check=False)
+    left = all(morphism.pulls_back_to(q, x) for q, x in zip(back.coords, Poly.variables(src)))
+    right = all(back.pulls_back_to(c, y) for c, y in zip(morphism.coords, Poly.variables(tgt)))
     yield "inverse composes to identity on both sides", left and right
 
 
@@ -251,7 +242,10 @@ def _check_divisibility(cert: dict, report: dict, morphism: Morphism):
 
 def _check_groebner_basis(cert: dict, report: dict, morphism: Morphism):
     where = "groebner_basis certificate"
-    variety = _variety(morphism, _entry(cert, "ring", where))
+    ring = _entry(cert, "ring", where, str)
+    if ring not in ("source", "target"):
+        raise SessionFormatError(f"{where} entry 'ring' is neither \"source\" nor \"target\"")
+    variety = _variety(morphism, ring)
     basis = [parse_poly(text, variety.ctx) for text in _texts(cert, "basis", where)]
     gens_reduce = all(normal_form(g, basis).is_zero() for g in variety.ideal.generators)
     basis_member = all(variety.ideal.contains(b) for b in basis)
@@ -316,7 +310,7 @@ class _Command:
 
 
 _COMMANDS: dict[str, _Command] = {
-    "gb": _Command(_gb, (_RING, _flag("--order", choices=("grevlex", "grlex", "lex"), default=None))),
+    "gb": _Command(_gb, (_RING, _flag("--order", choices=sorted(ORDERS_BY_NAME), default=None))),
     "dim": _Command(lambda ns, session, morphism: (
         {"ring": ns.ring}, _variety(morphism, ns.ring).ideal.dimension(), [], True), (_RING,)),
     "nf": _Command(_nf, (_G, _RING)),

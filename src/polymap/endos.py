@@ -20,7 +20,7 @@ from .errors import (
     NotEtaleError,
     NotInjectiveError,
 )
-from .morphisms import AffineVariety, Morphism, SurjectivityReport
+from .morphisms import DEFAULT_DEPTH, AffineVariety, Morphism, SurjectivityReport
 from .poly import Poly, VarContext
 
 
@@ -170,7 +170,7 @@ def jc_criteria(endo: Endomorphism) -> JCReport:
     return JCReport(True, injective, determined, inversion.ok, inverse, consistent)
 
 
-def etale_dichotomy(morphism: Morphism, depth: int = 8) -> DichotomyReport:
+def etale_dichotomy(morphism: Morphism, depth: int = DEFAULT_DEPTH) -> DichotomyReport:
     """For an injective etale map into a factorial target: the missed
     locus is a hypersurface, or the map is an isomorphism.
 
@@ -202,25 +202,21 @@ def etale_dichotomy(morphism: Morphism, depth: int = 8) -> DichotomyReport:
 # -- random certified-invertible maps ----------------------------------------------
 
 
-def random_tame_automorphism(
-    rng: random.Random,
-    source_ctx: VarContext | None = None,
-    target_ctx: VarContext | None = None,
-    max_moves: int = 3,
-    degree_cap: int = 4,
-) -> tuple[Endomorphism, Endomorphism]:
-    """A random plane automorphism with its inverse, as a word in
-    elementary shears and invertible integer linear maps.
+_TAME_SOURCE = VarContext(("x", "y"))
+_TAME_TARGET = VarContext(("u", "v"))
+_TAME_MAX_MOVES = 3
+_TAME_DEGREE_CAP = 4
 
-    The pair is certified on construction: both compositions reduce to
-    the identity exactly.  Degrees are capped so downstream Groebner
-    computations stay desk scale.
+
+def random_tame_automorphism(rng: random.Random) -> tuple[Endomorphism, Endomorphism]:
+    """A random plane automorphism (x, y) -> (u, v) with its inverse, as a
+    word in elementary shears and invertible integer linear maps.
+
+    The pair is certified on construction: each inverse coordinate pulls
+    back to its source coordinate exactly.  Degrees are capped so
+    downstream Groebner computations stay desk scale.
     """
-    src = source_ctx or VarContext(("x", "y"))
-    tgt = target_ctx or VarContext(("u", "v"))
-    if src.arity != 2 or tgt.arity != 2:
-        raise ValueError("the generator builds plane automorphisms")
-
+    src, tgt = _TAME_SOURCE, _TAME_TARGET
     sx, sy = Poly.variables(src)
     tu, tv = Poly.variables(tgt)
     forward: list[Poly] = [sx, sy]         # coords of the map, over src
@@ -232,7 +228,7 @@ def random_tame_automorphism(
         new_forward = [m.substitute(move_assign) for m in move_src]
         inv_assign = dict(zip(tgt.names, move_inv_tgt))
         new_backward = [b.substitute(inv_assign) for b in backward]
-        if max(p.total_degree() for p in new_forward + new_backward) > degree_cap:
+        if max(p.total_degree() for p in new_forward + new_backward) > _TAME_DEGREE_CAP:
             return False
         forward[:] = new_forward
         backward[:] = new_backward
@@ -261,7 +257,7 @@ def random_tame_automorphism(
             return [sx, sy + k * sx], [tu, tv - k * tu]
         return [sy, sx], [tv, tu]  # swap
 
-    moves = rng.randint(1, max_moves)
+    moves = rng.randint(1, _TAME_MAX_MOVES)
     placed = 0
     for step in range(moves):
         want_elementary = step == 0 or rng.random() < 0.6
@@ -273,8 +269,6 @@ def random_tame_automorphism(
 
     endo = Endomorphism(src, tgt, forward)
     inverse = Endomorphism(tgt, src, backward)
-    fwd_assign = dict(zip(tgt.names, forward))
-    for coord, var in zip(backward, (sx, sy)):
-        if coord.substitute(fwd_assign) != var:
-            raise EngineInconsistencyError("tame generator produced an inconsistent pair")
+    if not all(endo.pulls_back_to(coord, var) for coord, var in zip(backward, (sx, sy))):
+        raise EngineInconsistencyError("tame generator produced an inconsistent pair")
     return endo, inverse

@@ -21,7 +21,6 @@ Verdict semantics worth pinning down:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -38,6 +37,10 @@ from .errors import (
 from .groebner import Ideal, normal_form
 from .orders import Block
 from .poly import Poly, VarContext
+
+# Rounds of leading-coefficient descent in ``constructible_image`` unless a
+# session sets its own ``depth``.
+DEFAULT_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -231,9 +234,8 @@ class Morphism:
         self.assert_etale = assert_etale
         self._memo: dict = {}
         if check:
-            assignment = self._coord_assignment()
             for g in target.ideal.generators:
-                if not source.ideal.contains(g.substitute(assignment)):
+                if not self.pulls_back_to(g, 0):
                     raise PreconditionError(
                         f"map is not well defined: target equation {g} does not pull back into the source ideal"
                     )
@@ -305,6 +307,17 @@ class Morphism:
             raise ContextMismatchError("pullback argument must live on the target ring")
         return self.source.ideal.normal_form(f.substitute(self._coord_assignment()))
 
+    def pulls_back_to(self, f: Poly, g: Poly | int) -> bool:
+        """Whether f o map = g modulo the source ideal.
+
+        Every certificate identity is one such check: an interpolant
+        pulling back to g, a graph relation pulling back to 0 along
+        x -> (map(x), g(x)), an inverse composing to the identity.
+        """
+        if f.ctx != self.target.ctx:
+            raise ContextMismatchError("pullback argument must live on the target ring")
+        return self.source.ideal.contains(f.substitute(self._coord_assignment()) - g)
+
     def image_closure(self) -> Ideal:
         """Ideal of the Zariski closure of the image."""
         got = self._memo.get("image_closure")
@@ -321,18 +334,20 @@ class Morphism:
     def graph_closure(self, g: Poly) -> tuple[Ideal, str]:
         """Closure of {(map(x), g(x))} in target x line; returns (ideal, var).
 
-        The ideal lives on the target ring extended by a fresh variable
-        holding the value of g.
+        It is the image closure of the lifted map x -> (map(x), g(x)); the
+        ideal lives on the target ring extended by the line coordinate
+        ``var``, a fresh name next to the graph's variables.
         """
+        lifted = self._lifted(g, self._graph().ctx.fresh_name("w"))
+        return lifted.image_closure(), lifted.target.ctx.names[-1]
+
+    def _lifted(self, g: Poly, var: str) -> "Morphism":
+        """The map x -> (map(x), g(x)) into target x line, the line coordinate named ``var``."""
         if g.ctx != self.source.ctx:
             raise ContextMismatchError("graph argument must live on the source ring")
-        graph = self._graph()
-        w = graph.ctx.fresh_name("w")
-        big = graph.ctx.extended([w])
-        gens = [p.transport(big) for p in graph.ideal.generators]
-        gens.append(Poly.variable(big, w) - g.transport(big, graph.rename))
-        big_ideal = Ideal(big, gens)
-        return big_ideal.eliminate(graph.src_names), w
+        ctx = self.target.ctx.extended([var])
+        target = AffineVariety(ctx, Ideal(ctx, [h.transport(ctx) for h in self.target.ideal.generators]))
+        return Morphism(self.source, target, self.coords + (g,), check=False)
 
     # -- determinacy and interpolation ----------------------------------------------
 
@@ -362,8 +377,7 @@ class Morphism:
             status = "not_in_subalgebra" if self.determined_by(g) else "not_determined"
             return InterpolationResult(status, None, nf)
         interpolant = nf.transport(self.target.ctx)
-        residual = interpolant.substitute(self._coord_assignment()) - g
-        if not self.source.ideal.contains(residual):
+        if not self.pulls_back_to(interpolant, g):
             raise EngineInconsistencyError("interpolant certificate failed to verify")
         return InterpolationResult("interpolant", interpolant, nf)
 
@@ -401,17 +415,14 @@ class Morphism:
             # Present the relation with a positively-normalized top
             # coefficient in the graph variable (same principal ideal).
             generator = -generator
-        assignment = self._coord_assignment()
-        assignment[w] = g
-        if not self.source.ideal.contains(generator.substitute(assignment)):
+        if not self._lifted(g, w).pulls_back_to(generator, 0):
             raise EngineInconsistencyError("graph relation certificate failed to verify")
         pair = None
         if degree == 1 and dominant:
             coeffs = generator.coefficients_in(w)
             den = coeffs.get(1, Poly.zero(ideal.ctx)).transport(self.target.ctx)
             num = (-coeffs.get(0, Poly.zero(ideal.ctx))).transport(self.target.ctx)
-            residual = self.pullback(den) * g - self.pullback(num)
-            if not self.source.ideal.contains(residual):
+            if not self.pulls_back_to(num, self.pullback(den) * g):
                 raise EngineInconsistencyError("degree-1 relation certificate failed to verify")
             pair = (num, den)
         return MinPolyResult("relation", generator, w, degree, pair, dominant, ideal)
@@ -443,7 +454,7 @@ class Morphism:
         that is, every source coordinate is determined by the map."""
         return all(self.determined_by(x) for x in Poly.variables(self.source.ctx))
 
-    def constructible_image(self, depth: int = 8) -> ConstructibleSet:
+    def constructible_image(self, depth: int = DEFAULT_DEPTH) -> ConstructibleSet:
         """Piecewise description of the image, by leading-coefficient descent.
 
         Each round contributes the piece of the eliminated variety where
@@ -451,7 +462,10 @@ class Morphism:
         coefficients over the source block nonzero), then restricts the
         map over the missed locus and recurses, up to ``depth`` rounds or
         until the restriction stabilizes.  The result is flagged exact
-        when the recursion provably covered the whole image.
+        when a round's image closure is empty or its leading-coefficient
+        product is a nonzero constant, so that its piece is all of the
+        closed set; a recursion cut by ``depth`` or by stabilization is
+        inexact.
         """
         if depth < 1:
             raise ValueError("depth must be at least 1")
@@ -459,44 +473,26 @@ class Morphism:
         pieces: list[tuple[Ideal, Ideal]] = []
         current: Morphism = self
         seen: set[tuple] = set()
-        exact = False
-        remaining: Ideal | None = None
         for _ in range(depth):
             closure = current.image_closure()
             if closure.is_unit():
-                exact = True
-                remaining = None
-                break
+                return ConstructibleSet(tgt_ctx, tuple(pieces), True)
             lc_product = current._lc_product()
             minus = Ideal(tgt_ctx, (lc_product,))
             if not _piece_is_empty(closure, minus):
                 pieces.append((closure, minus))
             if lc_product.is_constant():
-                # Nonzero constant: the piece is all of the closed set.
-                exact = True
-                remaining = None
-                break
-            remaining = closure + (lc_product,)
+                return ConstructibleSet(tgt_ctx, tuple(pieces), True)
             restricted_source = current.source.ideal + (lc_product.substitute(current._coord_assignment()),)
             state = restricted_source.groebner_basis()
             if state in seen:
                 break
             seen.add(state)
-            current = Morphism(
-                AffineVariety(current.source.ctx, restricted_source),
-                AffineVariety(tgt_ctx, remaining,
-                              assert_irreducible=False,
-                              assert_factorial=False),
-                current.coords,
-                check=False,
-            )
-        if not exact and remaining is not None:
-            closed_parts = [closed for closed, minus in pieces if minus.is_unit()]
-            if _covered_by_closed(remaining, closed_parts):
-                exact = True
-        return ConstructibleSet(tgt_ctx, tuple(pieces), exact)
+            current = Morphism(AffineVariety(current.source.ctx, restricted_source), self.target,
+                               current.coords, check=False)
+        return ConstructibleSet(tgt_ctx, tuple(pieces), False)
 
-    def almost_surjective(self, depth: int = 8) -> SurjectivityReport:
+    def almost_surjective(self, depth: int = DEFAULT_DEPTH) -> SurjectivityReport:
         """Classify how much of the target the image misses.
 
         The verdict compares dim(closure(missed set)) against
@@ -529,7 +525,7 @@ class Morphism:
             surjective = False if certain_dim >= 0 else None
         return SurjectivityReport(image, comp_closure, comp_dim, target_dim, almost, surjective)
 
-    def biregular(self, depth: int = 8) -> BiregularReport:
+    def biregular(self, depth: int = DEFAULT_DEPTH) -> BiregularReport:
         """Isomorphism test: injective and almost surjective, with the
         inverse constructed coordinate by coordinate as a certificate.
 
@@ -567,11 +563,9 @@ class Morphism:
             if not result.ok:
                 return None, j
             inverse.append(result.interpolant)
-        back = dict(zip(self.source.ctx.names, inverse))
-        for name, coord in zip(self.target.ctx.names, self.coords):
-            residual = coord.substitute(back) - Poly.variable(self.target.ctx, name)
-            if not self.target.ideal.contains(residual):
-                return None, None
+        back = Morphism(self.target, self.source, inverse, check=False)
+        if not all(back.pulls_back_to(c, y) for c, y in zip(self.coords, Poly.variables(self.target.ctx))):
+            return None, None
         return tuple(inverse), None
 
     def __str__(self) -> str:
@@ -596,18 +590,6 @@ def _intersect_many(ctx: VarContext, ideals: list[Ideal]) -> Ideal:
     for ideal in ideals:
         result = ideal if result is None else result.intersect(ideal)
     return result if result is not None else Ideal.unit(ctx)
-
-
-def _covered_by_closed(remaining: Ideal, closed_parts: list[Ideal]) -> bool:
-    """Whether V(remaining) lies inside the union of the closed parts.
-
-    Decided by radical membership of the generators of the product ideal
-    of the parts (the product vanishes exactly on the union).
-    """
-    if not closed_parts:
-        return False
-    product = functools.reduce(Ideal.product, closed_parts)
-    return all(remaining.radical_contains(g) for g in product.generators)
 
 
 def _complement_pieces(ambient_ideal: Ideal, cset: ConstructibleSet) -> list[tuple[Ideal, Ideal]]:

@@ -104,10 +104,3 @@ GRLEX = GrLex()
 GREVLEX = GrevLex()
 
 ORDERS_BY_NAME = {"lex": LEX, "grlex": GRLEX, "grevlex": GREVLEX}
-
-
-def order_by_name(name: str) -> MonomialOrder:
-    try:
-        return ORDERS_BY_NAME[name]
-    except KeyError:
-        raise ValueError(f"unknown monomial order {name!r}; choose from {sorted(ORDERS_BY_NAME)}") from None

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SessionFormatError
-from .morphisms import AffineVariety, Morphism
+from .morphisms import DEFAULT_DEPTH, AffineVariety, Morphism
 from .endos import Endomorphism
 from .groebner import Ideal
 from .orders import ORDERS_BY_NAME
@@ -85,7 +85,7 @@ class Session:
     assert_factorial: bool = False
     assert_irreducible: bool = False
     assert_etale: bool = False
-    depth: int = 8
+    depth: int = DEFAULT_DEPTH
     order: str = "grevlex"
     _morphism: Morphism | None = field(default=None, repr=False, compare=False)
 
@@ -145,7 +145,7 @@ class Session:
         missing = [n for n in target_ring if n not in assignments]
         if missing:
             raise SessionFormatError(f"map misses target variables {missing}")
-        depth, order = data.get("depth", 8), data.get("order", "grevlex")
+        depth, order = data.get("depth", DEFAULT_DEPTH), data.get("order", "grevlex")
         if type(depth) is not int or depth < 1:
             raise SessionFormatError(f"{where} entry 'depth' is not a positive integer")
         if not isinstance(order, str) or not _one_line(order):

@@ -20,6 +20,7 @@ from polymap import (
     TargetNotAffineSpaceError,
     VarContext,
     parse_poly,
+    parse_session,
 )
 from polymap.morphisms import _intersect_many, _piece_closure
 
@@ -203,6 +204,20 @@ class TestMinimalPolynomial:
                 # the degree-1 pair reduces to the interpolant exactly
                 assert (num - den * interpolant).is_zero() or \
                     m.target.ideal.contains(num - den * interpolant)
+
+    @pytest.mark.parametrize("text, g, var, relation, pair", [
+        ("source_ring: w\ntarget_ring: u\nmap: u = w^2\n", "w", "w'", "w'^2 - u", None),
+        ("source_ring: x y\ntarget_ring: x y\nmap: x = x + y^2 ; y = y\n", "x*y", "w",
+         "y^3 - x*y + w", ["-y^3 + x*y", "1"]),
+        ("source_ring: w x\ntarget_ring: w\nmap: w = x*w\n", "w", "w''", None, None),
+    ], ids=["source-named-w", "rings-share-names", "both-rings-use-w"])
+    def test_line_variable_avoids_clashing_names(self, text, g, var, relation, pair):
+        m = parse_session(text).morphism()
+        result = m.minimal_polynomial(parse_poly(g, m.source.ctx))
+        assert result.var == var
+        assert result.status == ("relation" if relation else "no_relation")
+        assert (str(result.relation) if result.relation else None) == relation
+        assert (list(map(str, result.rational_pair)) if result.rational_pair else None) == pair
 
 
 class TestImageClosure:
@@ -465,6 +480,14 @@ class TestBiregular:
         rep = fixture_morphisms["sl2row"].biregular()
         assert rep.verdict is False
         assert not rep.injective and rep.surjectivity.almost_surjective is True
+
+    def test_parabola_inverse_is_one_sided(self):
+        # t -> (t, t^2): t interpolates to u, but (u, u^2) is not the identity on the plane.
+        m = parse_session("source_ring: t\ntarget_ring: u v\nmap: u = t ; v = t^2\n"
+                          "assert_factorial: true\n").morphism()
+        assert m.construct_inverse() == (None, None)
+        rep = m.biregular()
+        assert rep.verdict is False and rep.consistent and rep.inverse is None
 
     def test_requires_factorial_assertion(self):
         xy = VarContext(("x", "y"))

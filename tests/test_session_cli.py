@@ -29,6 +29,7 @@ order: grevlex
 """
 AUTOMORPHISM_TEXT = "source_ring: x y\ntarget_ring: u v\nmap: u = x + y^2 ; v = y\nassert_factorial: true\n"
 SHALLOW_SHEAR_TEXT = "source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = x*y\nassert_factorial: true\ndepth: 1\n"
+PARABOLA_TEXT = "source_ring: t\ntarget_ring: u v\nmap: u = t ; v = t^2\nassert_factorial: true\n"
 
 
 def run_cli(capsys, *argv):
@@ -312,6 +313,23 @@ class TestVerify:
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 1 and report["verdict"] is False
 
+    @pytest.mark.parametrize("text, argv, key, value", [
+        (fixture_session_text("square"), ["minpoly", "-g", "t"], "relation", "w^2 - 2*u"),
+        (fixture_session_text("square"), ["minpoly", "-g", "t^4 + 3*t^2"], "rational_pair", ["u^2 + 4*u", "1"]),
+        (fixture_session_text("triangular"), ["invert"], "inverse", ["-v^2 + 2*u", "v"]),
+        # u o map = t holds, but (u, u^2) is not the identity on the plane.
+        (PARABOLA_TEXT, ["biregular"], "inverse", ["u"]),
+    ], ids=["relation", "rational-pair", "inverse", "one-sided-inverse"])
+    def test_tampered_certificate_fails(self, capsys, tmp_path, text, argv, key, value):
+        session = tmp_path / "map.session"
+        session.write_text(text)
+        path = self._report_file(capsys, tmp_path, "--session", str(session), *argv)
+        data = json.loads(path.read_text())
+        data["certificates"][0][key] = value
+        path.write_text(json.dumps(data))
+        code, report = run_cli(capsys, "verify", str(path))
+        assert code == 1 and report["verdict"] is False
+
     def test_report_without_certificates(self, capsys, tmp_path):
         path = self._report_file(capsys, tmp_path, "--fixture", "cusp", "injective")
         code, report = run_cli(capsys, "verify", str(path))
@@ -383,11 +401,22 @@ class TestVerify:
                      '"map": ["u = x"], "depth": 1' + "0" * 5000 + "}}", "integer string conversion",
                      marks=needs_digit_limit),
         ("{", "Expecting property name"),
+        # An inverse longer than the source arity is refused, not truncated.
+        ({"command": "invert", "session": MAP_SESSION,
+          "certificates": [{"kind": "inversion", "inverse": ["u", "u^7 + 12"]}]},
+         "'inverse' is not an array of 1 strings"),
+        ({"command": "gb", "session": MAP_SESSION,
+          "certificates": [{"kind": "groebner_basis", "ring": "banana", "order": "grevlex", "basis": []}]},
+         "'ring' is neither"),
+        ({"command": "gb", "session": MAP_SESSION,
+          "certificates": [{"kind": "groebner_basis", "ring": ["source"], "order": "grevlex", "basis": []}]},
+         "'ring' is not a string"),
     ], ids=["list", "certificate-not-object", "interpolation-without-g", "basis-without-ring",
             "rational-pair-without-args-g", "g-not-a-string", "basis-not-an-array", "map-not-an-array",
             "rational-pair-of-one", "depth-with-line-break", "depth-zero", "order-with-line-break",
             "map-with-line-break", "map-entry-with-semicolon", "ring-entry-with-space",
-            "ideal-entry-with-semicolon", "integer-over-digit-limit", "not-json"])
+            "ideal-entry-with-semicolon", "integer-over-digit-limit", "not-json",
+            "inverse-too-long", "ring-unknown", "ring-not-a-string"])
     def test_malformed_report_refused(self, capsys, tmp_path, report, named):
         self._assert_refused(capsys, tmp_path, report, named)
 
