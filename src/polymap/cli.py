@@ -226,9 +226,12 @@ def _check_inverse(cert: dict, report: dict, morphism: Morphism):
     if not texts:
         return
     back = Morphism(morphism.target, morphism.source, [parse_poly(text, tgt) for text in texts], check=False)
+    # The inverse must be a morphism into the source variety before it can
+    # compose to the identity there.
+    into = all(back.pulls_back_to(h, 0) for h in morphism.source.ideal.generators)
     left = all(morphism.pulls_back_to(q, x) for q, x in zip(back.coords, Poly.variables(src)))
     right = all(back.pulls_back_to(c, y) for c, y in zip(morphism.coords, Poly.variables(tgt)))
-    yield "inverse composes to identity on both sides", left and right
+    yield "inverse composes to identity on both sides", into and left and right
 
 
 def _check_divisibility(cert: dict, report: dict, morphism: Morphism):

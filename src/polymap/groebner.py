@@ -11,8 +11,11 @@ Every division goes through ``_divide``, which keeps its pending terms
 ordered, as heap division does (Monagan & Pearce, "Sparse polynomial
 division using a heap", J. Symb. Comp. 2011), so each monomial's order
 key is computed once per call, when the monomial first enters the work
-set.  Buchberger likewise
-ranks each critical pair once, when the pair is formed.
+set.  Order keys are flat tuples (``orders``), each polynomial keeps its
+last leading monomial, and inside a division an integral coefficient
+travels as a plain ``int``: ``Fraction`` arithmetic is paid only where a
+coefficient is not an integer.  Buchberger likewise ranks each critical
+pair once, when the pair is formed.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import itertools
 import threading
 from bisect import insort
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .errors import ContextMismatchError
@@ -30,19 +34,24 @@ from .poly import Monomial, Poly, VarContext, _raw
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
+
+
+def _integral(c: int | Fraction) -> int | Fraction:
+    """``c`` as a plain int when it is an integer, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _divide(f: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> Poly:
@@ -57,15 +66,21 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> Poly:
     each monomial's order key is computed once per call, when it enters
     ``work``.  A term that cancels keeps its entry with coefficient zero
     and is dropped when popped.
+
+    Inside the loop an integral coefficient is a plain ``int`` and only
+    the others are ``Fraction``; remainder terms go back to ``Fraction``,
+    so the result keeps ``Poly``'s all-``Fraction`` coefficients.  Two
+    ints are never divided with ``/``: a monic divisor's factor is the
+    coefficient itself, any other is an exact ``Fraction`` quotient.
     """
     key = order.key_function(f.ctx.arity)
     leads = []
     for g in divisors:
         if not g.is_zero():
             glm = g.leading_monomial(order)
-            tail = [(gm, gc) for gm, gc in g._terms.items() if gm != glm]
-            leads.append((glm, g._terms[glm], tail))
-    work = dict(f._terms)
+            tail = [(gm, _integral(gc)) for gm, gc in g._terms.items() if gm != glm]
+            leads.append((glm, _integral(g._terms[glm]), tail))
+    work = {m: _integral(c) for m, c in f._terms.items()}
     pending = sorted((key(m), m) for m in work)
     remainder: dict[Monomial, Fraction] = {}
     while pending:
@@ -77,10 +92,10 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> Poly:
             if _divides(glm, lm):
                 break
         else:
-            remainder[lm] = lc
+            remainder[lm] = lc if type(lc) is Fraction else Fraction(lc)
             continue
         shift = _mono_sub(lm, glm)
-        factor = lc / glc
+        factor = lc if glc == 1 else _integral(Fraction(lc, glc))
         # The leading term cancels lm exactly; only the tail is subtracted.
         for gm, gc in tail:
             mono = _mono_mul(gm, shift)

@@ -419,11 +419,11 @@ class Morphism:
             raise EngineInconsistencyError("graph relation certificate failed to verify")
         pair = None
         if degree == 1 and dominant:
+            # The relation den*w - num, just checked along x -> (map(x), g(x)),
+            # already says num o map = (den o map)*g.
             coeffs = generator.coefficients_in(w)
             den = coeffs.get(1, Poly.zero(ideal.ctx)).transport(self.target.ctx)
             num = (-coeffs.get(0, Poly.zero(ideal.ctx))).transport(self.target.ctx)
-            if not self.pulls_back_to(num, self.pullback(den) * g):
-                raise EngineInconsistencyError("degree-1 relation certificate failed to verify")
             pair = (num, den)
         return MinPolyResult("relation", generator, w, degree, pair, dominant, ideal)
 

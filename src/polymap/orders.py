@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter, neg
 from typing import Callable
 
 Monomial = tuple[int, ...]
@@ -28,7 +29,14 @@ def _grlex_key(exponents: Monomial) -> tuple:
 def _grevlex_key(exponents: Monomial) -> tuple:
     # Graded, ties broken by the smallest *last* difference: reverse and
     # negate so plain tuple comparison does the right thing.
-    return (sum(exponents), tuple(-e for e in reversed(exponents)))
+    return (sum(exponents), tuple(map(neg, reversed(exponents))))
+
+
+def _picker(indices: tuple[int, ...]) -> Callable[[Monomial], tuple]:
+    """The entries of an exponent tuple at ``indices``, as a tuple."""
+    if len(indices) >= 2:
+        return itemgetter(*indices)
+    return lambda exponents: tuple(exponents[i] for i in indices)
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,10 @@ class Block(MonomialOrder):
     Monomials are compared grevlex on the head block first, then grevlex
     on the remaining variables, so any monomial containing a head variable
     beats every head-free monomial.  ``head`` holds variable positions.
+    The compiled key is one flat tuple, the two grevlex keys laid end to
+    end: ``(sum(head), -head reversed..., sum(tail), -tail reversed...)``.
+    The head part has a fixed length, so it orders exactly as the pair
+    of grevlex keys would.
     """
 
     head: tuple[int, ...]
@@ -85,13 +97,13 @@ class Block(MonomialOrder):
 
     @functools.cache
     def key_function(self, arity: int):
-        inside = self.head
-        outside = tuple(i for i in range(arity) if i not in inside)
+        head = _picker(self.head[::-1])
+        tail = _picker(tuple(i for i in reversed(range(arity)) if i not in self.head))
 
         def key(exponents: Monomial) -> tuple:
-            hd = tuple(exponents[i] for i in inside)
-            tl = tuple(exponents[i] for i in outside)
-            return (_grevlex_key(hd), _grevlex_key(tl))
+            hd = head(exponents)
+            tl = tail(exponents)
+            return (sum(hd), *map(neg, hd), sum(tl), *map(neg, tl))
 
         return key
 

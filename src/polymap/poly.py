@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ContextMismatchError, PolymapError, UnknownVariableError
@@ -87,7 +88,7 @@ def _scalar_text(value: Fraction) -> str:
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("ctx", "_terms", "_hash")
+    __slots__ = ("ctx", "_terms", "_hash", "_lead")
 
     def __init__(self, ctx: VarContext, terms: Mapping[Monomial, Scalar] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -103,6 +104,7 @@ class Poly:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -181,9 +183,17 @@ class Poly:
     # -- order-dependent views --------------------------------------------
 
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
+        """The largest monomial under ``order``.  The last answer is kept,
+        with its order, in ``_lead``, so asking again under the same order
+        costs no key evaluations."""
+        lead = self._lead
+        if lead is not None and lead[0] == order:
+            return lead[1]
         if not self._terms:
             raise ValueError("the zero polynomial has no leading monomial")
-        return max(self._terms, key=order.key_function(self.ctx.arity))
+        mono = max(self._terms, key=order.key_function(self.ctx.arity))
+        object.__setattr__(self, "_lead", (order, mono))
+        return mono
 
     def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> Fraction:
         return self._terms[self.leading_monomial(order)]
@@ -241,7 +251,7 @@ class Poly:
         out: dict[Monomial, Fraction] = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
+                mono = tuple(map(add, ma, mb))
                 acc = out.get(mono)
                 if acc is None:
                     out[mono] = ca * cb
@@ -275,7 +285,9 @@ class Poly:
         if lc == 1:
             return self
         inv = Fraction(1) / lc
-        return _raw(self.ctx, {m: c * inv for m, c in self._terms.items()})
+        scaled = _raw(self.ctx, {m: c * inv for m, c in self._terms.items()})
+        object.__setattr__(scaled, "_lead", self._lead)  # same monomials, same leading one
+        return scaled
 
     # -- calculus / substitution -------------------------------------------
 
@@ -315,14 +327,20 @@ class Poly:
                 cache[e] = got
             return got
 
-        total = Poly.zero(target)
+        # Each term's power product is added, times its coefficient, into
+        # one dict; the result is built once.
+        out: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms.items():
-            term = Poly.constant(target, coeff)
+            product = None
             for i, e in enumerate(mono):
                 if e:
-                    term = term * power(i, e)
-            total = total + term
-        return total
+                    product = power(i, e) if product is None else product * power(i, e)
+            if product is None:
+                product = Poly.one(target)
+            for m, c in product._terms.items():
+                acc = out.get(m)
+                out[m] = coeff * c if acc is None else acc + coeff * c
+        return _raw(target, {m: c for m, c in out.items() if c})
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point (one value per context variable)."""
@@ -433,4 +451,5 @@ def _raw(ctx: VarContext, terms: dict[Monomial, Fraction]) -> Poly:
     object.__setattr__(p, "ctx", ctx)
     object.__setattr__(p, "_terms", terms)
     object.__setattr__(p, "_hash", None)
+    object.__setattr__(p, "_lead", None)
     return p

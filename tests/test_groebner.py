@@ -110,6 +110,42 @@ class TestDivisionKernel:
             for mono in r.monomials():
                 assert not any(all(a <= b for a, b in zip(lm, mono)) for lm in leads), (trial, mono)
 
+    @pytest.mark.parametrize("order", ORDERS, ids=str)
+    def test_rational_and_non_monic_divisors(self, order):
+        # Integral coefficients travel as int inside the division, the
+        # others as Fraction; mixed dividends and divisors must still
+        # divide exactly as the plain all-Fraction loop does.
+        rng = random.Random(35)
+
+        def scaled(p):
+            return Poly(p.ctx, {m: c / rng.choice((1, 1, 2, 3, 7)) * rng.choice((1, 1, 2, 5)) for m, c in p.terms()})
+
+        for trial in range(40):
+            f = scaled(random_poly(rng, TUV, max_deg=6, max_terms=10))
+            divisors = [scaled(random_nonzero_poly(rng, TUV, max_deg=3, max_terms=4))
+                        for _ in range(rng.randint(1, 4))]
+            if trial % 4 == 0:
+                divisors = [d.monic(order) for d in divisors]
+            r = normal_form(f, divisors, order)
+            assert r == reference_divide(f, divisors, order), (trial, f, divisors)
+            assert all(type(c) is Fraction for _, c in r.terms()), (trial, r)
+
+    def test_coefficients_stay_fractions(self):
+        # Poly equality cannot see an int leaking out of the kernel, since
+        # 3 == Fraction(3); check the coefficient types themselves.
+        rng = random.Random(36)
+        for _ in range(15):
+            gens = [random_nonzero_poly(rng, TUV, max_deg=3, max_terms=4) for _ in range(3)]
+            f = random_poly(rng, TUV, max_deg=5, max_terms=8)
+            for order in self.ORDERS:
+                basis = buchberger(gens, order)
+                assert all(type(c) is Fraction for g in basis for _, c in g.terms())
+                r = normal_form(f, basis, order)
+                assert all(type(c) is Fraction for _, c in r.terms())
+            images = {name: random_poly(rng, XY) for name in TUV.names}
+            image = f.substitute(images)
+            assert all(type(c) is Fraction for _, c in image.terms())
+
     def test_term_that_cancels_and_reappears(self):
         # Modulo x^2 - x*y - y^2 (grevlex), reducing x^3 adds x^2*y + x*y^2,
         # which cancels the -x*y^2 of f; reducing x^2*y then brings x*y^2

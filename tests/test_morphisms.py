@@ -205,6 +205,23 @@ class TestMinimalPolynomial:
                 assert (num - den * interpolant).is_zero() or \
                     m.target.ideal.contains(num - den * interpolant)
 
+    def test_degree_one_pair_pulls_back_by_substitution(self, fixture_morphisms, tame_pool):
+        # The pair is read off the relation without a check of its own, so
+        # num o map = (den o map)*g is checked here by plain substitution:
+        # both sources are affine spaces, so the identity holds exactly.
+        rng = random.Random(45)
+        square = fixture_morphisms["square"]
+        cases = [(square, parse_poly("t^4 + 3*t^2", square.source.ctx))]
+        for m in [square] + [e for e, _ in tame_pool[:6]]:
+            cases += [(m, g) for _, g in pullback_pairs(m, rng, 3, max_deg=2)]
+        for m, g in cases:
+            result = m.minimal_polynomial(g)
+            assert result.degree == 1, (str(m), str(g))
+            num, den = result.rational_pair
+            assert not den.is_zero()
+            assignment = dict(zip(m.target.ctx.names, m.coords))
+            assert num.substitute(assignment) == den.substitute(assignment) * g, (str(m), str(g))
+
     @pytest.mark.parametrize("text, g, var, relation, pair", [
         ("source_ring: w\ntarget_ring: u\nmap: u = w^2\n", "w", "w'", "w'^2 - u", None),
         ("source_ring: x y\ntarget_ring: x y\nmap: x = x + y^2 ; y = y\n", "x*y", "w",

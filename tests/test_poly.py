@@ -271,6 +271,44 @@ class TestOrdersAndPrinting:
         order = Block.first(1)
         assert order.key_function(3)((1, 0, 0)) > order.key_function(3)((0, 7, 9))
 
+    @pytest.mark.parametrize("arity, head", [
+        (2, (0,)), (2, (1,)), (2, (0, 1)),
+        (3, (0,)), (3, (2,)), (3, (0, 2)), (3, (0, 1, 2)),
+        (4, (1, 3)), (4, (0, 1)), (4, (3,)), (4, (2, 0)),
+        (5, (0, 2, 4)), (5, (1,)), (5, (0, 1, 2, 3, 4)), (5, (4, 1, 3)),
+    ], ids=str)
+    def test_flat_block_key_orders_as_nested_key(self, arity, head):
+        # The reference: grevlex on the head exponents, then grevlex on the
+        # rest, as a pair of nested keys.
+        def grevlex(exps):
+            return (sum(exps), tuple(-e for e in reversed(exps)))
+
+        outside = [i for i in range(arity) if i not in head]
+
+        def nested(mono):
+            return (grevlex([mono[i] for i in head]), grevlex([mono[i] for i in outside]))
+
+        rng = random.Random(arity * 100 + len(head))
+        monos = list({tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(120)})
+        key = Block(head).key_function(arity)
+        assert sorted(monos, key=key) == sorted(monos, key=nested)
+        for a, b in zip(monos, monos[1:]):
+            assert (key(a) < key(b)) == (nested(a) < nested(b)), (a, b)
+
+    def test_leading_monomial_follows_the_order_asked(self):
+        # A polynomial remembers its last leading monomial; asking under
+        # another order must not return the remembered one.
+        xyz = VarContext(("x", "y", "z"))
+        p = parse_poly("x*z^3 + y^4 + x^2*y + z^2", xyz)
+        expected = {LEX: (2, 1, 0), GRLEX: (1, 0, 3), GREVLEX: (0, 4, 0),
+                    Block.first(1): (2, 1, 0), Block((2,)): (1, 0, 3), Block((1,)): (0, 4, 0)}
+        assert len(set(expected.values())) == 3
+        for order in [LEX, GREVLEX, LEX, Block.first(1), GRLEX, GREVLEX, Block((1,)),
+                      Block((2,)), Block((1,)), LEX, GRLEX]:
+            assert p.leading_monomial(order) == expected[order], order
+            assert p.leading_coefficient(order) == 1
+            assert p.monic(order) == p
+
     def test_printer_descending_grevlex(self):
         p = parse_poly("1 + x^2 + y + x*y^2", XY)
         assert str(p) == "x*y^2 + x^2 + y + 1"

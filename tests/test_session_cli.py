@@ -30,6 +30,7 @@ order: grevlex
 AUTOMORPHISM_TEXT = "source_ring: x y\ntarget_ring: u v\nmap: u = x + y^2 ; v = y\nassert_factorial: true\n"
 SHALLOW_SHEAR_TEXT = "source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = x*y\nassert_factorial: true\ndepth: 1\n"
 PARABOLA_TEXT = "source_ring: t\ntarget_ring: u v\nmap: u = t ; v = t^2\nassert_factorial: true\n"
+POINT_INTO_LINE_TEXT = "source_ring: x\nsource_ideal: x\ntarget_ring: u\nmap: u = x\nassert_factorial: true\n"
 
 
 def run_cli(capsys, *argv):
@@ -319,7 +320,10 @@ class TestVerify:
         (fixture_session_text("triangular"), ["invert"], "inverse", ["-v^2 + 2*u", "v"]),
         # u o map = t holds, but (u, u^2) is not the identity on the plane.
         (PARABOLA_TEXT, ["biregular"], "inverse", ["u"]),
-    ], ids=["relation", "rational-pair", "inverse", "one-sided-inverse"])
+        # u -> u composes to the identity both ways, but does not map the
+        # line into the point V(x).
+        (POINT_INTO_LINE_TEXT, ["biregular"], "inverse", ["u"]),
+    ], ids=["relation", "rational-pair", "inverse", "one-sided-inverse", "inverse-off-source"])
     def test_tampered_certificate_fails(self, capsys, tmp_path, text, argv, key, value):
         session = tmp_path / "map.session"
         session.write_text(text)
