@@ -14,8 +14,11 @@ a ``verify`` report's path field compares equal.
 
 Beside the fixtures it sweeps the sessions in ``SESSIONS`` below, written
 to session files: maps whose variable names clash with the names the
-engine picks for the graph and the line coordinate, and a parabola whose
-coordinate inverse is only one-sided.
+engine picks for the graph and the line coordinate, a parabola whose
+coordinate inverse is only one-sided, maps whose image descents end in
+each of the ways a descent can end, an isomorphism of two points, and
+two maps into a ring without variables (for which no value is taken
+from the target ring).
 
 Every call whose exit code, stdout or stderr differs between the two
 checkouts is printed, as is a call that only one checkout makes; the
@@ -43,6 +46,15 @@ SESSIONS = {
     "clash-rings": "source_ring: x y\ntarget_ring: x y\nmap: x = x + y^2 ; y = y\n",
     "clash-graph": "source_ring: w x\ntarget_ring: w\nmap: w = x*w\n",
     "parabola": "source_ring: t\ntarget_ring: u v\nmap: u = t ; v = t^2\nassert_factorial: true\n",
+    "x2-xy": "source_ring: x y\ntarget_ring: u v\nmap: u = x^2 ; v = x*y\n",
+    "three-pieces": "source_ring: x y\ntarget_ring: u v\nmap: u = x*y ; v = x*y^2 + x\n",
+    "nodal": "source_ring: t\ntarget_ring: u v\nmap: u = t^2 - 1 ; v = t^3 - t\n",
+    "triangular3": "source_ring: x y z\ntarget_ring: u v w\nmap: u = x ; v = x*y ; w = x*y*z\n",
+    "nilpotent-lc": "source_ring: x y\nsource_ideal: x^2*y\ntarget_ring: u v\nmap: u = x*y ; v = x + x^2\n",
+    "two-points": "source_ring: t\nsource_ideal: t^2 - 1\ntarget_ring: u\ntarget_ideal: u^2 - 1\n"
+                  "map: u = t\nassert_factorial: true\n",
+    "empty-into-empty": "source_ring: x\nsource_ideal: 1\ntarget_ring:\ntarget_ideal: 1\nmap:\n",
+    "line-to-point": "source_ring: x\ntarget_ring:\nmap:\n",
 }
 
 def flag_names(flags):
@@ -70,7 +82,7 @@ for label, text in SESSIONS.items():
         handle.write(text)
     sources.append((label, ["--session", label + ".session"], parse_session(text)))
 for label, source, session in sources:
-    firsts = dict.fromkeys((session.source_ring[0], session.target_ring[0]))
+    firsts = dict.fromkeys(ring[0] for ring in (session.source_ring, session.target_ring) if ring)
     for name, command in cli._COMMANDS.items():
         if not command.session:
             continue

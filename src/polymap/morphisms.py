@@ -12,8 +12,9 @@ Verdict semantics worth pinning down:
 
 * ``dominant``   - the image is dense in the target.
 * ``almost surjective`` - the closure of the set of target points missed
-  by the map has dimension at most dim(target) - 2 (the empty set has
-  dimension -1, so surjective maps qualify).
+  by the map has dimension at most dim(target) - 2, or is empty (the
+  empty set has dimension -1, so surjective maps qualify whatever the
+  dimension of the target).
 * image descriptions are unions of pieces ``V(closed) - V(minus)``; when
   flagged inexact they under-approximate the image but always have the
   correct closure.
@@ -185,7 +186,7 @@ class BiregularReport:
 class _GraphData:
     """Combined context [renamed source | target] with the graph ideal."""
 
-    __slots__ = ("ctx", "src_names", "rename", "block", "ideal", "head")
+    __slots__ = ("ctx", "src_names", "rename", "block", "ideal")
 
     def __init__(self, morphism: "Morphism"):
         src = morphism.source.ctx
@@ -196,8 +197,7 @@ class _GraphData:
         self.src_names = taken.names[tgt.arity:]
         self.rename = dict(zip(src.names, self.src_names))
         self.ctx = VarContext(self.src_names + tgt.names)
-        self.head = tuple(range(src.arity))
-        self.block = Block(self.head)
+        self.block = Block.first(src.arity)
         gens = [g.transport(self.ctx, self.rename) for g in morphism.source.ideal.generators]
         for name, coord in zip(tgt.names, morphism.coords):
             gens.append(Poly.variable(self.ctx, name) - coord.transport(self.ctx, self.rename))
@@ -249,9 +249,6 @@ class Morphism:
             self._memo["graph"] = got
         return got
 
-    def _coord_assignment(self) -> dict[str, Poly]:
-        return dict(zip(self.target.ctx.names, self.coords))
-
     def _fiber(self) -> tuple[VarContext, Ideal, dict[str, str]]:
         """Doubled source context with the fiber-product ideal.
 
@@ -273,39 +270,20 @@ class Morphism:
             self._memo["fiber"] = got
         return got
 
-    def _lc_product(self) -> Poly:
-        """Product of the leading coefficients, over the source block, of
-        the graph basis elements that involve the source.
-
-        It cuts out the locus where specializing the basis at a target
-        point could degenerate; away from it every point of the
-        eliminated variety lifts to the source.
-        """
-        got = self._memo.get("lc_product")
-        if got is not None:
-            return got
-        graph = self._graph()
-        head = graph.head
-        got = Poly.one(self.target.ctx)
-        for g in graph.ideal.groebner_basis(graph.block):
-            head_part = tuple(g.leading_monomial(graph.block)[i] for i in head)
-            if any(head_part):
-                lead_coeff = Poly(graph.ctx, {
-                    tuple(0 if i in head else e for i, e in enumerate(m)): c
-                    for m, c in g.terms()
-                    if tuple(m[i] for i in head) == head_part
-                })
-                got = got * lead_coeff.transport(self.target.ctx)
-        self._memo["lc_product"] = got
-        return got
-
     # -- ring-level operations ---------------------------------------------------
+
+    def _composite(self, f: Poly) -> Poly:
+        """f o map over the source ring, not reduced by the source ideal."""
+        if f.ctx != self.target.ctx:
+            raise ContextMismatchError("pullback argument must live on the target ring")
+        if not self.coords:
+            # f is a constant, and substitute would keep it on the empty ring.
+            return f.transport(self.source.ctx)
+        return f.substitute(dict(zip(self.target.ctx.names, self.coords)))
 
     def pullback(self, f: Poly) -> Poly:
         """Canonical representative of f o map in the source coordinate ring."""
-        if f.ctx != self.target.ctx:
-            raise ContextMismatchError("pullback argument must live on the target ring")
-        return self.source.ideal.normal_form(f.substitute(self._coord_assignment()))
+        return self.source.ideal.normal_form(self._composite(f))
 
     def pulls_back_to(self, f: Poly, g: Poly | int) -> bool:
         """Whether f o map = g modulo the source ideal.
@@ -314,9 +292,7 @@ class Morphism:
         pulling back to g, a graph relation pulling back to 0 along
         x -> (map(x), g(x)), an inverse composing to the identity.
         """
-        if f.ctx != self.target.ctx:
-            raise ContextMismatchError("pullback argument must live on the target ring")
-        return self.source.ideal.contains(f.substitute(self._coord_assignment()) - g)
+        return self.source.ideal.contains(self._composite(f) - g)
 
     def image_closure(self) -> Ideal:
         """Ideal of the Zariski closure of the image."""
@@ -457,50 +433,48 @@ class Morphism:
     def constructible_image(self, depth: int = DEFAULT_DEPTH) -> ConstructibleSet:
         """Piecewise description of the image, by leading-coefficient descent.
 
-        Each round contributes the piece of the eliminated variety where
-        the elimination basis specializes cleanly (all leading
-        coefficients over the source block nonzero), then restricts the
-        map over the missed locus and recurses, up to ``depth`` rounds or
-        until the restriction stabilizes.  The result is flagged exact
-        when a round's image closure is empty or its leading-coefficient
-        product is a nonzero constant, so that its piece is all of the
-        closed set; a recursion cut by ``depth`` or by stabilization is
-        inexact.
+        Round 0 works on the graph ideal.  Each round adds the piece
+        closure - V(L), where L is the product of its block basis's leading
+        coefficients over the source block, and the next round adds L to
+        the round's ideal: the map restricted to the points over V(L).
+        The result is exact when a round's closure is empty or its L is a
+        nonzero constant, so that its piece is all of the closed set, and
+        inexact when ``depth`` rounds are spent or L already lies in the
+        round's ideal, so that the next round would repeat this one.
         """
         if depth < 1:
             raise ValueError("depth must be at least 1")
+        graph = self._graph()
         tgt_ctx = self.target.ctx
         pieces: list[tuple[Ideal, Ideal]] = []
-        current: Morphism = self
-        seen: set[tuple] = set()
+        ideal = graph.ideal
         for _ in range(depth):
-            closure = current.image_closure()
+            closure = ideal.eliminate(graph.src_names)
             if closure.is_unit():
                 return ConstructibleSet(tgt_ctx, tuple(pieces), True)
-            lc_product = current._lc_product()
+            basis = ideal.groebner_basis(graph.block)
+            lc_product = _lc_product(basis, graph.block, tgt_ctx)
             minus = Ideal(tgt_ctx, (lc_product,))
             if not _piece_is_empty(closure, minus):
                 pieces.append((closure, minus))
             if lc_product.is_constant():
                 return ConstructibleSet(tgt_ctx, tuple(pieces), True)
-            restricted_source = current.source.ideal + (lc_product.substitute(current._coord_assignment()),)
-            state = restricted_source.groebner_basis()
-            if state in seen:
+            lc_product = lc_product.transport(graph.ctx)
+            if normal_form(lc_product, basis, graph.block).is_zero():
                 break
-            seen.add(state)
-            current = Morphism(AffineVariety(current.source.ctx, restricted_source), self.target,
-                               current.coords, check=False)
+            ideal = Ideal(graph.ctx, basis + (lc_product,))
         return ConstructibleSet(tgt_ctx, tuple(pieces), False)
 
     def almost_surjective(self, depth: int = DEFAULT_DEPTH) -> SurjectivityReport:
         """Classify how much of the target the image misses.
 
         The verdict compares dim(closure(missed set)) against
-        dim(target) - 2.  With an inexact image description the verdict
-        is still definite when either the over-estimated complement is
-        already small enough (True) or the certified part of the
-        complement - everything outside the image closure - is already
-        too big (False); otherwise it is None.
+        max(dim(target) - 2, -1), so an empty complement always qualifies.
+        With an inexact image description the verdict is still definite
+        when either the over-estimated complement is already small enough
+        (True) or the certified part of the complement - everything
+        outside the image closure - is already too big (False); otherwise
+        it is None.
         """
         target_ideal = self.target.ideal
         target_dim = target_ideal.dimension()
@@ -510,14 +484,14 @@ class Morphism:
         comp_dim = comp_closure.dimension()
         certain = _piece_closure(target_ideal, self.image_closure())
         certain_dim = certain.dimension()
-        threshold = target_dim - 2
+        threshold = max(target_dim - 2, -1)
         if image.exact:
             almost = comp_dim <= threshold
             surjective = comp_dim == -1
         elif comp_dim <= threshold:
             almost = True
             surjective = True if comp_dim == -1 else (False if certain_dim >= 0 else None)
-        elif certain_dim >= target_dim - 1:
+        elif certain_dim > threshold:
             almost = False
             surjective = False
         else:
@@ -574,6 +548,24 @@ class Morphism:
 
 
 # -- constructible-set helpers ------------------------------------------------------
+
+
+def _lc_product(basis: Sequence[Poly], block: Block, ctx: VarContext) -> Poly:
+    """Product, over ``ctx``, of the leading coefficients over ``block``'s
+    head of the basis elements that involve the head: away from its zeros
+    every point of the eliminated variety lifts to the head variables."""
+    head = block.head
+    product = Poly.one(ctx)
+    for g in basis:
+        head_part = tuple(g.leading_monomial(block)[i] for i in head)
+        if any(head_part):
+            lead_coeff = Poly(g.ctx, {
+                tuple(0 if i in head else e for i, e in enumerate(m)): c
+                for m, c in g.terms()
+                if tuple(m[i] for i in head) == head_part
+            })
+            product = product * lead_coeff.transport(ctx)
+    return product
 
 
 def _piece_closure(closed: Ideal, minus: Ideal) -> Ideal:

@@ -22,7 +22,7 @@ from polymap import (
     parse_poly,
     parse_session,
 )
-from polymap.morphisms import _intersect_many, _piece_closure
+from polymap.morphisms import ConstructibleSet, _intersect_many, _piece_closure, _piece_is_empty
 
 from conftest import random_point, random_poly
 
@@ -36,6 +36,65 @@ def pullback_pairs(morphism, rng, count, max_deg=4):
         p = random_poly(rng, morphism.target.ctx, max_deg=max_deg, max_terms=4)
         out.append((p, morphism.pullback(p)))
     return out
+
+
+# With the fixtures, these maps reach every way an image descent ends: an
+# empty closure (hyperbola, sl2row), a constant leading-coefficient product
+# (three-pieces at round 2), a product already in the round's ideal (the
+# first four at round 1, nilpotent-lc at round 0) and the depth.
+DESCENT_MAPS = {
+    "x2-xy": "source_ring: x y\ntarget_ring: u v\nmap: u = x^2 ; v = x*y\n",
+    "three-pieces": "source_ring: x y\ntarget_ring: u v\nmap: u = x*y ; v = x*y^2 + x\n",
+    "nodal": "source_ring: t\ntarget_ring: u v\nmap: u = t^2 - 1 ; v = t^3 - t\n",
+    "triangular3": "source_ring: x y z\ntarget_ring: u v w\nmap: u = x ; v = x*y ; w = x*y*z\n",
+    "nilpotent-lc": "source_ring: x y\nsource_ideal: x^2*y\ntarget_ring: u v\nmap: u = x*y ; v = x + x^2\n",
+}
+
+
+def reference_lc_product(m: Morphism) -> Poly:
+    """Product of the leading coefficients, over the source block, of the
+    graph basis elements of m that involve the source."""
+    graph = m._graph()
+    head = range(m.source.ctx.arity)
+    product = Poly.one(m.target.ctx)
+    for g in graph.ideal.groebner_basis(graph.block):
+        head_part = tuple(g.leading_monomial(graph.block)[i] for i in head)
+        if any(head_part):
+            coeff = Poly(graph.ctx, {
+                tuple(0 if i in head else e for i, e in enumerate(mono)): c
+                for mono, c in g.terms()
+                if tuple(mono[i] for i in head) == head_part
+            })
+            product = product * coeff.transport(m.target.ctx)
+    return product
+
+
+def reference_image(m: Morphism, depth: int) -> ConstructibleSet:
+    """Image descent by restricted maps: each round builds the map on the
+    source points over V(L), L the round's leading-coefficient product,
+    and the descent stops inexact once that restricted source repeats."""
+    tgt_ctx = m.target.ctx
+    pieces = []
+    current = m
+    seen = set()
+    for _ in range(depth):
+        closure = current.image_closure()
+        if closure.is_unit():
+            return ConstructibleSet(tgt_ctx, tuple(pieces), True)
+        lc_product = reference_lc_product(current)
+        minus = Ideal(tgt_ctx, (lc_product,))
+        if not _piece_is_empty(closure, minus):
+            pieces.append((closure, minus))
+        if lc_product.is_constant():
+            return ConstructibleSet(tgt_ctx, tuple(pieces), True)
+        pulled = lc_product.substitute(dict(zip(tgt_ctx.names, current.coords)))
+        restricted = current.source.ideal + (pulled,)
+        state = restricted.groebner_basis()
+        if state in seen:
+            break
+        seen.add(state)
+        current = Morphism(AffineVariety(current.source.ctx, restricted), m.target, current.coords, check=False)
+    return ConstructibleSet(tgt_ctx, tuple(pieces), False)
 
 
 class TestConstruction:
@@ -64,6 +123,11 @@ class TestPullback:
         assert cusp.pullback(Poly.variable(UV, "u")) == parse_poly("t^2", cusp.source.ctx)
         assert shear.pullback(parse_poly("u*v", UV)) == parse_poly("x^2*y", shear.source.ctx)
         assert cusp.pullback(Poly.one(UV)) == Poly.one(cusp.source.ctx)
+
+    def test_map_with_no_coordinates(self):
+        m = parse_session("source_ring: x\ntarget_ring:\nmap:\n").morphism()
+        assert m.pullback(Poly.one(VarContext(()))) == Poly.one(VarContext(("x",)))
+        assert m.pulls_back_to(Poly.constant(VarContext(()), 3), 3)
 
     def test_ring_morphism(self, fixture_morphisms):
         rng = random.Random(41)
@@ -444,6 +508,20 @@ class TestConstructibleImage:
                     assert has_preimage, (trial, [str(c) for c in coords], pt)
                 elif image.exact:
                     assert not has_preimage, (trial, [str(c) for c in coords], pt)
+
+    @pytest.mark.parametrize("depth", [1, 2, 8])
+    def test_matches_restricted_map_descent(self, fixture_morphisms, depth):
+        maps = dict(fixture_morphisms)
+        maps.update((name, parse_session(text).morphism()) for name, text in DESCENT_MAPS.items())
+        for name, m in maps.items():
+            got = m.constructible_image(depth).to_json_dict()
+            assert got == reference_image(m, depth).to_json_dict(), (name, depth)
+
+    def test_three_pieces_exact_at_round_two(self):
+        m = parse_session(DESCENT_MAPS["three-pieces"]).morphism()
+        assert not m.constructible_image(2).exact
+        image = m.constructible_image(3)
+        assert image.exact and len(image.pieces) == 3
 
 
 class TestAlmostSurjective:

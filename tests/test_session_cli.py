@@ -31,6 +31,10 @@ AUTOMORPHISM_TEXT = "source_ring: x y\ntarget_ring: u v\nmap: u = x + y^2 ; v = 
 SHALLOW_SHEAR_TEXT = "source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = x*y\nassert_factorial: true\ndepth: 1\n"
 PARABOLA_TEXT = "source_ring: t\ntarget_ring: u v\nmap: u = t ; v = t^2\nassert_factorial: true\n"
 POINT_INTO_LINE_TEXT = "source_ring: x\nsource_ideal: x\ntarget_ring: u\nmap: u = x\nassert_factorial: true\n"
+TWO_POINTS_TEXT = ("source_ring: t\nsource_ideal: t^2 - 1\ntarget_ring: u\ntarget_ideal: u^2 - 1\nmap: u = t\n"
+                   "assert_factorial: true\n")
+EMPTY_INTO_EMPTY_TEXT = "source_ring: x\nsource_ideal: 1\ntarget_ring:\ntarget_ideal: 1\nmap:\n"
+LINE_TO_POINT_TEXT = "source_ring: x\ntarget_ring:\nmap:\n"
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +188,28 @@ class TestCLI:
         assert report["verdict"] is None
         assert report["exact"] is False
 
+    def test_isomorphism_of_two_points(self, capsys, tmp_path):
+        # A 0-dimensional target: the empty complement is small enough.
+        session = tmp_path / "points.session"
+        session.write_text(TWO_POINTS_TEXT)
+        code, report = run_cli(capsys, "--session", str(session), "almost-surjective")
+        assert code == 0 and report["verdict"] is True
+        assert report["certificates"][0]["surjective"] is True
+        code, report = run_cli(capsys, "--session", str(session), "biregular")
+        assert code == 0 and report["verdict"] is True
+        assert report["certificates"][0]["inverse"] == ["u"]
+
+    @pytest.mark.parametrize("text, argv", [
+        (EMPTY_INTO_EMPTY_TEXT, ["dim"]),
+        (EMPTY_INTO_EMPTY_TEXT, ["gb"]),
+        (LINE_TO_POINT_TEXT, ["divides", "-f", "1", "-g", "1"]),
+    ], ids=["empty-dim", "empty-gb", "point-divides"])
+    def test_target_ring_without_variables(self, capsys, tmp_path, text, argv):
+        session = tmp_path / "empty.session"
+        session.write_text(text)
+        code, _ = run_cli(capsys, "--session", str(session), *argv)
+        assert code == 0
+
     def test_exit_code_errors(self, capsys):
         assert main(["--fixture", "cusp", "jc"]) == 1  # dimension mismatch precondition
         capsys.readouterr()
@@ -282,6 +308,13 @@ class TestVerify:
 
     def test_inverse_report_verifies(self, capsys, tmp_path):
         path = self._report_file(capsys, tmp_path, "--fixture", "triangular", "biregular")
+        code, report = run_cli(capsys, "verify", str(path))
+        assert code == 0 and report["verdict"] is True
+
+    def test_two_point_isomorphism_report_verifies(self, capsys, tmp_path):
+        session = tmp_path / "points.session"
+        session.write_text(TWO_POINTS_TEXT)
+        path = self._report_file(capsys, tmp_path, "--session", str(session), "biregular")
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 0 and report["verdict"] is True
 
