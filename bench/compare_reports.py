@@ -16,9 +16,12 @@ Beside the fixtures it sweeps the sessions in ``SESSIONS`` below, written
 to session files: maps whose variable names clash with the names the
 engine picks for the graph and the line coordinate, a parabola whose
 coordinate inverse is only one-sided, maps whose image descents end in
-each of the ways a descent can end, an isomorphism of two points, and
-two maps into a ring without variables (for which no value is taken
-from the target ring).
+each of the ways a descent can end, an isomorphism of two points, two
+maps into a ring without variables (for which no value is taken from
+the target ring), shallow descents and further maps whose
+almost-surjectivity verdicts come from each end of the dimension
+bracket or from neither, and two bijections without a regular inverse
+because a source or target ideal is not radical.
 
 Every call whose exit code, stdout or stderr differs between the two
 checkouts is printed, as is a call that only one checkout makes; the
@@ -55,6 +58,18 @@ SESSIONS = {
                   "map: u = t\nassert_factorial: true\n",
     "empty-into-empty": "source_ring: x\nsource_ideal: 1\ntarget_ring:\ntarget_ideal: 1\nmap:\n",
     "line-to-point": "source_ring: x\ntarget_ring:\nmap:\n",
+    "shear-depth1": "source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = x*y\nassert_factorial: true\ndepth: 1\n",
+    "three-pieces-depth2": "source_ring: x y\ntarget_ring: u v\nmap: u = x*y ; v = x*y^2 + x\ndepth: 2\n",
+    "x2-x2y+x-depth1": "source_ring: x y\ntarget_ring: u v\nmap: u = x^2 ; v = x^2*y + x\ndepth: 1\n",
+    "whitney": "source_ring: x y\ntarget_ring: u v w\nmap: u = x ; v = x*y ; w = y^2\n",
+    "torus": "source_ring: x y z\nsource_ideal: x*y*z - 1\ntarget_ring: u v\nmap: u = x ; v = y\n",
+    "blowup": "source_ring: x y z\ntarget_ring: u v w\nmap: u = x ; v = x*y ; w = x*z\n",
+    "axes": "source_ring: x y\nsource_ideal: x*y\ntarget_ring: u v\nmap: u = y^2 ; v = x^2\n",
+    "line-into-cross": "source_ring: t\ntarget_ring: u v\ntarget_ideal: u*v\nmap: u = t ; v = 0\n",
+    "double-line": "source_ring: x y\nsource_ideal: y^2\ntarget_ring: u\nmap: u = x\n"
+                   "assert_factorial: true\nassert_etale: true\n",
+    "double-target": "source_ring: t\ntarget_ring: u v\ntarget_ideal: u^2\nmap: u = 0 ; v = t\n"
+                     "assert_factorial: true\nassert_etale: true\n",
 }
 
 def flag_names(flags):

@@ -20,7 +20,7 @@ from .errors import (
     NotEtaleError,
     NotInjectiveError,
 )
-from .morphisms import DEFAULT_DEPTH, AffineVariety, Morphism, SurjectivityReport
+from .morphisms import DEFAULT_DEPTH, HYPOTHESES, AffineVariety, Morphism, SurjectivityReport
 from .poly import Poly, VarContext
 
 
@@ -189,7 +189,9 @@ def etale_dichotomy(morphism: Morphism, depth: int = DEFAULT_DEPTH) -> Dichotomy
     if surj.almost_surjective:
         inverse, _ = morphism.construct_inverse()
         if inverse is None:
-            raise EngineInconsistencyError("injective almost-surjective map failed the biregularity check")
+            raise EngineInconsistencyError(
+                f"injective almost-surjective map failed the biregularity check; {HYPOTHESES}"
+            )
         return DichotomyReport("biregular", surj, surj.target_dim - surj.complement_dim, inverse)
     codim = surj.target_dim - surj.complement_dim
     if codim != 1:

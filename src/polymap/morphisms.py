@@ -16,8 +16,9 @@ Verdict semantics worth pinning down:
   empty set has dimension -1, so surjective maps qualify whatever the
   dimension of the target).
 * image descriptions are unions of pieces ``V(closed) - V(minus)``; when
-  flagged inexact they under-approximate the image but always have the
-  correct closure.
+  flagged inexact they under-approximate the image, with the image
+  closure as their closure on a prime source ideal (on a reducible or
+  non-reduced one it can be smaller; ``almost_surjective`` stays sound).
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ from .poly import Poly, VarContext
 # Rounds of leading-coefficient descent in ``constructible_image`` unless a
 # session sets its own ``depth``.
 DEFAULT_DEPTH = 8
+
+# Why a biregularity verdict can disagree with the inverse construction
+# other than by an engine defect: the paper's X and Y are varieties.
+HYPOTHESES = "it assumes radical source and target ideals and a factorial target, so one of these is likely false"
 
 
 @dataclass(frozen=True)
@@ -127,9 +132,10 @@ class ConstructibleSet:
     """Finite union of pieces V(closed) - V(minus) inside an ambient ring.
 
     ``exact`` distinguishes a proven description of a map's image from a
-    sound under-approximation (subset of the image whose closure still
-    equals the image closure).  Membership of rational points is decided
-    by evaluation.
+    sound under-approximation: a subset of the image whose closure equals
+    the image closure when the source ideal is prime (on a reducible or
+    non-reduced source it may be smaller).  Membership of rational points
+    is decided by evaluation.
     """
 
     ctx: VarContext
@@ -160,10 +166,12 @@ class ConstructibleSet:
 class SurjectivityReport:
     """Image description plus the dimension bookkeeping behind the verdict.
 
-    ``almost_surjective`` / ``surjective`` are True, False, or None for
-    "unknown" (only possible when the image description is inexact and
-    neither the certified part of the complement nor the over-estimate
-    settles the question).
+    ``complement_closure`` is the closure of the target minus the image
+    description and ``complement_dim`` its dimension: the upper bound of
+    the bracket in :meth:`Morphism.almost_surjective`, exact when the
+    description is.  ``almost_surjective`` / ``surjective`` are True,
+    False, or None for "unknown" (only possible when the description is
+    inexact and the bracket straddles the threshold).
     """
 
     image: ConstructibleSet
@@ -468,44 +476,35 @@ class Morphism:
     def almost_surjective(self, depth: int = DEFAULT_DEPTH) -> SurjectivityReport:
         """Classify how much of the target the image misses.
 
-        The verdict compares dim(closure(missed set)) against
-        max(dim(target) - 2, -1), so an empty complement always qualifies.
-        With an inexact image description the verdict is still definite
-        when either the over-estimated complement is already small enough
-        (True) or the certified part of the complement - everything
-        outside the image closure - is already too big (False); otherwise
-        it is None.
+        dim(closure(missed set)) lies in [lower, upper]: upper is the
+        dimension of the closure of the target minus the image description,
+        lower that of the target minus the image closure, computed only for
+        an inexact description (for an exact one they are equal).  Against
+        max(dim(target) - 2, -1), so that an empty complement always
+        qualifies, the map is almost surjective when upper <= threshold,
+        not when lower > threshold, and unknown (None) otherwise; likewise
+        surjective when upper == -1, not when lower >= 0.
         """
         target_ideal = self.target.ideal
         target_dim = target_ideal.dimension()
         image = self.constructible_image(depth)
         comp_pieces = _complement_pieces(target_ideal, image)
         comp_closure = _intersect_many(self.target.ctx, [_piece_closure(c, m) for c, m in comp_pieces])
-        comp_dim = comp_closure.dimension()
-        certain = _piece_closure(target_ideal, self.image_closure())
-        certain_dim = certain.dimension()
+        upper = comp_closure.dimension()
+        lower = upper if image.exact else _piece_closure(target_ideal, self.image_closure()).dimension()
         threshold = max(target_dim - 2, -1)
-        if image.exact:
-            almost = comp_dim <= threshold
-            surjective = comp_dim == -1
-        elif comp_dim <= threshold:
-            almost = True
-            surjective = True if comp_dim == -1 else (False if certain_dim >= 0 else None)
-        elif certain_dim > threshold:
-            almost = False
-            surjective = False
-        else:
-            almost = None
-            surjective = False if certain_dim >= 0 else None
-        return SurjectivityReport(image, comp_closure, comp_dim, target_dim, almost, surjective)
+        almost = True if upper <= threshold else False if lower > threshold else None
+        surjective = True if upper == -1 else False if lower >= 0 else None
+        return SurjectivityReport(image, comp_closure, upper, target_dim, almost, surjective)
 
     def biregular(self, depth: int = DEFAULT_DEPTH) -> BiregularReport:
         """Isomorphism test: injective and almost surjective, with the
         inverse constructed coordinate by coordinate as a certificate.
 
         Requires the target's factoriality assertion.  The set-theoretic
-        verdict and the success of the inverse construction must agree;
-        disagreement raises, because it would be an engine defect.
+        verdict and the success of the inverse construction agree on
+        radical source and target ideals and a factorial target, so a
+        disagreement raises naming those hypotheses.
         """
         if not self.target.assert_factorial:
             raise MissingAssertionError("biregularity test requires assert_factorial on the target")
@@ -518,7 +517,7 @@ class Morphism:
         consistent = verdict == (inverse is not None)
         if not consistent:
             raise EngineInconsistencyError(
-                "set-theoretic biregularity verdict disagrees with inverse construction"
+                f"set-theoretic biregularity verdict disagrees with inverse construction; {HYPOTHESES}"
             )
         return BiregularReport(verdict, injective, surj, inverse, consistent)
 
@@ -591,16 +590,10 @@ def _complement_pieces(ambient_ideal: Ideal, cset: ConstructibleSet) -> list[tup
     for closed, minus in cset.pieces:
         negated = [(minus, Ideal.unit(ctx)), (Ideal.zero(ctx), closed)]
         merged: list[tuple[Ideal, Ideal]] = []
-        seen: set[tuple[tuple[Poly, ...], tuple[Poly, ...]]] = set()
         for a_closed, a_minus in current:
             for b_closed, b_minus in negated:
                 piece = (a_closed + b_closed, a_minus.product(b_minus))
-                if _piece_is_empty(*piece):
-                    continue
-                key = (piece[0].groebner_basis(), piece[1].generators)
-                if key in seen:
-                    continue
-                seen.add(key)
-                merged.append(piece)
+                if not _piece_is_empty(*piece):
+                    merged.append(piece)
         current = merged
     return current

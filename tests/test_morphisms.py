@@ -50,6 +50,24 @@ DESCENT_MAPS = {
     "nilpotent-lc": "source_ring: x y\nsource_ideal: x^2*y\ntarget_ring: u v\nmap: u = x*y ; v = x + x^2\n",
 }
 
+# Further maps for the almost-surjectivity bracket: a cuspidal edge,
+# Whitney's umbrella, a torus projection, a blow-up chart, the two axes
+# (a reducible source) and a line into a reducible target.
+BRACKET_MAPS = {
+    "x2-x2y+x": "source_ring: x y\ntarget_ring: u v\nmap: u = x^2 ; v = x^2*y + x\n",
+    "whitney": "source_ring: x y\ntarget_ring: u v w\nmap: u = x ; v = x*y ; w = y^2\n",
+    "torus": "source_ring: x y z\nsource_ideal: x*y*z - 1\ntarget_ring: u v\nmap: u = x ; v = y\n",
+    "blowup": "source_ring: x y z\ntarget_ring: u v w\nmap: u = x ; v = x*y ; w = x*z\n",
+    "axes": "source_ring: x y\nsource_ideal: x*y\ntarget_ring: u v\nmap: u = y^2 ; v = x^2\n",
+    "line-into-cross": "source_ring: t\ntarget_ring: u v\ntarget_ideal: u*v\nmap: u = t ; v = 0\n",
+}
+
+SESSION_MAPS = {**DESCENT_MAPS, **BRACKET_MAPS}
+
+# Maps whose source ideal is not prime: their image descriptions may have
+# a smaller closure than the image.
+NOT_PRIME = {"nilpotent-lc", "axes"}
+
 
 def reference_lc_product(m: Morphism) -> Poly:
     """Product of the leading coefficients, over the source block, of the
@@ -95,6 +113,58 @@ def reference_image(m: Morphism, depth: int) -> ConstructibleSet:
         seen.add(state)
         current = Morphism(AffineVariety(current.source.ctx, restricted), m.target, current.coords, check=False)
     return ConstructibleSet(tgt_ctx, tuple(pieces), False)
+
+
+def reference_complement_pieces(ambient_ideal: Ideal, cset: ConstructibleSet) -> list:
+    """Pieces of V(ambient_ideal) minus the union ``cset`` describes, with a
+    set of (closed basis, minus generators) keys that skips a piece seen
+    before in the same expansion step."""
+    ctx = cset.ctx
+    current = [(ambient_ideal, Ideal.unit(ctx))]
+    for closed, minus in cset.pieces:
+        negated = [(minus, Ideal.unit(ctx)), (Ideal.zero(ctx), closed)]
+        merged = []
+        seen = set()
+        for a_closed, a_minus in current:
+            for b_closed, b_minus in negated:
+                piece = (a_closed + b_closed, a_minus.product(b_minus))
+                if _piece_is_empty(*piece):
+                    continue
+                key = (piece[0].groebner_basis(), piece[1].generators)
+                if key in seen:
+                    continue
+                seen.add(key)
+                merged.append(piece)
+        current = merged
+    return current
+
+
+def reference_almost_surjective(m: Morphism, depth: int) -> tuple[dict, str]:
+    """Almost-surjectivity verdict by a four-way table over exactness, the
+    complement's dimension and that of the certified part of the
+    complement (everything outside the image closure).  Returns the
+    report's fields and the table row taken."""
+    target_ideal = m.target.ideal
+    target_dim = target_ideal.dimension()
+    image = m.constructible_image(depth)
+    comp_pieces = reference_complement_pieces(target_ideal, image)
+    comp_closure = _intersect_many(m.target.ctx, [_piece_closure(c, mm) for c, mm in comp_pieces])
+    comp_dim = comp_closure.dimension()
+    certain_dim = _piece_closure(target_ideal, m.image_closure()).dimension()
+    threshold = max(target_dim - 2, -1)
+    if image.exact:
+        row, almost, surjective = "exact", comp_dim <= threshold, comp_dim == -1
+    elif comp_dim <= threshold:
+        row, almost = "small-complement", True
+        surjective = True if comp_dim == -1 else (False if certain_dim >= 0 else None)
+    elif certain_dim > threshold:
+        row, almost, surjective = "large-certain-part", False, False
+    else:
+        row, almost = "undecided", None
+        surjective = False if certain_dim >= 0 else None
+    fields = {"complement_closure": [str(g) for g in comp_closure.generators], "complement_dim": comp_dim,
+              "target_dim": target_dim, "almost_surjective": almost, "surjective": surjective}
+    return fields, row
 
 
 class TestConstruction:
@@ -476,9 +546,16 @@ class TestConstructibleImage:
             pt = [t * t, t ** 3]
             if image.contains(pt):
                 assert pt[0] != 0 or pt == [0, 0]
-        # closure of the description still equals the image closure
-        closure = _intersect_many(image.ctx, [_piece_closure(closed, minus) for closed, minus in image.pieces])
-        assert closure.same_ideal(fixture_morphisms["cusp"].image_closure())
+        # On a prime source the description's closure equals the image
+        # closure at every depth: round 0's piece is dense in it.
+        maps = dict(fixture_morphisms)
+        maps.update((name, parse_session(text).morphism())
+                    for name, text in SESSION_MAPS.items() if name not in NOT_PRIME)
+        for name, m in maps.items():
+            for depth in (1, 2, 8):
+                image = m.constructible_image(depth)
+                closure = _intersect_many(image.ctx, [_piece_closure(c, minus) for c, minus in image.pieces])
+                assert closure.same_ideal(m.image_closure()), (name, depth)
 
     def test_hyperbola_punctured_line(self, fixture_morphisms):
         image = fixture_morphisms["hyperbola"].constructible_image()
@@ -552,6 +629,33 @@ class TestAlmostSurjective:
             rep = fixture_morphisms[name].almost_surjective()
             assert rep.almost_surjective is True and rep.surjective is True, name
             assert rep.complement_dim == -1
+
+    def test_bracket_matches_branch_table(self, fixture_morphisms):
+        maps = dict(fixture_morphisms)
+        maps.update((name, parse_session(text).morphism()) for name, text in SESSION_MAPS.items())
+        rows = {}
+        for depth in (1, 2, 8):
+            for name, m in maps.items():
+                rep = m.almost_surjective(depth)
+                got = {"complement_closure": [str(g) for g in rep.complement_closure.generators],
+                       "complement_dim": rep.complement_dim, "target_dim": rep.target_dim,
+                       "almost_surjective": rep.almost_surjective, "surjective": rep.surjective}
+                expected, row = reference_almost_surjective(m, depth)
+                assert got == expected, (name, depth)
+                rows[name, depth] = (row, rep.almost_surjective, rep.surjective)
+        # Every row of the table is reached.
+        assert all(rows[name, 8][0] == "exact" for name in fixture_morphisms if name != "cusp")
+        assert rows["three-pieces", 2] == ("small-complement", True, None)
+        for name in ("cusp", "nodal", "whitney"):
+            assert rows[name, 8] == ("large-certain-part", False, False), name
+        assert rows["shear", 1] == ("undecided", None, None)
+
+    def test_dense_missed_set_on_non_prime_sources(self):
+        # The axes map hits the two axes and nilpotent-lc the line u = 0, so
+        # either misses a dense set, whatever its image description.
+        for name in ("axes", "nilpotent-lc"):
+            rep = parse_session(SESSION_MAPS[name]).morphism().almost_surjective()
+            assert rep.almost_surjective is False and rep.surjective is False, name
 
     def test_report_invariant(self, fixture_morphisms):
         for name in ("cusp", "shear", "sl2row", "sym2", "square", "hyperbola"):

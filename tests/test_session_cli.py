@@ -35,6 +35,11 @@ TWO_POINTS_TEXT = ("source_ring: t\nsource_ideal: t^2 - 1\ntarget_ring: u\ntarge
                    "assert_factorial: true\n")
 EMPTY_INTO_EMPTY_TEXT = "source_ring: x\nsource_ideal: 1\ntarget_ring:\ntarget_ideal: 1\nmap:\n"
 LINE_TO_POINT_TEXT = "source_ring: x\ntarget_ring:\nmap:\n"
+# Non-radical source and target ideals: bijective maps without a regular inverse.
+DOUBLE_LINE_TEXT = ("source_ring: x y\nsource_ideal: y^2\ntarget_ring: u\nmap: u = x\n"
+                    "assert_factorial: true\nassert_etale: true\n")
+DOUBLE_TARGET_TEXT = ("source_ring: t\ntarget_ring: u v\ntarget_ideal: u^2\nmap: u = 0 ; v = t\n"
+                      "assert_factorial: true\nassert_etale: true\n")
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +203,20 @@ class TestCLI:
         code, report = run_cli(capsys, "--session", str(session), "biregular")
         assert code == 0 and report["verdict"] is True
         assert report["certificates"][0]["inverse"] == ["u"]
+
+    @pytest.mark.parametrize("text", [DOUBLE_LINE_TEXT, DOUBLE_TARGET_TEXT], ids=["double-line", "double-target"])
+    def test_non_radical_ideals_named_as_broken_hypothesis(self, capsys, tmp_path, text):
+        session = tmp_path / "double.session"
+        session.write_text(text)
+        for command in ("injective", "almost-surjective"):
+            code, report = run_cli(capsys, "--session", str(session), command)
+            assert code == 0 and report["verdict"] is True, command
+        for command in ("biregular", "dichotomy"):
+            assert main(["--session", str(session), command]) == 1, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1, command
+            assert "radical source and target ideals and a factorial target" in captured.err, command
 
     @pytest.mark.parametrize("text, argv", [
         (EMPTY_INTO_EMPTY_TEXT, ["dim"]),
