@@ -20,8 +20,11 @@ each of the ways a descent can end, an isomorphism of two points, two
 maps into a ring without variables (for which no value is taken from
 the target ring), shallow descents and further maps whose
 almost-surjectivity verdicts come from each end of the dimension
-bracket or from neither, and two bijections without a regular inverse
-because a source or target ideal is not radical.
+bracket or from neither, two bijections without a regular inverse
+because a source or target ideal is not radical, a seeded map whose
+description has three nested pieces, the hyperbola at depth 1 (null
+``biregular`` and ``dichotomy``) and a two-piece exact description whose
+``complement_closure`` is not radical.
 
 Every call whose exit code, stdout or stderr differs between the two
 checkouts is printed, as is a call that only one checkout makes; the
@@ -70,6 +73,10 @@ SESSIONS = {
                    "assert_factorial: true\nassert_etale: true\n",
     "double-target": "source_ring: t\ntarget_ring: u v\ntarget_ideal: u^2\nmap: u = 0 ; v = t\n"
                      "assert_factorial: true\nassert_etale: true\n",
+    "seeded-three-pieces": "source_ring: x y\ntarget_ring: u v\nmap: u = 2*x*y^2 + x - 2 ; v = -x*y + 3*x\n",
+    "hyperbola-depth1": "source_ring: x z\nsource_ideal: x*z - 1\ntarget_ring: u\nmap: u = x\n"
+                        "assert_factorial: true\nassert_etale: true\ndepth: 1\n",
+    "x2-x2y+x": "source_ring: x y\ntarget_ring: u v\nmap: u = x^2 ; v = x^2*y + x\n",
 }
 
 def flag_names(flags):

@@ -12,6 +12,7 @@ wall-clock data and is therefore opt-in.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -347,7 +348,9 @@ def _add_flags(target, flags) -> None:
             target.add_argument(*names, **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and shared: ``parse_args`` keeps no state between calls."""
     common = _Parser(add_help=False)
     # SUPPRESS keeps a subcommand's copy of these flags from overriding
     # values already parsed before the subcommand.

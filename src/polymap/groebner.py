@@ -310,13 +310,6 @@ class Ideal:
         extra = other.generators if isinstance(other, Ideal) else tuple(other)
         return Ideal(self.ctx, self.generators + tuple(extra))
 
-    def product(self, other: "Ideal") -> "Ideal":
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("product of ideals over different contexts")
-        if not self.generators or not other.generators:
-            return Ideal.zero(self.ctx)
-        return Ideal(self.ctx, tuple(a * b for a in self.generators for b in other.generators))
-
     def eliminate(self, drop: Iterable[str]) -> "Ideal":
         """Intersection with the subring on the kept variables.
 

@@ -166,12 +166,13 @@ class ConstructibleSet:
 class SurjectivityReport:
     """Image description plus the dimension bookkeeping behind the verdict.
 
-    ``complement_closure`` is the closure of the target minus the image
-    description and ``complement_dim`` its dimension: the upper bound of
-    the bracket in :meth:`Morphism.almost_surjective`, exact when the
-    description is.  ``almost_surjective`` / ``surjective`` are True,
-    False, or None for "unknown" (only possible when the description is
-    inexact and the bracket straddles the threshold).
+    ``complement_closure`` cuts out the closure of the target minus the
+    image description (it need not be radical) and ``complement_dim`` is
+    its dimension: the upper bound of the bracket in
+    :meth:`Morphism.almost_surjective`, exact when the description is.
+    ``almost_surjective`` / ``surjective`` are True, False, or None for
+    "unknown" (only possible when the description is inexact and the
+    bracket straddles the threshold).
     """
 
     image: ConstructibleSet
@@ -449,6 +450,8 @@ class Morphism:
         nonzero constant, so that its piece is all of the closed set, and
         inexact when ``depth`` rounds are spent or L already lies in the
         round's ideal, so that the next round would repeat this one.
+        Each round's ideal contains the one before, so each piece's closed
+        ideal contains those of all earlier pieces: the pieces are nested.
         """
         if depth < 1:
             raise ValueError("depth must be at least 1")
@@ -488,8 +491,17 @@ class Morphism:
         target_ideal = self.target.ideal
         target_dim = target_ideal.dimension()
         image = self.constructible_image(depth)
-        comp_pieces = _complement_pieces(target_ideal, image)
-        comp_closure = _intersect_many(self.target.ctx, [_piece_closure(c, m) for c, m in comp_pieces])
+        # The pieces are nested (see constructible_image), so what piece i
+        # misses is Y - V(closed_i) on the points that every earlier minus
+        # set cuts out: k + 1 chain pieces instead of 2^k sign choices.
+        missed: list[tuple[Ideal, Ideal]] = []
+        ambient = target_ideal
+        for closed, minus in image.pieces:
+            missed.append((ambient, closed))
+            ambient = ambient + minus
+        missed.append((ambient, Ideal.unit(self.target.ctx)))
+        comp_closure = _intersect_many(self.target.ctx, [
+            _piece_closure(c, m) for c, m in missed if not _piece_is_empty(c, m)])
         upper = comp_closure.dimension()
         lower = upper if image.exact else _piece_closure(target_ideal, self.image_closure()).dimension()
         threshold = max(target_dim - 2, -1)
@@ -581,19 +593,3 @@ def _intersect_many(ctx: VarContext, ideals: list[Ideal]) -> Ideal:
     for ideal in ideals:
         result = ideal if result is None else result.intersect(ideal)
     return result if result is not None else Ideal.unit(ctx)
-
-
-def _complement_pieces(ambient_ideal: Ideal, cset: ConstructibleSet) -> list[tuple[Ideal, Ideal]]:
-    """Pieces of V(ambient_ideal) minus the union described by ``cset``."""
-    ctx = cset.ctx
-    current: list[tuple[Ideal, Ideal]] = [(ambient_ideal, Ideal.unit(ctx))]
-    for closed, minus in cset.pieces:
-        negated = [(minus, Ideal.unit(ctx)), (Ideal.zero(ctx), closed)]
-        merged: list[tuple[Ideal, Ideal]] = []
-        for a_closed, a_minus in current:
-            for b_closed, b_minus in negated:
-                piece = (a_closed + b_closed, a_minus.product(b_minus))
-                if not _piece_is_empty(*piece):
-                    merged.append(piece)
-        current = merged
-    return current

@@ -52,7 +52,8 @@ DESCENT_MAPS = {
 
 # Further maps for the almost-surjectivity bracket: a cuspidal edge,
 # Whitney's umbrella, a torus projection, a blow-up chart, the two axes
-# (a reducible source) and a line into a reducible target.
+# (a reducible source), a line into a reducible target and a seeded map
+# whose depth-8 description has three pieces.
 BRACKET_MAPS = {
     "x2-x2y+x": "source_ring: x y\ntarget_ring: u v\nmap: u = x^2 ; v = x^2*y + x\n",
     "whitney": "source_ring: x y\ntarget_ring: u v w\nmap: u = x ; v = x*y ; w = y^2\n",
@@ -60,6 +61,7 @@ BRACKET_MAPS = {
     "blowup": "source_ring: x y z\ntarget_ring: u v w\nmap: u = x ; v = x*y ; w = x*z\n",
     "axes": "source_ring: x y\nsource_ideal: x*y\ntarget_ring: u v\nmap: u = y^2 ; v = x^2\n",
     "line-into-cross": "source_ring: t\ntarget_ring: u v\ntarget_ideal: u*v\nmap: u = t ; v = 0\n",
+    "seeded-three-pieces": "source_ring: x y\ntarget_ring: u v\nmap: u = 2*x*y^2 + x - 2 ; v = -x*y + 3*x\n",
 }
 
 SESSION_MAPS = {**DESCENT_MAPS, **BRACKET_MAPS}
@@ -116,9 +118,10 @@ def reference_image(m: Morphism, depth: int) -> ConstructibleSet:
 
 
 def reference_complement_pieces(ambient_ideal: Ideal, cset: ConstructibleSet) -> list:
-    """Pieces of V(ambient_ideal) minus the union ``cset`` describes, with a
-    set of (closed basis, minus generators) keys that skips a piece seen
-    before in the same expansion step."""
+    """Pieces of V(ambient_ideal) minus the union ``cset`` describes, by the
+    generic expansion into 2^k sign choices, which does not need the
+    pieces nested, with a set of (closed basis, minus generators) keys
+    that skips a piece seen before in the same expansion step."""
     ctx = cset.ctx
     current = [(ambient_ideal, Ideal.unit(ctx))]
     for closed, minus in cset.pieces:
@@ -127,7 +130,8 @@ def reference_complement_pieces(ambient_ideal: Ideal, cset: ConstructibleSet) ->
         seen = set()
         for a_closed, a_minus in current:
             for b_closed, b_minus in negated:
-                piece = (a_closed + b_closed, a_minus.product(b_minus))
+                product = Ideal(ctx, tuple(p * q for p in a_minus.generators for q in b_minus.generators))
+                piece = (a_closed + b_closed, product)
                 if _piece_is_empty(*piece):
                     continue
                 key = (piece[0].groebner_basis(), piece[1].generators)
@@ -594,6 +598,21 @@ class TestConstructibleImage:
             got = m.constructible_image(depth).to_json_dict()
             assert got == reference_image(m, depth).to_json_dict(), (name, depth)
 
+    def test_pieces_are_nested(self, fixture_morphisms):
+        # almost_surjective reads the missed set as a chain because each
+        # piece's closed ideal contains every earlier one (as ideals).
+        maps = dict(fixture_morphisms)
+        maps.update((name, parse_session(text).morphism()) for name, text in SESSION_MAPS.items())
+        pairs = 0
+        for name, m in maps.items():
+            for depth in (1, 2, 8):
+                closed = [c for c, _ in m.constructible_image(depth).pieces]
+                for j, later in enumerate(closed):
+                    for earlier in closed[:j]:
+                        pairs += 1
+                        assert all(later.contains(g) for g in earlier.generators), (name, depth, j)
+        assert pairs == 13
+
     def test_three_pieces_exact_at_round_two(self):
         m = parse_session(DESCENT_MAPS["three-pieces"]).morphism()
         assert not m.constructible_image(2).exact
@@ -649,6 +668,17 @@ class TestAlmostSurjective:
         for name in ("cusp", "nodal", "whitney"):
             assert rows[name, 8] == ("large-certain-part", False, False), name
         assert rows["shear", 1] == ("undecided", None, None)
+        for name in ("three-pieces", "seeded-three-pieces"):
+            assert len(maps[name].constructible_image(8).pieces) == 3, name
+
+    def test_same_missed_set_same_radical(self, fixture_morphisms):
+        # Both maps miss {u = 0, v != 0}; the printed closures differ (u^2
+        # against u) but cut out the same set.
+        ideals = [parse_session(BRACKET_MAPS["x2-x2y+x"]).morphism().almost_surjective().complement_closure,
+                  fixture_morphisms["shear"].almost_surjective().complement_closure]
+        assert [[str(g) for g in ideal.generators] for ideal in ideals] == [["u^2"], ["u"]]
+        for one, other in (ideals, ideals[::-1]):
+            assert all(other.radical_contains(g) for g in one.generators)
 
     def test_dense_missed_set_on_non_prime_sources(self):
         # The axes map hits the two axes and nilpotent-lc the line u = 0, so

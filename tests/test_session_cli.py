@@ -15,7 +15,7 @@ from polymap import (
     load_fixture,
     parse_session,
 )
-from polymap.cli import main
+from polymap.cli import build_parser, main
 
 SESSION_TEXT = """
 # a toy session
@@ -146,8 +146,9 @@ class TestFixtureLibrary:
                 assert [str(p) for p in bireg.inverse] == expected["inverse"], name
 
     def test_complement_closure_is_reduced_basis(self, fixture_morphisms):
-        # The printed complement closure is canonical: its generators are
-        # the reduced grevlex basis, recomputed here from scratch.
+        # The printed complement closure is the reduced grevlex basis of an
+        # ideal cutting out the closure of the missed part of the target,
+        # recomputed here from scratch; that ideal need not be radical.
         from polymap import buchberger
 
         for name, m in fixture_morphisms.items():
@@ -280,6 +281,45 @@ class TestCLI:
         code, report = run_cli(capsys, "--fixture", "triangular", "jc")
         assert code == 0
         assert report["verdict"]["consistent"] is True
+
+    def test_undecided_biregular_and_dichotomy(self, capsys, tmp_path):
+        # At depth 1 the hyperbola's description stays inexact and neither
+        # bound settles almost surjectivity, so both verdicts are null.
+        session = tmp_path / "hyperbola1.session"
+        session.write_text(fixture_session_text("hyperbola") + "depth: 1\n")
+        code, report = run_cli(capsys, "--session", str(session), "biregular")
+        assert code == 2 and report["verdict"] is None
+        cert = report["certificates"][0]
+        assert cert["almost_surjective"] is None and cert["inverse"] is None
+        code, report = run_cli(capsys, "--session", str(session), "dichotomy")
+        assert code == 2 and report["verdict"] is None
+        cert = report["certificates"][0]
+        assert cert["branch"] is None and cert["complement_closure"] == ["u"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--session", "F", "--fixture", "cusp", "dim"], "error: give either --session or --fixture, not both"),
+        (["dim"], "error: command 'dim' needs --session FILE or --fixture NAME"),
+    ], ids=["both", "neither"])
+    def test_session_source_refused(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+
+    def test_calls_share_no_parser_state(self, capsys):
+        # The parser is built once per process: a flag of one call must not
+        # leak into the next, whichever side of the subcommand it is on.
+        calls = [["--fixture", "cusp", "interpolate", "-g", "t", "--human"],
+                 ["gb", "--fixture", "square"],
+                 ["--fixture", "shear", "almost-surjective"]]
+
+        def run(argv):
+            code = main(argv)
+            return code, capsys.readouterr()
+
+        in_sequence = [run(argv) for argv in calls]
+        for argv, seen in zip(calls, in_sequence):
+            build_parser.cache_clear()
+            assert run(argv) == seen, argv
 
     def test_dichotomy(self, capsys):
         code, report = run_cli(capsys, "--fixture", "hyperbola", "dichotomy")
