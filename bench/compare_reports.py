@@ -23,8 +23,10 @@ almost-surjectivity verdicts come from each end of the dimension
 bracket or from neither, two bijections without a regular inverse
 because a source or target ideal is not radical, a seeded map whose
 description has three nested pieces, the hyperbola at depth 1 (null
-``biregular`` and ``dichotomy``) and a two-piece exact description whose
-``complement_closure`` is not radical.
+``biregular`` and ``dichotomy``), a two-piece exact description whose
+``complement_closure`` is not radical, Nagata's automorphism of 3-space
+(x - 2yq - zq^2, y + zq, z) with q = xz + y^2, and the degree-4 tame
+plane automorphism (x + (y + x^2)^2, y + x^2).
 
 Every call whose exit code, stdout or stderr differs between the two
 checkouts is printed, as is a call that only one checkout makes; the
@@ -77,6 +79,11 @@ SESSIONS = {
     "hyperbola-depth1": "source_ring: x z\nsource_ideal: x*z - 1\ntarget_ring: u\nmap: u = x\n"
                         "assert_factorial: true\nassert_etale: true\ndepth: 1\n",
     "x2-x2y+x": "source_ring: x y\ntarget_ring: u v\nmap: u = x^2 ; v = x^2*y + x\n",
+    "nagata": "source_ring: x y z\ntarget_ring: u v w\n"
+              "map: u = x - 2*x*y*z - 2*y^3 - x^2*z^3 - 2*x*y^2*z^2 - y^4*z ; v = y + x*z^2 + y^2*z ; w = z\n"
+              "assert_factorial: true\nassert_etale: true\n",
+    "tame-degree4": "source_ring: x y\ntarget_ring: u v\nmap: u = x^4 + 2*x^2*y + y^2 + x ; v = x^2 + y\n"
+                    "assert_factorial: true\nassert_etale: true\n",
 }
 
 def flag_names(flags):

@@ -16,6 +16,20 @@ last leading monomial, and inside a division an integral coefficient
 travels as a plain ``int``: ``Fraction`` arithmetic is paid only where a
 coefficient is not an integer.  Buchberger likewise ranks each critical
 pair once, when the pair is formed.
+
+An ideal built from another one plus extra generators (``Ideal.extended``,
+``+``), on the same ring or on one that appends variables, starts its
+Buchberger run from the other ideal's cached reduced basis (Gebauer &
+Moeller, "On the installation of Buchberger's algorithm", J. Symb.
+Comp. 1988): the extra generators are reduced by that basis and only
+pairs that involve one of them are ever formed.  The basis is taken for
+the order the new order restricts to on the old variables
+(``orders.restriction``): lex, grlex and grevlex restrict to themselves,
+a block order whose head lies among the old variables to itself, and
+one whose head holds only appended variables to grevlex.  Any other
+order, or a ring whose names do not begin with the old ring's, starts
+from the generators.  Reduced bases are unique, so the seeded start
+changes no basis.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .errors import ContextMismatchError
-from .orders import Block, GREVLEX, MonomialOrder
+from .orders import Block, GREVLEX, MonomialOrder, restriction
 from .poly import Monomial, Poly, VarContext, _raw
 
 
@@ -134,6 +148,7 @@ def buchberger(
     generators: Iterable[Poly],
     order: MonomialOrder = GREVLEX,
     strategy: str = "normal",
+    seed: Sequence[Poly] = (),
 ) -> tuple[Poly, ...]:
     """The unique monic reduced Groebner basis of the generated ideal.
 
@@ -142,17 +157,28 @@ def buchberger(
     "first" works first-in first-out.  By uniqueness of reduced bases the
     returned tuple does not depend on the strategy; exposing it lets the
     determinism claim be tested rather than assumed.
+
+    ``seed``, when given, is a monic reduced Groebner basis under
+    ``order`` over the generators' ring, and the result is the reduced
+    basis of the ideal that the seed and the generators generate
+    together.  The generators are reduced by the seed first, and only
+    pairs with at least one element outside the seed are formed: the
+    seed's own pairs reduce to zero, so the chain criterion may count
+    them as done.  With no seed this is plain Buchberger.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        return ()
+        return tuple(seed)
     ctx = gens[0].ctx
     if strategy not in ("normal", "first"):
         raise ValueError(f"unknown selection strategy {strategy!r}")
     key = order.key_function(ctx.arity)
 
     # Redundant generators are pruned once, by the final _reduce_basis.
-    basis = list(dict.fromkeys(g.monic(order) for g in gens))
+    basis = list(seed)
+    old = len(basis)
+    reduced = (normal_form(g, seed, order) for g in gens)
+    basis.extend(dict.fromkeys(h.monic(order) for h in reduced if not h.is_zero()))
     lms = [g.leading_monomial(order) for g in basis]
 
     # Live pairs with their lcm, and a heap of (rank, pair).  A pair's rank
@@ -170,7 +196,7 @@ def buchberger(
         heapq.heappush(queue, (rank, pair))
 
     for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
+        for j in range(max(i + 1, old), len(basis)):
             add_pair(i, j)
 
     while queue:
@@ -179,7 +205,8 @@ def buchberger(
         # Buchberger's first criterion: coprime leading monomials.
         if lcm == _mono_mul(lms[i], lms[j]):
             continue
-        # Chain criterion: some k with LM(k) | lcm and both side pairs done.
+        # Chain criterion: some k with LM(k) | lcm and both side pairs done
+        # (a pair of two seed elements is never formed, so it counts as done).
         skip = False
         for k in range(len(basis)):
             if k == i or k == j:
@@ -236,9 +263,14 @@ class Ideal:
     The generator list is immutable; the per-order basis cache is
     lock-protected and idempotent, so instances are safe to share
     between threads.
+
+    An ideal made by ``extended`` or ``+`` keeps the ideal it extends as
+    its parent.  Its basis for an order starts from the parent's cached
+    reduced basis for the restricted order (``orders.restriction``), and
+    ``buchberger`` then works only on the added generators.
     """
 
-    __slots__ = ("ctx", "generators", "_cache", "_lock")
+    __slots__ = ("ctx", "generators", "_cache", "_lock", "_parent")
 
     def __init__(self, ctx: VarContext, generators: Iterable[Poly] = ()):
         gens = []
@@ -251,6 +283,8 @@ class Ideal:
         self.generators = tuple(gens)
         self._cache: dict[MonomialOrder, tuple[Poly, ...]] = {}
         self._lock = threading.Lock()
+        # Set by ``extended``: the generators then begin with the parent's.
+        self._parent: Ideal | None = None
 
     @staticmethod
     def zero(ctx: VarContext) -> "Ideal":
@@ -267,7 +301,19 @@ class Ideal:
             got = self._cache.get(order)
         if got is not None:
             return got
-        basis = buchberger(self.generators, order)
+        gens, seed = self.generators, ()
+        parent = self._parent
+        if parent is not None and self.ctx.names[:parent.ctx.arity] == parent.ctx.names:
+            restricted = restriction(order, parent.ctx.arity)
+            if restricted is not None:
+                # The parent's basis, padded with zero exponents for the
+                # appended variables, is a reduced basis under ``order`` too.
+                seed = parent.groebner_basis(restricted)
+                pad = (0,) * (self.ctx.arity - parent.ctx.arity)
+                if pad:
+                    seed = tuple(_raw(self.ctx, {m + pad: c for m, c in g.terms()}) for g in seed)
+                gens = gens[len(parent.generators):]
+        basis = buchberger(gens, order, seed=seed)
         with self._lock:
             return self._cache.setdefault(order, basis)
 
@@ -308,7 +354,18 @@ class Ideal:
 
     def __add__(self, other: "Ideal | Iterable[Poly]") -> "Ideal":
         extra = other.generators if isinstance(other, Ideal) else tuple(other)
-        return Ideal(self.ctx, self.generators + tuple(extra))
+        return self.extended(self.ctx, extra)
+
+    def extended(self, ctx: VarContext, extra: Iterable[Poly] = ()) -> "Ideal":
+        """This ideal over ``ctx``, which holds its variables, plus ``extra``.
+
+        Its bases start from this ideal's (see the class docstring) when
+        ``ctx``'s names begin with this ideal's names.
+        """
+        same = ctx == self.ctx
+        ideal = Ideal(ctx, [g if same else g.transport(ctx) for g in self.generators] + list(extra))
+        ideal._parent = self
+        return ideal
 
     def eliminate(self, drop: Iterable[str]) -> "Ideal":
         """Intersection with the subring on the kept variables.
@@ -343,12 +400,12 @@ class Ideal:
         the unit ideal exactly when f lies in the radical of I, and its
         intersection with the original ring is the saturation I : f^inf
         (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, 4.4).
+        It extends this ideal, so its bases start from this ideal's grevlex
+        basis, which every query on this ideal shares.
         """
         s = self.ctx.fresh_name("s")
         big = self.ctx.extended([s])
-        gens = [g.transport(big) for g in self.generators]
-        gens.append(Poly.variable(big, s) * f.transport(big) - 1)
-        return Ideal(big, gens)
+        return self.extended(big, [Poly.variable(big, s) * f.transport(big) - 1])
 
     def saturation(self, f: Poly) -> "Ideal":
         """The saturation I : f^inf = {g : g*f^k in I for some k}.

@@ -193,11 +193,16 @@ class BiregularReport:
 
 
 class _GraphData:
-    """Combined context [renamed source | target] with the graph ideal."""
+    """Combined context [renamed source | target] with the graph ideal.
+
+    Given ``parent``, the graph ideal of the same map without its last
+    coordinate, the ideal extends it by that coordinate's equation, so
+    its bases start from the parent's.
+    """
 
     __slots__ = ("ctx", "src_names", "rename", "block", "ideal")
 
-    def __init__(self, morphism: "Morphism"):
+    def __init__(self, morphism: "Morphism", parent: Ideal | None = None):
         src = morphism.source.ctx
         tgt = morphism.target.ctx
         taken = tgt
@@ -207,10 +212,16 @@ class _GraphData:
         self.rename = dict(zip(src.names, self.src_names))
         self.ctx = VarContext(self.src_names + tgt.names)
         self.block = Block.first(src.arity)
-        gens = [g.transport(self.ctx, self.rename) for g in morphism.source.ideal.generators]
-        for name, coord in zip(tgt.names, morphism.coords):
-            gens.append(Poly.variable(self.ctx, name) - coord.transport(self.ctx, self.rename))
-        self.ideal = Ideal(self.ctx, gens)
+
+        def equation(name: str, coord: Poly) -> Poly:
+            return Poly.variable(self.ctx, name) - coord.transport(self.ctx, self.rename)
+
+        if parent is None:
+            gens = [g.transport(self.ctx, self.rename) for g in morphism.source.ideal.generators]
+            gens += [equation(name, coord) for name, coord in zip(tgt.names, morphism.coords)]
+            self.ideal = Ideal(self.ctx, gens)
+        else:
+            self.ideal = parent.extended(self.ctx, [equation(tgt.names[-1], morphism.coords[-1])])
 
 
 class Morphism:
@@ -321,9 +332,13 @@ class Morphism:
 
         It is the image closure of the lifted map x -> (map(x), g(x)); the
         ideal lives on the target ring extended by the line coordinate
-        ``var``, a fresh name next to the graph's variables.
+        ``var``, a fresh name next to the graph's variables.  The lifted
+        map's graph ideal is this map's plus var - g, so its elimination
+        basis starts from this map's.
         """
-        lifted = self._lifted(g, self._graph().ctx.fresh_name("w"))
+        graph = self._graph()
+        lifted = self._lifted(g, graph.ctx.fresh_name("w"))
+        lifted._memo["graph"] = _GraphData(lifted, graph.ideal)
         return lifted.image_closure(), lifted.target.ctx.names[-1]
 
     def _lifted(self, g: Poly, var: str) -> "Morphism":
@@ -473,7 +488,7 @@ class Morphism:
             lc_product = lc_product.transport(graph.ctx)
             if normal_form(lc_product, basis, graph.block).is_zero():
                 break
-            ideal = Ideal(graph.ctx, basis + (lc_product,))
+            ideal = ideal + (lc_product,)
         return ConstructibleSet(tgt_ctx, tuple(pieces), False)
 
     def almost_surjective(self, depth: int = DEFAULT_DEPTH) -> SurjectivityReport:

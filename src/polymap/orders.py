@@ -115,4 +115,27 @@ LEX = Lex()
 GRLEX = GrLex()
 GREVLEX = GrevLex()
 
+
+def restriction(order: MonomialOrder, arity: int) -> MonomialOrder | None:
+    """The order that ``order`` induces on the monomials in the first
+    ``arity`` variables, or None when it is not known here.
+
+    Those monomials are the longer exponent tuples with trailing zeros.
+    Lex, grlex and grevlex each restrict to themselves.  A block order
+    whose head lies inside the first ``arity`` variables restricts to
+    the same block order; one whose head holds only later variables
+    compares such monomials by its grevlex tail alone, that is by
+    grevlex.  A block order with a head on both sides, or any other
+    order, gets None.
+    """
+    if type(order) in (Lex, GrLex, GrevLex):
+        return order
+    if type(order) is Block:
+        if all(i < arity for i in order.head):
+            return order
+        if all(i >= arity for i in order.head):
+            return GREVLEX
+    return None
+
+
 ORDERS_BY_NAME = {"lex": LEX, "grlex": GRLEX, "grevlex": GREVLEX}

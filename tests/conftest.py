@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random generators and session-scoped fixtures.
+"""Shared helpers: seeded random generators, session-scoped fixtures, and
+a recorder of the Groebner bases that extending ideals compute.
 
 Morphism instances are shared across the whole test session so their
 internal graph/fiber caches warm up once.
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from polymap import Morphism, Poly, VarContext, load_fixture, random_tame_automorphism
+from polymap import GREVLEX, Ideal, Morphism, Poly, VarContext, load_fixture, random_tame_automorphism
 
 
 def random_poly(rng: random.Random, ctx: VarContext, max_deg: int = 3,
@@ -51,3 +52,57 @@ def tame_pool():
     """50 certified plane automorphisms with their word-built inverses."""
     rng = random.Random(20260808)
     return [random_tame_automorphism(rng) for _ in range(50)]
+
+
+@pytest.fixture
+def seeded_bases(monkeypatch):
+    """Every basis that an ideal extending another one (``Ideal.extended``,
+    ``+``) computes while the test runs, as (ideal, order, basis)."""
+    records = []
+    plain = Ideal.groebner_basis
+
+    def recording(ideal, order=GREVLEX):
+        basis = plain(ideal, order)
+        if ideal._parent is not None:
+            records.append((ideal, order, basis))
+        return basis
+
+    monkeypatch.setattr(Ideal, "groebner_basis", recording)
+    return records
+
+
+def check_seeded_bases(records, where) -> None:
+    """Each recorded basis equals that of a fresh, unseeded ideal with the
+    same generators."""
+    for ideal, order, basis in records:
+        assert Ideal(ideal.ctx, ideal.generators).groebner_basis(order) == basis, (where, ideal, order)
+
+
+SEEDED_SITES = ("with_inverse", "saturation", "graph_closure", "constructible_image", "add")
+
+
+def run_seeded_site(site: str, m: Morphism, records: list) -> list:
+    """Run one site of seeded bases on a fresh map; return the records it
+    owns: those on the ideals that site extends."""
+    graph = m._graph()
+    if site == "with_inverse":
+        for x in Poly.variables(m.source.ctx):
+            m.determined_by(x)
+        return records
+    if site == "saturation":
+        pieces = m.constructible_image().pieces
+        del records[:]
+        for closed, minus in pieces:
+            for g in minus.generators:
+                closed.saturation(g)
+        return records
+    if site == "graph_closure":
+        for x in Poly.variables(m.source.ctx):
+            m.graph_closure(x)
+        return [r for r in records if r[0].ctx.names[:-1] == graph.ctx.names]
+    if site == "constructible_image":
+        m.constructible_image()
+        return [r for r in records if r[0].ctx == graph.ctx]
+    assert site == "add", site
+    m.almost_surjective()
+    return [r for r in records if r[0].ctx == m.target.ctx]

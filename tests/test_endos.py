@@ -30,12 +30,14 @@ from polymap import (
     random_tame_automorphism,
 )
 
-from conftest import random_poly
+from conftest import SEEDED_SITES, check_seeded_bases, random_poly, run_seeded_site
 
 XY = VarContext(("x", "y"))
 UV = VarContext(("u", "v"))
 PQ = VarContext(("p", "q"))
 WU = VarContext(("w", "u"))
+XYZ = VarContext(("x", "y", "z"))
+UVW = VarContext(("u", "v", "w"))
 
 
 def endo(*coord_texts: str) -> Endomorphism:
@@ -46,6 +48,15 @@ def compose(outer: Endomorphism, inner: Endomorphism) -> Endomorphism:
     assignment = dict(zip(outer.source.ctx.names, inner.coords))
     return Endomorphism(inner.source.ctx, outer.target.ctx,
                         [c.substitute(assignment) for c in outer.coords])
+
+
+def nagata_shear() -> Endomorphism:
+    """Nagata's automorphism (x - 2yq - zq^2, y + zq, z), q = xz + y^2,
+    followed by the shear (x + y, y - z, z)."""
+    x, y, z = Poly.variables(XYZ)
+    q = x * z + y * y
+    a, b, c = x - 2 * y * q - z * q * q, y + z * q, z
+    return Endomorphism(XYZ, UVW, [a + b, b - c, c])
 
 
 def det_by_permutations(rows, ctx):
@@ -248,3 +259,27 @@ class TestTameGenerator:
         for e, word_inverse in tame_pool:
             assert max(c.total_degree() for c in e.coords) <= 4
             assert max(c.total_degree() for c in word_inverse.coords) <= 4
+
+
+class TestSeededSites:
+    """The seeded bases of tame plane automorphisms and of a Nagata map
+    equal fresh, unseeded bases, and the verdicts they feed hold."""
+
+    @pytest.mark.parametrize("site", SEEDED_SITES)
+    def test_seeded_basis_equals_fresh(self, site, tame_pool, seeded_bases):
+        maps = [Endomorphism(e.source.ctx, e.target.ctx, e.coords) for e, _ in tame_pool[:5]]
+        maps.append(nagata_shear())
+        owned = 0
+        for index, m in enumerate(maps):
+            del seeded_bases[:]
+            owned += len(run_seeded_site(site, m, seeded_bases))
+            check_seeded_bases(seeded_bases, (site, index))
+        # An automorphism's image descent ends in round 0 (a constant
+        # leading-coefficient product), so it makes no round ideal.
+        assert (owned > 0) == (site != "constructible_image"), site
+
+    def test_nagata_shear_certified(self):
+        m = nagata_shear()
+        report = jc_criteria(m)
+        assert report.injective is True and all(report.coords_determined) and report.consistent
+        assert m.biregular().verdict is True

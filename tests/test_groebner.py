@@ -1,5 +1,5 @@
-"""Groebner kernel: division, bases, elimination, membership, radicals,
-saturation, dimension, principality."""
+"""Groebner kernel: division, bases, seeded bases, elimination, membership,
+radicals, saturation, dimension, principality."""
 
 from __future__ import annotations
 
@@ -9,12 +9,14 @@ from fractions import Fraction
 
 import pytest
 
+from polymap import groebner
 from polymap import (
     Block,
     ContextMismatchError,
     GREVLEX,
     GRLEX,
     LEX,
+    GrevLex,
     Ideal,
     Poly,
     VarContext,
@@ -22,6 +24,7 @@ from polymap import (
     normal_form,
     parse_poly,
 )
+from polymap.orders import restriction
 
 from conftest import random_nonzero_poly, random_poly
 
@@ -219,6 +222,137 @@ class TestBuchberger:
             for _ in range(10):
                 t = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
                 assert g.evaluate([t, t * t, t ** 3]) == 0
+
+
+# Orders for the seeded-basis tests, on (x, y, z) or on (x, y) + s.
+SEED_ORDERS = {"lex": LEX, "grlex": GRLEX, "grevlex": GREVLEX, "block1": Block.first(1)}
+XYZ = VarContext(("x", "y", "z"))
+XYS = VarContext(("x", "y", "s"))
+
+
+def random_combination(rng, gens, ctx):
+    """An element of the ideal that ``gens`` generate."""
+    return sum((random_poly(rng, ctx, max_deg=1, max_terms=2) * g for g in gens), Poly.zero(ctx))
+
+
+@pytest.fixture
+def seeds_used(monkeypatch):
+    """The seed length of every ``buchberger`` run while the test runs."""
+    lengths = []
+    plain = groebner.buchberger
+
+    def recording(generators, order=GREVLEX, strategy="normal", seed=()):
+        lengths.append(len(seed))
+        return plain(generators, order, strategy, seed)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    return lengths
+
+
+class TestSeededBuchberger:
+    """``buchberger`` started from a reduced basis, and ideals that extend
+    another one, against the basis computed from all generators."""
+
+    @pytest.mark.parametrize("name", SEED_ORDERS)
+    def test_seeded_equals_from_scratch(self, name):
+        order = SEED_ORDERS[name]
+        rng = random.Random(1400)
+        kinds = ("random", "in_ideal", "unit", "empty_seed")
+        for trial in range(40):
+            kind = kinds[trial % len(kinds)]
+            base = [random_nonzero_poly(rng, XYZ, max_deg=3, max_terms=4) for _ in range(rng.randint(1, 2))]
+            if kind == "empty_seed":
+                base = []
+            extras = [random_nonzero_poly(rng, XYZ, max_deg=3, max_terms=4) for _ in range(rng.randint(1, 2))]
+            if kind == "in_ideal":
+                extras = [random_combination(rng, base, XYZ) for _ in range(2)]
+            elif kind == "unit":
+                extras.append(Poly.one(XYZ) - random_nonzero_poly(rng, XYZ, max_deg=1, max_terms=2) * base[0])
+            seed = buchberger(base, order)
+            expected = buchberger(base + extras, order)
+            assert buchberger(extras, order, seed=seed) == expected, (name, trial, base, extras)
+            assert buchberger(extras, order, "first", seed) == expected, (name, trial, base, extras)
+            if kind == "in_ideal":
+                assert expected == seed
+            if kind == "unit":
+                assert expected == (Poly.one(XYZ),)
+
+    def test_extended_ideals_equal_fresh_ideals(self, seeds_used):
+        # Same ring and one appended variable, under each order the
+        # restriction rule knows, including a head of appended variables
+        # only (saturation's) and a mixed head, which starts unseeded.
+        rng = random.Random(1401)
+        orders = [LEX, GRLEX, GREVLEX, Block.first(1)]
+        for trial in range(30):
+            small = [random_nonzero_poly(rng, XY, max_deg=3, max_terms=3) for _ in range(rng.randint(1, 2))]
+            parent = Ideal(XY, small)
+            same = [random_nonzero_poly(rng, XY, max_deg=2, max_terms=3)]
+            big = [random_nonzero_poly(rng, XYS, max_deg=2, max_terms=3)]
+            cases = [(parent + same, Ideal(XY, small + same), orders),
+                     (parent.extended(XYS, big), Ideal(XYS, [g.transport(XYS) for g in small] + big),
+                      orders + [Block((2,)), Block((0, 2))])]
+            for extended, fresh, case_orders in cases:
+                for order in case_orders:
+                    assert extended.groebner_basis(order) == fresh.groebner_basis(order), (trial, order)
+        assert any(seeds_used)  # some run above was seeded
+
+    def test_seed_only_where_names_and_order_restrict(self, seeds_used):
+        x, y = Poly.variables(XY)
+        parent = Ideal(XY, (x * x - y, x * y - 1))
+        parent.groebner_basis(GREVLEX)
+        s_first = VarContext(("s", "x", "y"))
+        cases = [
+            (XYS, GREVLEX, True),
+            (XYS, Block((2,)), True),
+            (XYS, Block((0, 2)), False),  # mixed head: no restriction
+            (s_first, GREVLEX, False),  # names do not begin with the parent's
+        ]
+        for ctx, order, seeded in cases:
+            extended = parent.extended(ctx, [Poly.variable(ctx, "s") * x.transport(ctx) - 1])
+            fresh = Ideal(ctx, extended.generators)
+            del seeds_used[:]
+            basis = extended.groebner_basis(order)
+            assert (seeds_used[-1] > 0) == seeded, (ctx, order)
+            assert basis == fresh.groebner_basis(order), (ctx, order)
+
+
+class TestOrderRestriction:
+    # (order on 3 variables, old arity, expected restriction on the old variables)
+    TABLE = [
+        (LEX, 2, LEX),
+        (GRLEX, 2, GRLEX),
+        (GREVLEX, 2, GREVLEX),
+        (LEX, 3, LEX),
+        (Block.first(1), 2, Block.first(1)),
+        (Block.first(2), 2, Block.first(2)),
+        (Block((0, 1)), 3, Block((0, 1))),
+        (Block((2,)), 2, GREVLEX),
+        (Block((1, 2)), 1, GREVLEX),
+        (Block((0, 2)), 2, None),
+        (Block((1, 2)), 2, None),
+    ]
+
+    @pytest.mark.parametrize("order,old,expected", TABLE, ids=lambda v: str(v))
+    def test_restriction_table(self, order, old, expected):
+        assert restriction(order, old) == expected
+
+    @pytest.mark.parametrize("order,old,expected", [row for row in TABLE if row[2] is not None],
+                             ids=lambda v: str(v))
+    def test_restriction_agrees_with_full_key(self, order, old, expected):
+        rng = random.Random(1402)
+        full = order.key_function(3)
+        part = expected.key_function(old)
+        pad = (0,) * (3 - old)
+        for _ in range(300):
+            a, b = (tuple(rng.randint(0, 3) for _ in range(old)) for _ in range(2))
+            assert (full(a + pad) < full(b + pad)) == (part(a) < part(b)), (order, a, b)
+            assert (full(a + pad) == full(b + pad)) == (part(a) == part(b)), (order, a, b)
+
+    def test_unknown_order_gets_none(self):
+        class Reversed(GrevLex):
+            pass
+
+        assert restriction(Reversed(), 2) is None
 
 
 class TestEliminate:

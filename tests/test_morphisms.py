@@ -19,12 +19,14 @@ from polymap import (
     PreconditionError,
     TargetNotAffineSpaceError,
     VarContext,
+    fixture_names,
+    fixture_session_text,
     parse_poly,
     parse_session,
 )
 from polymap.morphisms import ConstructibleSet, _intersect_many, _piece_closure, _piece_is_empty
 
-from conftest import random_point, random_poly
+from conftest import SEEDED_SITES, check_seeded_bases, random_point, random_poly, run_seeded_site
 
 UV = VarContext(("u", "v"))
 
@@ -108,7 +110,7 @@ def reference_image(m: Morphism, depth: int) -> ConstructibleSet:
         if lc_product.is_constant():
             return ConstructibleSet(tgt_ctx, tuple(pieces), True)
         pulled = lc_product.substitute(dict(zip(tgt_ctx.names, current.coords)))
-        restricted = current.source.ideal + (pulled,)
+        restricted = Ideal(current.source.ctx, current.source.ideal.generators + (pulled,))
         state = restricted.groebner_basis()
         if state in seen:
             break
@@ -737,3 +739,41 @@ class TestBiregular:
             target_dim = m.target.ideal.dimension()
             for p, g in pullback_pairs(m, rng, 3, max_deg=3):
                 assert m.graph_closure(g)[0].dimension() == target_dim, name
+
+
+# Every fixture, the descent and bracket maps, and two maps whose names
+# clash with the graph's renamed source and with its line coordinate.
+SEEDED_SITE_MAPS = {
+    **{name: fixture_session_text(name) for name in fixture_names()},
+    **SESSION_MAPS,
+    "clash-line": "source_ring: w\ntarget_ring: u\nmap: u = w^2\n",
+    "clash-graph": "source_ring: w x\ntarget_ring: w\nmap: w = x*w\n",
+}
+
+
+class TestSeededSites:
+    """Each ideal that extends a cached one (the fiber and saturation
+    inverse ideals, the lifted graph, the image descent's rounds and the
+    missed-set chain) has the basis of a fresh, unseeded ideal."""
+
+    @pytest.mark.parametrize("site", SEEDED_SITES)
+    def test_seeded_basis_equals_fresh(self, site, seeded_bases):
+        owned = 0
+        for name, text in SEEDED_SITE_MAPS.items():
+            del seeded_bases[:]
+            mine = run_seeded_site(site, parse_session(text).morphism(), seeded_bases)
+            check_seeded_bases(seeded_bases, (site, name))
+            owned += len(mine)
+        assert owned > 0, site
+
+    @pytest.mark.parametrize("name", ["clash-line", "clash-graph"])
+    def test_lifted_graph_ring_extends_graph_ring(self, name):
+        # The seed needs the lifted graph's names to begin with the graph's,
+        # also when the source names clash with the target's or with w.
+        m = parse_session(SEEDED_SITE_MAPS[name]).morphism()
+        graph = m._graph()
+        closure, w = m.graph_closure(Poly.variables(m.source.ctx)[0])
+        lifted = m._lifted(Poly.variables(m.source.ctx)[0], w)
+        fresh = lifted._graph()
+        assert fresh.ctx.names == graph.ctx.names + (w,)
+        assert closure.generators == lifted.image_closure().generators

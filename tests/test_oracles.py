@@ -1,5 +1,6 @@
-"""Differential oracle: reduced Groebner bases and normal forms against
-sympy's, which shares no code with the polymap kernel."""
+"""Differential oracle: reduced Groebner bases, normal forms, saturations,
+radical membership and eliminations against sympy's, which shares no
+code with the polymap kernel."""
 
 from __future__ import annotations
 
@@ -80,3 +81,51 @@ def test_saturations_match_sympy():
         expected = {from_sympy(g).monic() for g in reduced}
         ours = Ideal(XYZ, gens).saturation(f).groebner_basis()
         assert len(ours) == len(expected) and set(ours) == expected, (trial, gens, f)
+
+
+def test_radical_membership_matches_sympy():
+    # f lies in the radical of I exactly when 1 lies in I + <s*f - 1>:
+    # sympy's reduced basis of that ideal is then [1].  Half the trials
+    # put f^2 into I, so both answers occur.
+    s = sympy.Symbol("s")
+    rng = random.Random(4545)
+    answers = []
+    for trial in range(30):
+        f = random_nonzero_poly(rng, XYZ, max_deg=2, max_terms=2)
+        gens = [random_nonzero_poly(rng, XYZ, max_deg=2, max_terms=3) for _ in range(rng.randint(1, 2))]
+        if trial % 2:
+            gens[0] = gens[0] * f + f * f
+        theirs = sympy.groebner([to_sympy(g) for g in gens] + [s * to_sympy(f) - 1], s, *SYMBOLS,
+                                order="grevlex", domain="QQ")
+        expected = list(theirs.exprs) == [1]
+        assert Ideal(XYZ, gens).radical_contains(f) == expected, (trial, gens, f)
+        answers.append(expected)
+    assert True in answers and False in answers
+
+
+# Variables to eliminate, with a sympy order on (x, y, z) that eliminates
+# them: lex for x, and product orders with the dropped block first.
+ELIMINATIONS = {
+    "x": ("lex", (0,)),
+    "y": (ProductOrder((grevlex, lambda m: m[1:2]), (grevlex, lambda m: (m[0], m[2]))), (1,)),
+    "xz": (ProductOrder((grevlex, lambda m: (m[0], m[2])), (grevlex, lambda m: m[1:2])), (0, 2)),
+}
+
+
+@pytest.mark.parametrize("name", ELIMINATIONS)
+def test_eliminations_match_sympy(name):
+    # The elements of an elimination basis that avoid the dropped
+    # variables generate the elimination ideal; re-reduced under grevlex
+    # on the kept variables they are its reduced basis.
+    sympy_order, dropped = ELIMINATIONS[name]
+    kept_symbols = [sym for i, sym in enumerate(SYMBOLS) if i not in dropped]
+    small = VarContext([n for i, n in enumerate(XYZ.names) if i not in dropped])
+    rng = random.Random(4646)
+    for trial in range(30):
+        gens = [random_nonzero_poly(rng, XYZ, max_deg=2, max_terms=3) for _ in range(rng.randint(2, 3))]
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *SYMBOLS, order=sympy_order, domain="QQ")
+        kept = [g for g in theirs.exprs if not any(g.has(SYMBOLS[i]) for i in dropped)]
+        reduced = sympy.groebner(kept, *kept_symbols, order="grevlex", domain="QQ").exprs if kept else []
+        expected = {from_sympy(g).transport(small).monic() for g in reduced}
+        ours = Ideal(XYZ, gens).eliminate([XYZ.names[i] for i in dropped]).groebner_basis()
+        assert len(ours) == len(expected) and set(ours) == expected, (name, trial, gens)
