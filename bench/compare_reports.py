@@ -25,8 +25,13 @@ because a source or target ideal is not radical, a seeded map whose
 description has three nested pieces, the hyperbola at depth 1 (null
 ``biregular`` and ``dichotomy``), a two-piece exact description whose
 ``complement_closure`` is not radical, Nagata's automorphism of 3-space
-(x - 2yq - zq^2, y + zq, z) with q = xz + y^2, and the degree-4 tame
-plane automorphism (x + (y + x^2)^2, y + x^2).
+(x - 2yq - zq^2, y + zq, z) with q = xz + y^2, the degree-4 tame
+plane automorphism (x + (y + x^2)^2, y + x^2), and two asserted-etale
+maps for ``dichotomy``'s gates: one that is not injective and an open
+immersion of the punctured plane that misses the line u = 0.
+
+It also runs each ``demos/*.py`` of the checkout in its own process, with
+``PYTHONPATH`` set to that checkout's ``src/``, as one call.
 
 Every call whose exit code, stdout or stderr differs between the two
 checkouts is printed, as is a call that only one checkout makes; the
@@ -44,7 +49,7 @@ from pathlib import Path
 # Runs inside one checkout: argv[1] is its src/ directory.  Prints one JSON
 # list of {"argv", "exit", "stdout", "stderr"}.
 DRIVER = r"""
-import contextlib, io, json, sys
+import contextlib, io, json, os, pathlib, subprocess, sys
 sys.path.insert(0, sys.argv[1])
 from polymap import cli, fixture_names, load_fixture, parse_session
 
@@ -84,6 +89,10 @@ SESSIONS = {
               "assert_factorial: true\nassert_etale: true\n",
     "tame-degree4": "source_ring: x y\ntarget_ring: u v\nmap: u = x^4 + 2*x^2*y + y^2 + x ; v = x^2 + y\n"
                     "assert_factorial: true\nassert_etale: true\n",
+    "not-injective": "source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = x*y\n"
+                     "assert_factorial: true\nassert_etale: true\n",
+    "punctured-plane": "source_ring: x y z\nsource_ideal: x*z - 1\ntarget_ring: u v\nmap: u = x ; v = y\n"
+                       "assert_factorial: true\nassert_etale: true\n",
 }
 
 def flag_names(flags):
@@ -128,6 +137,10 @@ for label, source, session in sources:
             with open(report, "w", encoding="utf-8") as handle:
                 handle.write(out)
             call(["verify", report])
+env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [sys.argv[1], os.environ.get("PYTHONPATH")]))}
+for demo in sorted((pathlib.Path(sys.argv[1]).parent / "demos").glob("*.py")):
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
+    calls.append({"argv": ["demos/" + demo.name], "exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr})
 json.dump(calls, sys.stdout)
 """
 

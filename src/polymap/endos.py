@@ -20,7 +20,7 @@ from .errors import (
     NotEtaleError,
     NotInjectiveError,
 )
-from .morphisms import DEFAULT_DEPTH, HYPOTHESES, AffineVariety, Morphism, SurjectivityReport
+from .morphisms import DEFAULT_DEPTH, AffineVariety, Morphism, SurjectivityReport
 from .poly import Poly, VarContext
 
 
@@ -174,26 +174,23 @@ def etale_dichotomy(morphism: Morphism, depth: int = DEFAULT_DEPTH) -> Dichotomy
     """For an injective etale map into a factorial target: the missed
     locus is a hypersurface, or the map is an isomorphism.
 
-    Etaleness of a general variety map is taken from the user assertion
-    flag; the verdict is only as good as that assertion.
+    It is :meth:`Morphism.biregular` plus a reading of the missed set's
+    codimension.  Etaleness of a general variety map is taken from the
+    user assertion flag; the verdict is only as good as that assertion.
     """
     if not morphism.assert_etale:
         raise MissingAssertionError("dichotomy requires the assert_etale flag on the map")
     if not morphism.target.assert_factorial:
         raise MissingAssertionError("dichotomy requires assert_factorial on the target")
-    if not morphism.is_injective():
+    rep = morphism.biregular(depth)
+    if not rep.injective:
         raise NotInjectiveError("dichotomy requires an injective map")
-    surj = morphism.almost_surjective(depth)
-    if surj.almost_surjective is None:
+    surj = rep.surjectivity
+    if rep.verdict is None:
         return DichotomyReport(None, surj, None, None)
-    if surj.almost_surjective:
-        inverse, _ = morphism.construct_inverse()
-        if inverse is None:
-            raise EngineInconsistencyError(
-                f"injective almost-surjective map failed the biregularity check; {HYPOTHESES}"
-            )
-        return DichotomyReport("biregular", surj, surj.target_dim - surj.complement_dim, inverse)
     codim = surj.target_dim - surj.complement_dim
+    if rep.verdict:
+        return DichotomyReport("biregular", surj, codim, rep.inverse)
     if codim != 1:
         raise EngineInconsistencyError(
             f"dichotomy violated (complement codimension {codim}); the etale assertion is likely wrong"

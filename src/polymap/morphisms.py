@@ -44,10 +44,6 @@ from .poly import Poly, VarContext
 # session sets its own ``depth``.
 DEFAULT_DEPTH = 8
 
-# Why a biregularity verdict can disagree with the inverse construction
-# other than by an engine defect: the paper's X and Y are varieties.
-HYPOTHESES = "it assumes radical source and target ideals and a factorial target, so one of these is likely false"
-
 
 @dataclass(frozen=True)
 class AffineVariety:
@@ -55,9 +51,10 @@ class AffineVariety:
 
     The two assertion flags record hypotheses the user vouches for
     (irreducibility, factoriality of the coordinate ring); the engine
-    never verifies them, it only refuses operations whose meaning
-    depends on an absent assertion.  A unit ideal is allowed and means
-    the empty variety.
+    never verifies them.  It refuses operations whose meaning depends on
+    an absent factoriality assertion; the irreducibility flag is recorded
+    and echoed in reports but gates nothing.  A unit ideal is allowed and
+    means the empty variety.
     """
 
     ctx: VarContext
@@ -193,16 +190,11 @@ class BiregularReport:
 
 
 class _GraphData:
-    """Combined context [renamed source | target] with the graph ideal.
-
-    Given ``parent``, the graph ideal of the same map without its last
-    coordinate, the ideal extends it by that coordinate's equation, so
-    its bases start from the parent's.
-    """
+    """Combined context [renamed source | target] with the graph ideal."""
 
     __slots__ = ("ctx", "src_names", "rename", "block", "ideal")
 
-    def __init__(self, morphism: "Morphism", parent: Ideal | None = None):
+    def __init__(self, morphism: "Morphism"):
         src = morphism.source.ctx
         tgt = morphism.target.ctx
         taken = tgt
@@ -212,16 +204,10 @@ class _GraphData:
         self.rename = dict(zip(src.names, self.src_names))
         self.ctx = VarContext(self.src_names + tgt.names)
         self.block = Block.first(src.arity)
-
-        def equation(name: str, coord: Poly) -> Poly:
-            return Poly.variable(self.ctx, name) - coord.transport(self.ctx, self.rename)
-
-        if parent is None:
-            gens = [g.transport(self.ctx, self.rename) for g in morphism.source.ideal.generators]
-            gens += [equation(name, coord) for name, coord in zip(tgt.names, morphism.coords)]
-            self.ideal = Ideal(self.ctx, gens)
-        else:
-            self.ideal = parent.extended(self.ctx, [equation(tgt.names[-1], morphism.coords[-1])])
+        gens = [g.transport(self.ctx, self.rename) for g in morphism.source.ideal.generators]
+        gens += [Poly.variable(self.ctx, name) - coord.transport(self.ctx, self.rename)
+                 for name, coord in zip(tgt.names, morphism.coords)]
+        self.ideal = Ideal(self.ctx, gens)
 
 
 class Morphism:
@@ -273,7 +259,8 @@ class Morphism:
         """Doubled source context with the fiber-product ideal.
 
         Variables x and their primed copies x', the source equations in
-        both copies, and the equations identifying the two images.
+        both copies, and the equations identifying the two images.  It
+        extends the source ideal, so its bases start from that ideal's.
         """
         got = self._memo.get("fiber")
         if got is None:
@@ -282,11 +269,9 @@ class Morphism:
             for name in src.names:
                 ctx2 = ctx2.extended([ctx2.fresh_name(name)])
             rename = dict(zip(src.names, ctx2.names[src.arity:]))
-            gens = [g.transport(ctx2) for g in self.source.ideal.generators]
-            gens += [g.transport(ctx2, rename) for g in self.source.ideal.generators]
-            for c in self.coords:
-                gens.append(c.transport(ctx2) - c.transport(ctx2, rename))
-            got = (ctx2, Ideal(ctx2, gens), rename)
+            gens = [g.transport(ctx2, rename) for g in self.source.ideal.generators]
+            gens += [c.transport(ctx2) - c.transport(ctx2, rename) for c in self.coords]
+            got = (ctx2, self.source.ideal.extended(ctx2, gens), rename)
             self._memo["fiber"] = got
         return got
 
@@ -330,19 +315,23 @@ class Morphism:
     def graph_closure(self, g: Poly) -> tuple[Ideal, str]:
         """Closure of {(map(x), g(x))} in target x line; returns (ideal, var).
 
-        It is the image closure of the lifted map x -> (map(x), g(x)); the
+        It is the image closure of the lifted map x -> (map(x), g(x)): the
+        graph ideal plus var - g, with the renamed source eliminated.  The
         ideal lives on the target ring extended by the line coordinate
-        ``var``, a fresh name next to the graph's variables.  The lifted
-        map's graph ideal is this map's plus var - g, so its elimination
-        basis starts from this map's.
+        ``var``, a fresh name next to the graph's variables, and its
+        elimination basis starts from the graph ideal's.
         """
+        if g.ctx != self.source.ctx:
+            raise ContextMismatchError("graph argument must live on the source ring")
         graph = self._graph()
-        lifted = self._lifted(g, graph.ctx.fresh_name("w"))
-        lifted._memo["graph"] = _GraphData(lifted, graph.ideal)
-        return lifted.image_closure(), lifted.target.ctx.names[-1]
+        w = graph.ctx.fresh_name("w")
+        ctx = graph.ctx.extended([w])
+        lifted = graph.ideal.extended(ctx, [Poly.variable(ctx, w) - g.transport(ctx, graph.rename)])
+        return lifted.eliminate(graph.src_names), w
 
     def _lifted(self, g: Poly, var: str) -> "Morphism":
-        """The map x -> (map(x), g(x)) into target x line, the line coordinate named ``var``."""
+        """The map x -> (map(x), g(x)) into target x line, the line coordinate
+        named ``var``: what a graph relation must pull back to 0 along."""
         if g.ctx != self.source.ctx:
             raise ContextMismatchError("graph argument must live on the source ring")
         ctx = self.target.ctx.extended([var])
@@ -480,9 +469,9 @@ class Morphism:
                 return ConstructibleSet(tgt_ctx, tuple(pieces), True)
             basis = ideal.groebner_basis(graph.block)
             lc_product = _lc_product(basis, graph.block, tgt_ctx)
-            minus = Ideal(tgt_ctx, (lc_product,))
-            if not _piece_is_empty(closure, minus):
-                pieces.append((closure, minus))
+            # A nonzero constant L vanishes nowhere, so its piece is not empty.
+            if lc_product.is_constant() or not closure.radical_contains(lc_product):
+                pieces.append((closure, Ideal(tgt_ctx, (lc_product,))))
             if lc_product.is_constant():
                 return ConstructibleSet(tgt_ctx, tuple(pieces), True)
             lc_product = lc_product.transport(graph.ctx)
@@ -515,8 +504,8 @@ class Morphism:
             missed.append((ambient, closed))
             ambient = ambient + minus
         missed.append((ambient, Ideal.unit(self.target.ctx)))
-        comp_closure = _intersect_many(self.target.ctx, [
-            _piece_closure(c, m) for c, m in missed if not _piece_is_empty(c, m)])
+        closures = [_piece_closure(c, m) for c, m in missed]
+        comp_closure = _intersect_many(self.target.ctx, [c for c in closures if not c.is_unit()])
         upper = comp_closure.dimension()
         lower = upper if image.exact else _piece_closure(target_ideal, self.image_closure()).dimension()
         threshold = max(target_dim - 2, -1)
@@ -541,12 +530,12 @@ class Morphism:
             return BiregularReport(None, injective, surj, None, True)
         verdict = injective and surj.almost_surjective
         inverse, _ = self.construct_inverse()
-        consistent = verdict == (inverse is not None)
-        if not consistent:
+        if verdict != (inverse is not None):
             raise EngineInconsistencyError(
-                f"set-theoretic biregularity verdict disagrees with inverse construction; {HYPOTHESES}"
+                "set-theoretic biregularity verdict disagrees with inverse construction; it assumes radical"
+                " source and target ideals and a factorial target, so one of these is likely false"
             )
-        return BiregularReport(verdict, injective, surj, inverse, consistent)
+        return BiregularReport(verdict, injective, surj, inverse, True)
 
     def construct_inverse(self) -> tuple[tuple[Poly, ...] | None, int | None]:
         """Interpolate every source coordinate and check the other composition.
@@ -595,12 +584,11 @@ def _lc_product(basis: Sequence[Poly], block: Block, ctx: VarContext) -> Poly:
 
 
 def _piece_closure(closed: Ideal, minus: Ideal) -> Ideal:
-    """Ideal of the closure of V(closed) - V(minus)."""
+    """Ideal of the closure of V(closed) - V(minus): the unit ideal
+    exactly when the piece is empty."""
+    if closed.is_unit():
+        return closed
     return _intersect_many(closed.ctx, [closed.saturation(g) for g in minus.generators])
-
-
-def _piece_is_empty(closed: Ideal, minus: Ideal) -> bool:
-    return closed.is_unit() or all(closed.radical_contains(g) for g in minus.generators)
 
 
 def _intersect_many(ctx: VarContext, ideals: list[Ideal]) -> Ideal:

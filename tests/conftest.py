@@ -78,17 +78,17 @@ def check_seeded_bases(records, where) -> None:
         assert Ideal(ideal.ctx, ideal.generators).groebner_basis(order) == basis, (where, ideal, order)
 
 
-SEEDED_SITES = ("with_inverse", "saturation", "graph_closure", "constructible_image", "add")
+SEEDED_SITES = ("with_inverse", "fiber", "saturation", "graph_closure", "constructible_image", "add")
 
 
 def run_seeded_site(site: str, m: Morphism, records: list) -> list:
     """Run one site of seeded bases on a fresh map; return the records it
     owns: those on the ideals that site extends."""
     graph = m._graph()
-    if site == "with_inverse":
+    if site in ("with_inverse", "fiber"):
         for x in Poly.variables(m.source.ctx):
             m.determined_by(x)
-        return records
+        return records if site == "with_inverse" else [r for r in records if r[0].ctx == m._fiber()[0]]
     if site == "saturation":
         pieces = m.constructible_image().pieces
         del records[:]

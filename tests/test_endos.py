@@ -214,7 +214,7 @@ class TestDichotomy:
             AffineVariety.affine_space(XY),
             AffineVariety.affine_space(UV),
             [parse_poly("x", XY), parse_poly("x*y", XY)],
-            assert_etale=True,  # wrong assertion on purpose; injectivity gate fires first
+            assert_etale=True,  # wrong assertion on purpose; the map fails the injectivity gate
         )
         with pytest.raises(NotInjectiveError):
             etale_dichotomy(shear_like)

@@ -24,7 +24,7 @@ from polymap import (
     parse_poly,
     parse_session,
 )
-from polymap.morphisms import ConstructibleSet, _intersect_many, _piece_closure, _piece_is_empty
+from polymap.morphisms import ConstructibleSet, _intersect_many, _piece_closure
 
 from conftest import SEEDED_SITES, check_seeded_bases, random_point, random_poly, run_seeded_site
 
@@ -71,6 +71,12 @@ SESSION_MAPS = {**DESCENT_MAPS, **BRACKET_MAPS}
 # Maps whose source ideal is not prime: their image descriptions may have
 # a smaller closure than the image.
 NOT_PRIME = {"nilpotent-lc", "axes"}
+
+
+def _piece_is_empty(closed: Ideal, minus: Ideal) -> bool:
+    """Whether V(closed) - V(minus) is empty, by radical membership of
+    every minus generator."""
+    return closed.is_unit() or all(closed.radical_contains(g) for g in minus.generators)
 
 
 def reference_lc_product(m: Morphism) -> Poly:
@@ -673,6 +679,26 @@ class TestAlmostSurjective:
         for name in ("three-pieces", "seeded-three-pieces"):
             assert len(maps[name].constructible_image(8).pieces) == 3, name
 
+    def test_piece_empty_exactly_when_closure_is_unit(self, fixture_morphisms):
+        # almost_surjective drops a missed piece whose closure is the unit
+        # ideal; the reference decides emptiness by radical membership.
+        maps = dict(fixture_morphisms)
+        maps.update((name, parse_session(text).morphism()) for name, text in SESSION_MAPS.items())
+        verdicts = []
+        for depth in (1, 2, 8):
+            for name, m in maps.items():
+                missed = []
+                ambient = m.target.ideal
+                for closed, minus in m.constructible_image(depth).pieces:
+                    missed.append((ambient, closed))
+                    ambient = ambient + minus
+                missed.append((ambient, Ideal.unit(m.target.ctx)))
+                for closed, minus in missed:
+                    empty = _piece_is_empty(closed, minus)
+                    assert _piece_closure(closed, minus).is_unit() == empty, (name, depth)
+                    verdicts.append(empty)
+        assert (len(verdicts), sum(verdicts)) == (125, 70)
+
     def test_same_missed_set_same_radical(self, fixture_morphisms):
         # Both maps miss {u = 0, v != 0}; the printed closures differ (u^2
         # against u) but cut out the same set.
@@ -766,14 +792,17 @@ class TestSeededSites:
             owned += len(mine)
         assert owned > 0, site
 
-    @pytest.mark.parametrize("name", ["clash-line", "clash-graph"])
+    @pytest.mark.parametrize("name", list(SEEDED_SITE_MAPS))
     def test_lifted_graph_ring_extends_graph_ring(self, name):
-        # The seed needs the lifted graph's names to begin with the graph's,
-        # also when the source names clash with the target's or with w.
+        # graph_closure extends the graph ideal by w - g.  The lifted map's
+        # own graph ring must be the graph ring plus w, also when the source
+        # names clash with the target's or with w, and its unseeded image
+        # closure must be the same ideal.
         m = parse_session(SEEDED_SITE_MAPS[name]).morphism()
         graph = m._graph()
-        closure, w = m.graph_closure(Poly.variables(m.source.ctx)[0])
-        lifted = m._lifted(Poly.variables(m.source.ctx)[0], w)
-        fresh = lifted._graph()
-        assert fresh.ctx.names == graph.ctx.names + (w,)
-        assert closure.generators == lifted.image_closure().generators
+        for x in Poly.variables(m.source.ctx):
+            closure, w = m.graph_closure(x)
+            lifted = m._lifted(x, w)
+            fresh = lifted._graph()
+            assert fresh.ctx.names == graph.ctx.names + (w,), (name, x)
+            assert closure.generators == lifted.image_closure().generators, (name, x)

@@ -40,6 +40,12 @@ DOUBLE_LINE_TEXT = ("source_ring: x y\nsource_ideal: y^2\ntarget_ring: u\nmap: u
                     "assert_factorial: true\nassert_etale: true\n")
 DOUBLE_TARGET_TEXT = ("source_ring: t\ntarget_ring: u v\ntarget_ideal: u^2\nmap: u = 0 ; v = t\n"
                       "assert_factorial: true\nassert_etale: true\n")
+# Asserted etale, one not injective (it collapses the line x = 0), one an
+# open immersion of the punctured plane with the line u = 0 missed.
+NOT_INJECTIVE_TEXT = ("source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = x*y\n"
+                      "assert_factorial: true\nassert_etale: true\n")
+PUNCTURED_PLANE_TEXT = ("source_ring: x y z\nsource_ideal: x*z - 1\ntarget_ring: u v\nmap: u = x ; v = y\n"
+                        "assert_factorial: true\nassert_etale: true\n")
 
 
 def run_cli(capsys, *argv):
@@ -326,6 +332,22 @@ class TestCLI:
         assert code == 0 and report["verdict"] == "codim_one"
         code, report = run_cli(capsys, "--fixture", "triangular", "dichotomy")
         assert code == 0 and report["verdict"] == "biregular"
+
+    def test_dichotomy_codim_one_on_punctured_plane(self, capsys, tmp_path):
+        session = tmp_path / "punctured.session"
+        session.write_text(PUNCTURED_PLANE_TEXT)
+        code, report = run_cli(capsys, "--session", str(session), "dichotomy")
+        assert code == 0 and report["verdict"] == "codim_one"
+        cert = report["certificates"][0]
+        assert cert["complement_closure"] == ["u"] and cert["complement_codim"] == 1
+
+    def test_dichotomy_refuses_non_injective_map(self, capsys, tmp_path):
+        session = tmp_path / "not-injective.session"
+        session.write_text(NOT_INJECTIVE_TEXT)
+        assert main(["--session", str(session), "dichotomy"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dichotomy requires an injective map\n"
 
     def test_fixtures_listing(self, capsys):
         code, report = run_cli(capsys, "fixtures")
