@@ -7,8 +7,11 @@ checkout imports polymap from its ``src/`` and, in-process through
 ``cli.main``, runs every fixture through every command of its
 ``cli._COMMANDS`` table that reads a session.  A command that declares
 ``-g``, ``-f`` or ``--drop`` runs once with the first source variable and
-once with the first target variable as their value.  Every call runs
-with and without ``--human``, and ``verify`` runs on each JSON report.
+once with the first target variable as their value.  A command also runs
+once with each value of a ``choices`` flag other than its default, and
+once with each flag of a mutually exclusive group, one flag at a time.
+Every call runs with and without ``--human``, and ``verify`` runs on each
+JSON report.
 Reports are written under the same relative name in both checkouts, so
 a ``verify`` report's path field compares equal.
 
@@ -28,7 +31,9 @@ description has three nested pieces, the hyperbola at depth 1 (null
 (x - 2yq - zq^2, y + zq, z) with q = xz + y^2, the degree-4 tame
 plane automorphism (x + (y + x^2)^2, y + x^2), and two asserted-etale
 maps for ``dichotomy``'s gates: one that is not injective and an open
-immersion of the punctured plane that misses the line u = 0.
+immersion of the punctured plane that misses the line u = 0, the five
+points x^2 + y^3 = xy - 1 = 0 projected to the line, whose lex and
+grevlex bases differ, and a point onto a point, whose inverse is empty.
 
 It also runs each ``demos/*.py`` of the checkout in its own process, with
 ``PYTHONPATH`` set to that checkout's ``src/``, as one call.
@@ -93,6 +98,9 @@ SESSIONS = {
                      "assert_factorial: true\nassert_etale: true\n",
     "punctured-plane": "source_ring: x y z\nsource_ideal: x*z - 1\ntarget_ring: u v\nmap: u = x ; v = y\n"
                        "assert_factorial: true\nassert_etale: true\n",
+    "five-points": "source_ring: x y\nsource_ideal: x^2 + y^3 ; x*y - 1\ntarget_ring: u\nmap: u = x\n"
+                   "assert_factorial: true\n",
+    "point-onto-point": "source_ring:\ntarget_ring: u\ntarget_ideal: u - 2\nmap: u = 2\nassert_factorial: true\n",
 }
 
 def flag_names(flags):
@@ -101,6 +109,16 @@ def flag_names(flags):
             yield from flag_names(flag)
         else:
             yield from flag[0]
+
+# Each non-default value of a choices flag, and each flag of a mutually
+# exclusive group, as the arguments of one call.
+def flag_variants(flags):
+    for flag in flags:
+        if isinstance(flag, list):
+            yield from ([names[0]] for names, _ in flag)
+        else:
+            names, kwargs = flag
+            yield from ([names[0], value] for value in kwargs.get("choices", ()) if value != kwargs.get("default"))
 
 def call(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -125,18 +143,20 @@ for label, source, session in sources:
         if not command.session:
             continue
         takes = [f for f in VALUE_FLAGS if f in set(flag_names(command.flags))]
-        for var in (firsts if takes else [None]):
-            argv = source + [name] + [a for f in takes for a in (f, var)]
-            call(argv + ["--human"])
-            code, out = call(argv)
-            try:
-                json.loads(out)
-            except ValueError:
-                continue
-            report = "-".join([label, name] + ([var] if var else [])) + ".json"
-            with open(report, "w", encoding="utf-8") as handle:
-                handle.write(out)
-            call(["verify", report])
+        for variant in [[]] + list(flag_variants(command.flags)):
+            for var in (firsts if takes else [None]):
+                argv = source + [name] + variant + [a for f in takes for a in (f, var)]
+                call(argv + ["--human"])
+                code, out = call(argv)
+                try:
+                    json.loads(out)
+                except ValueError:
+                    continue
+                words = [label, name] + [a.lstrip("-") for a in variant] + ([var] if var else [])
+                report = "-".join(words) + ".json"
+                with open(report, "w", encoding="utf-8") as handle:
+                    handle.write(out)
+                call(["verify", report])
 env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [sys.argv[1], os.environ.get("PYTHONPATH")]))}
 for demo in sorted((pathlib.Path(sys.argv[1]).parent / "demos").glob("*.py")):
     done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)

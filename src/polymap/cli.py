@@ -23,7 +23,7 @@ from .endos import etale_dichotomy, invert, is_etale, jacobian_determinant, jc_c
 from .errors import PolymapError, SessionFormatError
 from .fixtures import fixture_names, fixture_session_text, load_fixture
 from .groebner import normal_form
-from .morphisms import AffineVariety, Morphism
+from .morphisms import AffineVariety, Morphism, _compose
 from .orders import ORDERS_BY_NAME
 from .parsing import parse_poly
 from .poly import Poly
@@ -63,7 +63,7 @@ def _variety(morphism: Morphism, ring: str) -> AffineVariety:
 
 
 def _optional_texts(polys) -> list[str] | None:
-    return [str(p) for p in polys] if polys else None
+    return [str(p) for p in polys] if polys is not None else None
 
 
 # -- command handlers: each returns (args, verdict, certificates, exact) ------------
@@ -214,7 +214,8 @@ def _check_graph_relation(cert: dict, report: dict, morphism: Morphism):
     var = _entry(cert, "var", where, str)
     relation = parse_poly(text, morphism.target.ctx.extended([var]))
     g = parse_poly(_entry(_entry(report, "args", "report"), "g", "report args", str), morphism.source.ctx)
-    yield "relation vanishes on the graph", morphism._lifted(g, var).pulls_back_to(relation, 0)
+    graph = _compose(relation, morphism.coords + (g,), morphism.source.ctx)
+    yield "relation vanishes on the graph", morphism.source.ideal.contains(graph)
     pair = _texts(cert, "rational_pair", where, required=False, length=2)
     if pair:
         num, den = (parse_poly(text, morphism.target.ctx) for text in pair)
@@ -224,14 +225,14 @@ def _check_graph_relation(cert: dict, report: dict, morphism: Morphism):
 def _check_inverse(cert: dict, report: dict, morphism: Morphism):
     src, tgt = morphism.source.ctx, morphism.target.ctx
     texts = _texts(cert, "inverse", f"{cert['kind']} certificate", required=False, length=src.arity)
-    if not texts:
+    if texts is None:
         return
-    back = Morphism(morphism.target, morphism.source, [parse_poly(text, tgt) for text in texts], check=False)
+    inverse, tgt_ideal = [parse_poly(text, tgt) for text in texts], morphism.target.ideal
     # The inverse must be a morphism into the source variety before it can
     # compose to the identity there.
-    into = all(back.pulls_back_to(h, 0) for h in morphism.source.ideal.generators)
-    left = all(morphism.pulls_back_to(q, x) for q, x in zip(back.coords, Poly.variables(src)))
-    right = all(back.pulls_back_to(c, y) for c, y in zip(morphism.coords, Poly.variables(tgt)))
+    into = all(tgt_ideal.contains(_compose(h, inverse, tgt)) for h in morphism.source.ideal.generators)
+    left = all(morphism.pulls_back_to(q, x) for q, x in zip(inverse, Poly.variables(src)))
+    right = all(tgt_ideal.contains(_compose(c, inverse, tgt) - y) for c, y in zip(morphism.coords, Poly.variables(tgt)))
     yield "inverse composes to identity on both sides", into and left and right
 
 
@@ -251,7 +252,10 @@ def _check_groebner_basis(cert: dict, report: dict, morphism: Morphism):
         raise SessionFormatError(f"{where} entry 'ring' is neither \"source\" nor \"target\"")
     variety = _variety(morphism, ring)
     basis = [parse_poly(text, variety.ctx) for text in _texts(cert, "basis", where)]
-    gens_reduce = all(normal_form(g, basis).is_zero() for g in variety.ideal.generators)
+    order = ORDERS_BY_NAME.get(_entry(cert, "order", where, str))
+    if order is None:
+        raise SessionFormatError(f"{where} entry 'order' is not a known order")
+    gens_reduce = all(normal_form(g, basis, order).is_zero() for g in variety.ideal.generators)
     basis_member = all(variety.ideal.contains(b) for b in basis)
     yield "basis and generators span the same ideal", gens_reduce and basis_member
 
@@ -280,7 +284,7 @@ def _verify(ns):
     with open(ns.report, "r", encoding="utf-8") as handle:
         try:
             original = json.load(handle)
-        except ValueError as exc:  # not JSON, or an integer longer than Python's digit limit
+        except (ValueError, RecursionError) as exc:  # not JSON, an integer past the digit limit, too deep
             raise PolymapError(str(exc)) from None
     command = _entry(original, "command", "report", required=False)
     session_data = _entry(original, "session", "report", required=False)

@@ -29,8 +29,8 @@ class Endomorphism(Morphism):
 
     Source and target are full affine spaces of the same dimension; the
     target ring may use different variable names (handy for printing
-    inverses), but both are well defined automatically so no membership
-    checks run at construction.
+    inverses).  The target has no equations, so the well-definedness
+    check at construction has nothing to pull back.
     """
 
     def __init__(self, source_ctx: VarContext, target_ctx: VarContext, coords,
@@ -41,7 +41,6 @@ class Endomorphism(Morphism):
             AffineVariety.affine_space(source_ctx),
             AffineVariety.affine_space(target_ctx),
             coords,
-            check=False,
             assert_etale=assert_etale,
         )
 

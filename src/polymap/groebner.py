@@ -469,14 +469,6 @@ class Ideal:
             return basis[0]
         return None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return self.ctx == other.ctx and self.generators == other.generators
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.generators))
-
     def __str__(self) -> str:
         return "<" + ", ".join(str(g) for g in self.generators) + ">"
 

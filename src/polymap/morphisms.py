@@ -71,12 +71,6 @@ class AffineVariety:
         # Polynomial rings are factorial, so the flag defaults to set.
         return AffineVariety(ctx, Ideal.zero(ctx), assert_irreducible=True, assert_factorial=assert_factorial)
 
-    def dimension(self) -> int:
-        return self.ideal.dimension()
-
-    def __str__(self) -> str:
-        return f"V({self.ideal}) in k{self.ctx}"
-
 
 @dataclass(frozen=True)
 class InterpolationResult:
@@ -118,10 +112,6 @@ class MinPolyResult:
     rational_pair: tuple[Poly, Poly] | None
     dominant: bool
     graph_ideal: Ideal
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "relation"
 
 
 @dataclass(frozen=True)
@@ -281,10 +271,7 @@ class Morphism:
         """f o map over the source ring, not reduced by the source ideal."""
         if f.ctx != self.target.ctx:
             raise ContextMismatchError("pullback argument must live on the target ring")
-        if not self.coords:
-            # f is a constant, and substitute would keep it on the empty ring.
-            return f.transport(self.source.ctx)
-        return f.substitute(dict(zip(self.target.ctx.names, self.coords)))
+        return _compose(f, self.coords, self.source.ctx)
 
     def pullback(self, f: Poly) -> Poly:
         """Canonical representative of f o map in the source coordinate ring."""
@@ -293,9 +280,10 @@ class Morphism:
     def pulls_back_to(self, f: Poly, g: Poly | int) -> bool:
         """Whether f o map = g modulo the source ideal.
 
-        Every certificate identity is one such check: an interpolant
-        pulling back to g, a graph relation pulling back to 0 along
-        x -> (map(x), g(x)), an inverse composing to the identity.
+        It is one certificate identity: a composite reduced modulo one
+        ideal.  The others compose along (map, g) for a graph relation
+        and along an inverse, modulo the target ideal, for its "right"
+        and "into" identities (see :func:`_compose`).
         """
         return self.source.ideal.contains(self._composite(f) - g)
 
@@ -328,15 +316,6 @@ class Morphism:
         ctx = graph.ctx.extended([w])
         lifted = graph.ideal.extended(ctx, [Poly.variable(ctx, w) - g.transport(ctx, graph.rename)])
         return lifted.eliminate(graph.src_names), w
-
-    def _lifted(self, g: Poly, var: str) -> "Morphism":
-        """The map x -> (map(x), g(x)) into target x line, the line coordinate
-        named ``var``: what a graph relation must pull back to 0 along."""
-        if g.ctx != self.source.ctx:
-            raise ContextMismatchError("graph argument must live on the source ring")
-        ctx = self.target.ctx.extended([var])
-        target = AffineVariety(ctx, Ideal(ctx, [h.transport(ctx) for h in self.target.ideal.generators]))
-        return Morphism(self.source, target, self.coords + (g,), check=False)
 
     # -- determinacy and interpolation ----------------------------------------------
 
@@ -404,7 +383,7 @@ class Morphism:
             # Present the relation with a positively-normalized top
             # coefficient in the graph variable (same principal ideal).
             generator = -generator
-        if not self._lifted(g, w).pulls_back_to(generator, 0):
+        if not self.source.ideal.contains(_compose(generator, self.coords + (g,), self.source.ctx)):
             raise EngineInconsistencyError("graph relation certificate failed to verify")
         pair = None
         if degree == 1 and dominant:
@@ -552,14 +531,23 @@ class Morphism:
             if not result.ok:
                 return None, j
             inverse.append(result.interpolant)
-        back = Morphism(self.target, self.source, inverse, check=False)
-        if not all(back.pulls_back_to(c, y) for c, y in zip(self.coords, Poly.variables(self.target.ctx))):
+        ideal, ctx = self.target.ideal, self.target.ctx
+        if not all(ideal.contains(_compose(c, inverse, ctx) - y) for c, y in zip(self.coords, Poly.variables(ctx))):
             return None, None
         return tuple(inverse), None
 
     def __str__(self) -> str:
         arrows = ", ".join(f"{n} = {c}" for n, c in zip(self.target.ctx.names, self.coords))
         return f"({arrows})"
+
+
+def _compose(f: Poly, images: Sequence[Poly], ctx: VarContext) -> Poly:
+    """f with its variables replaced, in order, by ``images`` over ``ctx``:
+    every certificate identity is such a composite reduced modulo one ideal."""
+    if not images:
+        # f is a constant, and substitute would keep it on the empty ring.
+        return f.transport(ctx)
+    return f.substitute(dict(zip(f.ctx.names, images)))
 
 
 # -- constructible-set helpers ------------------------------------------------------

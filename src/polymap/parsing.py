@@ -4,10 +4,12 @@ Grammar (whitespace-insensitive)::
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
+    unary  := ('-' | '+') unary | power
     power  := atom ('^' INT)?
     atom   := INT | NAME | '(' expr ')'
 
+Parentheses and unary signs nest at most ``_MAX_NESTING`` levels, counted
+together; the first token past the bound is refused at its position.
 ``/`` is only legal when the divisor is a nonzero constant, so rational
 literals like ``2/3`` parse while genuinely rational expressions such as
 ``y/x`` are rejected with a position-carrying error.  ``**`` is accepted
@@ -27,6 +29,10 @@ from .poly import Poly, VarContext
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_']*)|(?P<op>\*\*|[-+*/^()]))"
 )
+
+# A nesting level costs at most five parser frames: 100 levels stay well
+# inside Python's default recursion limit of 1000 at the CLI's call depth.
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -56,6 +62,7 @@ class _Parser:
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -70,6 +77,15 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}", pos)
         self.advance()
+
+    def nested(self, parse, pos: int) -> Poly:
+        """``parse()`` one level deeper; the token at ``pos`` opens the level."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", pos)
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     def parse(self) -> Poly:
         result = self.expr()
@@ -109,13 +125,11 @@ class _Parser:
                 return result
 
     def unary(self) -> Poly:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
+        kind, value, pos = self.peek()
+        if kind == "op" and value in "+-":
             self.advance()
-            return -self.unary()
-        if kind == "op" and value == "+":
-            self.advance()
-            return self.unary()
+            inner = self.nested(self.unary, pos)
+            return -inner if value == "-" else inner
         return self.power()
 
     def power(self) -> Poly:
@@ -139,7 +153,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", pos)
             return Poly.variable(self.ctx, value)
         if kind == "op" and value == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr, pos)
             self.expect_op(")")
             return inner
         raise ParseError(f"expected a number, variable or '(', got {value!r}" if value else "unexpected end of input", pos)

@@ -79,6 +79,14 @@ def _piece_is_empty(closed: Ideal, minus: Ideal) -> bool:
     return closed.is_unit() or all(closed.radical_contains(g) for g in minus.generators)
 
 
+def reference_lifted(m: Morphism, g: Poly, var: str) -> Morphism:
+    """The map x -> (m(x), g(x)) into target x line, the line coordinate
+    named ``var``, as a morphism of its own."""
+    ctx = m.target.ctx.extended([var])
+    target = AffineVariety(ctx, Ideal(ctx, [h.transport(ctx) for h in m.target.ideal.generators]))
+    return Morphism(m.source, target, m.coords + (g,), check=False)
+
+
 def reference_lc_product(m: Morphism) -> Poly:
     """Product of the leading coefficients, over the source block, of the
     graph basis elements of m that involve the source."""
@@ -802,7 +810,7 @@ class TestSeededSites:
         graph = m._graph()
         for x in Poly.variables(m.source.ctx):
             closure, w = m.graph_closure(x)
-            lifted = m._lifted(x, w)
+            lifted = reference_lifted(m, x, w)
             fresh = lifted._graph()
             assert fresh.ctx.names == graph.ctx.names + (w,), (name, x)
             assert closure.generators == lifted.image_closure().generators, (name, x)

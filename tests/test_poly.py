@@ -69,6 +69,19 @@ class TestParse:
     def test_unary_minus(self):
         assert parse_poly("-x + -(-y)", XY) == parse_poly("y - x", XY)
 
+    def test_nesting_parses_like_flat_form(self):
+        assert parse_poly("(" * 50 + "x + y" + ")" * 50, XY) == parse_poly("x + y", XY)
+        assert parse_poly("-" * 49 + "+(x*y)", XY) == parse_poly("-x*y", XY)
+        # Parentheses and signs count together: 100 levels is the bound.
+        assert parse_poly("(-" * 50 + "x" + ")" * 50, XY) == parse_poly("x", XY)
+
+    @pytest.mark.parametrize("text", ["(" * 101 + "x" + ")" * 101, "-" * 101 + "x", "(-" * 51 + "x" + ")" * 51,
+                                      "(" * 10000 + "x"], ids=["parentheses", "signs", "mixed", "unclosed"])
+    def test_nesting_past_bound_refused_at_first_token_past_it(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, XY)
+        assert err.value.position == 100 and "nesting deeper than 100 levels" in str(err.value)
+
     def test_rational_function_rejected(self):
         with pytest.raises(ParseError) as err:
             parse_poly("y/x", XY)

@@ -46,6 +46,13 @@ NOT_INJECTIVE_TEXT = ("source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = x*y\
                       "assert_factorial: true\nassert_etale: true\n")
 PUNCTURED_PLANE_TEXT = ("source_ring: x y z\nsource_ideal: x*z - 1\ntarget_ring: u v\nmap: u = x ; v = y\n"
                         "assert_factorial: true\nassert_etale: true\n")
+ETALE_NOT_FACTORIAL_TEXT = "source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = y\nassert_etale: true\n"
+# Five points of the plane, whose lex and grevlex bases differ, and a point
+# onto a point: a source ring without variables, so the inverse is empty.
+FIVE_POINTS_TEXT = ("source_ring: x y\nsource_ideal: x^2 + y^3 ; x*y - 1\ntarget_ring: u\nmap: u = x\n"
+                    "assert_factorial: true\n")
+POINT_ONTO_POINT_TEXT = "source_ring:\ntarget_ring: u\ntarget_ideal: u - 2\nmap: u = 2\nassert_factorial: true\n"
+NESTING_ERROR = "error: nesting deeper than 100 levels (at position 100)\n"
 
 
 def run_cli(capsys, *argv):
@@ -349,6 +356,25 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == "error: dichotomy requires an injective map\n"
 
+    def test_dichotomy_requires_factorial_target(self, capsys, tmp_path):
+        session = tmp_path / "etale.session"
+        session.write_text(ETALE_NOT_FACTORIAL_TEXT)
+        assert main(["--session", str(session), "dichotomy"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dichotomy requires assert_factorial on the target\n"
+
+    @pytest.mark.parametrize("g", ["(" * 10000 + "t" + ")" * 10000, "-" * 10000 + "t"], ids=["parentheses", "signs"])
+    def test_deep_nesting_refused_in_one_line(self, capsys, tmp_path, g):
+        assert main(["--fixture", "square", "nf", "-g=" + g]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == NESTING_ERROR
+        session = tmp_path / "deep.session"
+        session.write_text(f"source_ring: t\ntarget_ring: u\nmap: u = {g}\n")
+        assert main(["--session", str(session), "injective"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == NESTING_ERROR
+
     def test_fixtures_listing(self, capsys):
         code, report = run_cli(capsys, "fixtures")
         assert code == 0 and "cusp" in report["verdict"]
@@ -411,6 +437,47 @@ class TestVerify:
         path = self._report_file(capsys, tmp_path, "--fixture", "sl2row", "gb")
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 0 and report["verdict"] is True
+
+    @pytest.mark.parametrize("ring", ["source", "target"])
+    @pytest.mark.parametrize("order", ["lex", "grlex", "grevlex"])
+    def test_gb_report_verifies_in_its_order(self, capsys, tmp_path, order, ring):
+        session = tmp_path / "five.session"
+        session.write_text(FIVE_POINTS_TEXT)
+        path = self._report_file(capsys, tmp_path, "--session", str(session), "gb", "--order", order, "--ring", ring)
+        code, report = run_cli(capsys, "verify", str(path))
+        assert code == 0 and report["verdict"] is True
+
+    def test_gb_report_with_dropped_element_or_unknown_order_refused(self, capsys, tmp_path):
+        session = tmp_path / "five.session"
+        session.write_text(FIVE_POINTS_TEXT)
+        path = self._report_file(capsys, tmp_path, "--session", str(session), "gb", "--order", "lex")
+        data = json.loads(path.read_text())
+        basis = data["certificates"][0]["basis"]
+        assert basis == ["y^4 + x", "y^5 + 1"]
+        for dropped in range(len(basis)):
+            data["certificates"][0]["basis"] = basis[:dropped] + basis[dropped + 1:]
+            path.write_text(json.dumps(data))
+            code, report = run_cli(capsys, "verify", str(path))
+            assert code == 1 and report["verdict"] is False, dropped
+        data["certificates"][0].update(basis=basis, order="banana")
+        self._assert_refused(capsys, tmp_path, data, "'order' is not a known order")
+
+    def test_empty_inverse_is_printed_and_checked(self, capsys, tmp_path):
+        session = tmp_path / "point.session"
+        session.write_text(POINT_ONTO_POINT_TEXT)
+        path = self._report_file(capsys, tmp_path, "--session", str(session), "biregular")
+        data = json.loads(path.read_text())
+        assert data["verdict"] is True and data["certificates"][0]["inverse"] == []
+        code, report = run_cli(capsys, "verify", str(path))
+        assert code == 0 and report["verdict"] is True
+        assert report["certificates"] == [{"check": "inverse composes to identity on both sides", "ok": True}]
+        # The map onto the line u = 2 has no inverse onto the whole line.
+        path.write_text(json.dumps({**data, "session": {**data["session"], "target_ideal": []}}))
+        code, report = run_cli(capsys, "verify", str(path))
+        assert code == 1 and report["verdict"] is False
+        # u = 3 does not land on the point u = 2: the map is refused.
+        self._assert_refused(capsys, tmp_path, {**data, "session": {**data["session"], "map": ["u = 3"]}},
+                             "map is not well defined")
 
     def test_jc_and_dichotomy_reports_verify(self, capsys, tmp_path):
         path = self._report_file(capsys, tmp_path, "--fixture", "triangular", "jc")
@@ -519,6 +586,9 @@ class TestVerify:
                      '"map": ["u = x"], "depth": 1' + "0" * 5000 + "}}", "integer string conversion",
                      marks=needs_digit_limit),
         ("{", "Expecting property name"),
+        ("[" * 10000 + "]" * 10000, "maximum recursion depth exceeded"),
+        ({"command": "gb", "session": {**MAP_SESSION, "map": ["u = " + "(" * 10000 + "x" + ")" * 10000]},
+          "certificates": []}, "nesting deeper than 100 levels"),
         # An inverse longer than the source arity is refused, not truncated.
         ({"command": "invert", "session": MAP_SESSION,
           "certificates": [{"kind": "inversion", "inverse": ["u", "u^7 + 12"]}]},
@@ -534,6 +604,7 @@ class TestVerify:
             "rational-pair-of-one", "depth-with-line-break", "depth-zero", "order-with-line-break",
             "map-with-line-break", "map-entry-with-semicolon", "ring-entry-with-space",
             "ideal-entry-with-semicolon", "integer-over-digit-limit", "not-json",
+            "json-nested-too-deep", "map-nested-too-deep",
             "inverse-too-long", "ring-unknown", "ring-not-a-string"])
     def test_malformed_report_refused(self, capsys, tmp_path, report, named):
         self._assert_refused(capsys, tmp_path, report, named)
