@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -22,7 +23,7 @@ from typing import Callable
 from .endos import etale_dichotomy, invert, is_etale, jacobian_determinant, jc_criteria
 from .errors import PolymapError, SessionFormatError
 from .fixtures import fixture_names, fixture_session_text, load_fixture
-from .groebner import normal_form
+from .groebner import normal_form, s_polynomial
 from .morphisms import AffineVariety, Morphism, _compose
 from .orders import ORDERS_BY_NAME
 from .parsing import parse_poly
@@ -44,7 +45,28 @@ def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 
 
 _RING = _flag("--ring", choices=("source", "target"), default="source")
+_F = _flag("-f", required=True, metavar="POLY")
 _G = _flag("-g", required=True, metavar="POLY")
+# An argument that begins with one of these is an option, never the value
+# of -f or -g: a long option or a one-dash flag (argparse adds -h).
+_OPTION_PREFIXES = ("--", "-f", "-g", "-h")
+
+
+def _attach_poly_values(argv: list[str]) -> list[str]:
+    """``-g VALUE`` as ``-g=VALUE`` when VALUE begins with ``-``.
+
+    argparse reads a lone ``-t`` as an unknown option, so ``-g -t`` would
+    lack its value although ``-t`` is a polynomial.  An argument that
+    begins with an option prefix stays an option, so a missing value is
+    still refused.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("-f", "-g") and arg.startswith("-") and arg[:2] not in _OPTION_PREFIXES:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _load_session(ns) -> Session:
@@ -258,6 +280,12 @@ def _check_groebner_basis(cert: dict, report: dict, morphism: Morphism):
     gens_reduce = all(normal_form(g, basis, order).is_zero() for g in variety.ideal.generators)
     basis_member = all(variety.ideal.contains(b) for b in basis)
     yield "basis and generators span the same ideal", gens_reduce and basis_member
+    # Buchberger's criterion: the basis is a Groebner basis under ``order``
+    # exactly when every S-polynomial of two elements reduces to zero by it.
+    nonzero = [b for b in basis if not b.is_zero()]
+    pairs = itertools.combinations(nonzero, 2)
+    yield "every S-pair reduces to zero by the basis", all(
+        normal_form(s_polynomial(f, g, order), nonzero, order).is_zero() for f, g in pairs)
 
 
 def _check_image_closure(cert: dict, report: dict, morphism: Morphism):
@@ -331,7 +359,7 @@ _COMMANDS: dict[str, _Command] = {
     "interpolate": _Command(_interpolate, (_G,)),
     "minpoly": _Command(_minpoly, (_G,)),
     "extend": _Command(_interpolate, (_G,)),
-    "divides": _Command(_divides, (_flag("-f", required=True, metavar="POLY"), _G)),
+    "divides": _Command(_divides, (_F, _G)),
     "injective": _Command(lambda ns, session, morphism: ({}, morphism.is_injective(), [], True)),
     "biregular": _Command(_biregular),
     "etale": _Command(_etale),
@@ -413,7 +441,7 @@ def _render_human(report: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     for name, fallback in (("session", None), ("fixture", None), ("human", False), ("timings", False)):

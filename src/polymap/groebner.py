@@ -264,13 +264,16 @@ class Ideal:
     lock-protected and idempotent, so instances are safe to share
     between threads.
 
-    An ideal made by ``extended`` or ``+`` keeps the ideal it extends as
-    its parent.  Its basis for an order starts from the parent's cached
-    reduced basis for the restricted order (``orders.restriction``), and
-    ``buchberger`` then works only on the added generators.
+    An ideal made by ``extended`` or ``+`` holds only the ideal it
+    extends, as its parent, and its own extra generators.  Its basis for
+    an order starts from the parent's cached reduced basis for the
+    restricted order (``orders.restriction``), and ``buchberger`` then
+    works only on the extras.  ``generators`` (the parent's, moved to
+    this ring, then the extras) is built on first read and cached the
+    same way as the bases.
     """
 
-    __slots__ = ("ctx", "generators", "_cache", "_lock", "_parent")
+    __slots__ = ("ctx", "_own", "_generators", "_cache", "_lock", "_parent")
 
     def __init__(self, ctx: VarContext, generators: Iterable[Poly] = ()):
         gens = []
@@ -280,11 +283,28 @@ class Ideal:
             if not g.is_zero():
                 gens.append(g)
         self.ctx = ctx
-        self.generators = tuple(gens)
+        self._own = tuple(gens)
         self._cache: dict[MonomialOrder, tuple[Poly, ...]] = {}
         self._lock = threading.Lock()
-        # Set by ``extended``: the generators then begin with the parent's.
+        # Set by ``extended``, which also clears ``_generators``: those of
+        # an extended ideal are built on first read.
         self._parent: Ideal | None = None
+        self._generators: tuple[Poly, ...] | None = self._own
+
+    @property
+    def generators(self) -> tuple[Poly, ...]:
+        """The nonzero generators: for an extended ideal, the parent's moved
+        to this ring and then the extras, built on first read."""
+        gens = self._generators
+        if gens is None:
+            parent, ctx = self._parent, self.ctx
+            same = parent.ctx == ctx
+            gens = tuple(g if same else g.transport(ctx) for g in parent.generators) + self._own
+            with self._lock:
+                if self._generators is None:
+                    self._generators = gens
+                gens = self._generators
+        return gens
 
     @staticmethod
     def zero(ctx: VarContext) -> "Ideal":
@@ -301,19 +321,20 @@ class Ideal:
             got = self._cache.get(order)
         if got is not None:
             return got
-        gens, seed = self.generators, ()
         parent = self._parent
+        restricted = None
         if parent is not None and self.ctx.names[:parent.ctx.arity] == parent.ctx.names:
             restricted = restriction(order, parent.ctx.arity)
-            if restricted is not None:
-                # The parent's basis, padded with zero exponents for the
-                # appended variables, is a reduced basis under ``order`` too.
-                seed = parent.groebner_basis(restricted)
-                pad = (0,) * (self.ctx.arity - parent.ctx.arity)
-                if pad:
-                    seed = tuple(_raw(self.ctx, {m + pad: c for m, c in g.terms()}) for g in seed)
-                gens = gens[len(parent.generators):]
-        basis = buchberger(gens, order, seed=seed)
+        if restricted is None:
+            basis = buchberger(self.generators, order)
+        else:
+            # The parent's basis, padded with zero exponents for the
+            # appended variables, is a reduced basis under ``order`` too.
+            seed = parent.groebner_basis(restricted)
+            pad = (0,) * (self.ctx.arity - parent.ctx.arity)
+            if pad:
+                seed = tuple(_raw(self.ctx, {m + pad: c for m, c in g.terms()}) for g in seed)
+            basis = buchberger(self._own, order, seed=seed)
         with self._lock:
             return self._cache.setdefault(order, basis)
 
@@ -359,12 +380,15 @@ class Ideal:
     def extended(self, ctx: VarContext, extra: Iterable[Poly] = ()) -> "Ideal":
         """This ideal over ``ctx``, which holds its variables, plus ``extra``.
 
-        Its bases start from this ideal's (see the class docstring) when
-        ``ctx``'s names begin with this ideal's names.
+        The result holds only this ideal, as its parent, and ``extra``:
+        this ideal's generators are moved to ``ctx`` only if its
+        ``generators`` are read.  Its bases start from this ideal's (see
+        the class docstring) when ``ctx``'s names begin with this ideal's
+        names.
         """
-        same = ctx == self.ctx
-        ideal = Ideal(ctx, [g if same else g.transport(ctx) for g in self.generators] + list(extra))
+        ideal = Ideal(ctx, extra)
         ideal._parent = self
+        ideal._generators = None
         return ideal
 
     def eliminate(self, drop: Iterable[str]) -> "Ideal":

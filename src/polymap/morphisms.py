@@ -524,7 +524,15 @@ class Morphism:
         coordinate that does not interpolate, or None when all of them
         do but the map is not onto (the candidate is only a retraction).
         ``interpolate`` has already checked inverse o map on the source.
+        The pair is memoized on the map, so ``biregular``, ``invert`` and
+        ``jc_criteria`` build and check it once between them.
         """
+        got = self._memo.get("inverse")
+        if got is None:
+            got = self._memo["inverse"] = self._inverse()
+        return got
+
+    def _inverse(self) -> tuple[tuple[Poly, ...] | None, int | None]:
         inverse: list[Poly] = []
         for j, name in enumerate(self.source.ctx.names):
             result = self.interpolate(Poly.variable(self.source.ctx, name))

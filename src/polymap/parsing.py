@@ -9,7 +9,10 @@ Grammar (whitespace-insensitive)::
     atom   := INT | NAME | '(' expr ')'
 
 Parentheses and unary signs nest at most ``_MAX_NESTING`` levels, counted
-together; the first token past the bound is refused at its position.
+together; the first token past the bound is refused at its position.  A
+power whose base has t terms expands to at most C(t + e - 1, e) terms;
+one whose bound exceeds ``_MAX_POWER_TERMS`` is refused at its ``^``
+before anything is expanded.
 ``/`` is only legal when the divisor is a nonzero constant, so rational
 literals like ``2/3`` parse while genuinely rational expressions such as
 ``y/x`` are rejected with a position-carrying error.  ``**`` is accepted
@@ -33,6 +36,10 @@ _TOKEN_RE = re.compile(
 # A nesting level costs at most five parser frames: 100 levels stay well
 # inside Python's default recursion limit of 1000 at the CLI's call depth.
 _MAX_NESTING = 100
+# The most terms a power may expand to.  (t + 1)^199, the largest binomial
+# power accepted, expands in about 0.1 s on a 2-vCPU Xeon host; the largest
+# power in any fixture, demo, test or swept session has 6 terms.
+_MAX_POWER_TERMS = 200
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -141,7 +148,10 @@ class _Parser:
             if ekind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", epos)
             self.advance()
-            return base ** _literal(evalue, epos)
+            exponent = _literal(evalue, epos)
+            if _power_terms_exceed(base.num_terms(), exponent):
+                raise ParseError(f"power may expand to more than {_MAX_POWER_TERMS} terms", pos)
+            return base ** exponent
         return base
 
     def atom(self) -> Poly:
@@ -157,6 +167,24 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError(f"expected a number, variable or '(', got {value!r}" if value else "unexpected end of input", pos)
+
+
+def _power_terms_exceed(terms: int, exponent: int) -> bool:
+    """Whether C(terms + exponent - 1, exponent), the number of monomials of
+    degree ``exponent`` in ``terms`` symbols and so a bound on the terms of
+    a ``terms``-term polynomial to that power, exceeds ``_MAX_POWER_TERMS``.
+
+    The binomial is built as C(n - k + i, i) for i = 1..k, which grows with
+    i, and the loop stops as soon as it passes the bound, so a huge
+    exponent costs one multiplication.
+    """
+    n, k = terms + exponent - 1, min(terms - 1, exponent)
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (n - k + i) // i
+        if count > _MAX_POWER_TERMS:
+            return True
+    return False
 
 
 def _literal(digits: str, pos: int) -> int:

@@ -54,27 +54,73 @@ def tame_pool():
     return [random_tame_automorphism(rng) for _ in range(50)]
 
 
+class SeededRecords(list):
+    """(ideal, order, basis) for every basis an extended ideal computes.
+
+    ``extras`` maps each ideal that ``Ideal.extended`` built to the extra
+    generators it was given.  ``moved`` holds (id of the polynomial, ring)
+    for every ``Poly.transport`` without a renaming made inside
+    ``Ideal.extended`` or inside the basis of an extended ideal; ``kept``
+    keeps those polynomials, so that each id stays its own.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.extras: dict[Ideal, tuple[Poly, ...]] = {}
+        self.moved: set[tuple[int, VarContext]] = set()
+        self.kept: list[Poly] = []
+        self.depth = 0
+
+    def inside(self, call, *args):
+        self.depth += 1
+        try:
+            return call(*args)
+        finally:
+            self.depth -= 1
+
+
 @pytest.fixture
 def seeded_bases(monkeypatch):
     """Every basis that an ideal extending another one (``Ideal.extended``,
-    ``+``) computes while the test runs, as (ideal, order, basis)."""
-    records = []
-    plain = Ideal.groebner_basis
+    ``+``) computes while the test runs, as a ``SeededRecords``."""
+    records = SeededRecords()
+    plain_basis, plain_extended, plain_transport = Ideal.groebner_basis, Ideal.extended, Poly.transport
 
     def recording(ideal, order=GREVLEX):
-        basis = plain(ideal, order)
-        if ideal._parent is not None:
-            records.append((ideal, order, basis))
+        if ideal._parent is None:
+            return plain_basis(ideal, order)
+        basis = records.inside(plain_basis, ideal, order)
+        records.append((ideal, order, basis))
         return basis
 
+    def extending(ideal, ctx, extra=()):
+        extra = tuple(extra)
+        result = records.inside(plain_extended, ideal, ctx, extra)
+        records.extras[result] = extra
+        return result
+
+    def transporting(poly, target, rename=None):
+        if records.depth and not rename:
+            records.moved.add((id(poly), target))
+            records.kept.append(poly)
+        return plain_transport(poly, target, rename)
+
     monkeypatch.setattr(Ideal, "groebner_basis", recording)
+    monkeypatch.setattr(Ideal, "extended", extending)
+    monkeypatch.setattr(Poly, "transport", transporting)
     return records
 
 
 def check_seeded_bases(records, where) -> None:
-    """Each recorded basis equals that of a fresh, unseeded ideal with the
-    same generators."""
+    """Building a recorded ideal and computing its basis moved no generator
+    of its parent to its ring.  Once read, the ideal's generators are the
+    tuple that moving them eagerly gives, and the basis equals that of a
+    fresh, unseeded ideal with those generators."""
     for ideal, order, basis in records:
+        parent = ideal._parent
+        assert not any((id(g), ideal.ctx) in records.moved for g in parent.generators), (where, ideal, order)
+        eager = Ideal(ideal.ctx, [g.transport(ideal.ctx) for g in parent.generators] + list(records.extras[ideal]))
+        assert ideal.generators == eager.generators, (where, ideal)
         assert Ideal(ideal.ctx, ideal.generators).groebner_basis(order) == basis, (where, ideal, order)
 
 

@@ -239,6 +239,34 @@ class TestPartsComputedOnce:
         assert verdict()
         assert calls == expected
 
+    def test_one_inverse_per_map(self, monkeypatch, tame_pool):
+        # biregular, invert and jc_criteria read one inverse: between them
+        # each source coordinate is interpolated once, and every verdict
+        # and inverse is the one that a fresh map gives for that call.
+        def fresh(m):
+            return Endomorphism(m.source.ctx, m.target.ctx, m.coords)
+
+        def readings(bireg, inversion, jc):
+            inverse = inversion.inverse.coords if inversion.ok else None
+            return (bireg.verdict, bireg.injective, bireg.inverse, bireg.consistent,
+                    inverse, inversion.failing_coordinate, jc)
+
+        maps = [e for e, _ in tame_pool[:10]] + [nagata_shear()]
+        expected = [readings(fresh(m).biregular(), invert(fresh(m)), jc_criteria(fresh(m))) for m in maps]
+        calls = collections.Counter()
+        plain = Morphism.interpolate
+
+        def counted(morphism, g):
+            calls[str(g)] += 1
+            return plain(morphism, g)
+
+        monkeypatch.setattr(Morphism, "interpolate", counted)
+        for index, (m, want) in enumerate(zip(maps, expected)):
+            m = fresh(m)
+            calls.clear()
+            assert readings(m.biregular(), invert(m), jc_criteria(m)) == want, index
+            assert calls == {name: 1 for name in m.source.ctx.names}, index
+
 
 class TestTameGenerator:
     def test_pool_is_certified_and_etale(self, tame_pool):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -81,6 +82,26 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_poly(text, XY)
         assert err.value.position == 100 and "nesting deeper than 100 levels" in str(err.value)
+
+    def test_largest_powers_accepted(self):
+        # (x + 1)^199 and (x + y + 1)^18 may have 200 and C(20, 2) = 190
+        # terms; a monomial may have any exponent.
+        p = parse_poly("(x + 1)^199", XY)
+        assert p.num_terms() == 200 and p.coefficient((100, 0)) == math.comb(199, 100)
+        assert parse_poly("(x + y + 1)^18", XY).num_terms() == 190
+        assert parse_poly("(2*x*y)^100000", XY) == Poly(XY, {(100000, 100000): Fraction(2) ** 100000})
+
+    @pytest.mark.parametrize("text, position", [
+        ("(x + 1)^200", 7),
+        ("(x + y + 1)^19", 11),
+        ("((x + 1)^20)^20", 12),
+        ("(x+1)^200000", 5),
+        ("(x+1)^" + "9" * 4000, 5),
+    ], ids=["binomial", "trinomial", "nested", "large", "huge"])
+    def test_power_past_bound_refused_at_caret(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, XY)
+        assert err.value.position == position and "more than 200 terms" in str(err.value)
 
     def test_rational_function_rejected(self):
         with pytest.raises(ParseError) as err:

@@ -253,6 +253,29 @@ class TestCLI:
         assert main(["definitely-not-a-command"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, joined", [
+        (["--fixture", "square", "nf", "-g", "-t"], ["--fixture", "square", "nf", "-g=-t"]),
+        (["--fixture", "cusp", "divides", "-f", "-u", "-g", "v"], ["--fixture", "cusp", "divides", "-f=-u", "-g", "v"]),
+    ], ids=["nf-g", "divides-f"])
+    def test_poly_value_beginning_with_minus(self, capsys, argv, joined):
+        # argparse alone reads -t as an unknown option and -g as lacking its value.
+        assert main(joined) == 0
+        expected = capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["nf", "-g"], "-g"),
+        (["nf", "-g", "--ring", "target"], "-g"),
+        (["divides", "-f", "-g", "v"], "-f"),
+    ], ids=["last", "before-option", "before-flag"])
+    def test_missing_poly_value_refused(self, capsys, argv, flag):
+        assert main(["--fixture", "square", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: argument {flag}: expected one argument"]
+
     @needs_digit_limit
     @pytest.mark.parametrize("make_g, named", [
         (lambda limit: f"10^{limit + 700}*t", "cannot print a coefficient"),
@@ -375,6 +398,12 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == NESTING_ERROR
 
+    def test_power_past_bound_refused_in_one_line(self, capsys):
+        assert main(["--fixture", "square", "nf", "-g", "(t+1)^200000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: power may expand to more than 200 terms (at position 5)\n"
+
     def test_fixtures_listing(self, capsys):
         code, report = run_cli(capsys, "fixtures")
         assert code == 0 and "cusp" in report["verdict"]
@@ -461,6 +490,26 @@ class TestVerify:
             assert code == 1 and report["verdict"] is False, dropped
         data["certificates"][0].update(basis=basis, order="banana")
         self._assert_refused(capsys, tmp_path, data, "'order' is not a known order")
+
+    def test_gb_report_that_is_not_a_groebner_basis_refused(self, capsys, tmp_path):
+        # Without x^3 + y^2 the list still spans the ideal, but the S-pair
+        # of its two elements does not reduce to zero by it.
+        session = tmp_path / "five.session"
+        session.write_text(FIVE_POINTS_TEXT)
+        path = self._report_file(capsys, tmp_path, "--session", str(session), "gb", "--order", "grevlex")
+        data = json.loads(path.read_text())
+        assert data["certificates"][0]["basis"] == ["x^3 + y^2", "y^3 + x^2", "x*y - 1"]
+        data["certificates"][0]["basis"] = ["y^3 + x^2", "x*y - 1"]
+        path.write_text(json.dumps(data))
+        code, report = run_cli(capsys, "verify", str(path))
+        assert code == 1 and report["verdict"] is False
+        assert report["certificates"] == [{"check": "basis and generators span the same ideal", "ok": True},
+                                          {"check": "every S-pair reduces to zero by the basis", "ok": False}]
+        # A listed zero neither spans nor breaks anything.
+        data["certificates"][0]["basis"] = ["x^3 + y^2", "0", "y^3 + x^2", "x*y - 1"]
+        path.write_text(json.dumps(data))
+        code, report = run_cli(capsys, "verify", str(path))
+        assert code == 0 and report["verdict"] is True
 
     def test_empty_inverse_is_printed_and_checked(self, capsys, tmp_path):
         session = tmp_path / "point.session"
