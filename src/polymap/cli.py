@@ -45,7 +45,6 @@ def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 
 
 _RING = _flag("--ring", choices=("source", "target"), default="source")
-_F = _flag("-f", required=True, metavar="POLY")
 _G = _flag("-g", required=True, metavar="POLY")
 # An argument that begins with one of these is an option, never the value
 # of -f or -g: a long option or a one-dash flag (argparse adds -h).
@@ -359,7 +358,7 @@ _COMMANDS: dict[str, _Command] = {
     "interpolate": _Command(_interpolate, (_G,)),
     "minpoly": _Command(_minpoly, (_G,)),
     "extend": _Command(_interpolate, (_G,)),
-    "divides": _Command(_divides, (_F, _G)),
+    "divides": _Command(_divides, (_flag("-f", required=True, metavar="POLY"), _G)),
     "injective": _Command(lambda ns, session, morphism: ({}, morphism.is_injective(), [], True)),
     "biregular": _Command(_biregular),
     "etale": _Command(_etale),

@@ -58,17 +58,16 @@ class SeededRecords(list):
     """(ideal, order, basis) for every basis an extended ideal computes.
 
     ``extras`` maps each ideal that ``Ideal.extended`` built to the extra
-    generators it was given.  ``moved`` holds (id of the polynomial, ring)
+    generators it was given.  ``moved`` maps (id of the polynomial, ring)
+    to the polynomial, which it keeps alive so that the id stays its own,
     for every ``Poly.transport`` without a renaming made inside
-    ``Ideal.extended`` or inside the basis of an extended ideal; ``kept``
-    keeps those polynomials, so that each id stays its own.
+    ``Ideal.extended`` or inside the basis of an extended ideal.
     """
 
     def __init__(self):
         super().__init__()
         self.extras: dict[Ideal, tuple[Poly, ...]] = {}
-        self.moved: set[tuple[int, VarContext]] = set()
-        self.kept: list[Poly] = []
+        self.moved: dict[tuple[int, VarContext], Poly] = {}
         self.depth = 0
 
     def inside(self, call, *args):
@@ -101,8 +100,7 @@ def seeded_bases(monkeypatch):
 
     def transporting(poly, target, rename=None):
         if records.depth and not rename:
-            records.moved.add((id(poly), target))
-            records.kept.append(poly)
+            records.moved[id(poly), target] = poly
         return plain_transport(poly, target, rename)
 
     monkeypatch.setattr(Ideal, "groebner_basis", recording)
