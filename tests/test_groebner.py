@@ -4,6 +4,7 @@ radicals, saturation, dimension, principality."""
 from __future__ import annotations
 
 import random
+import sys
 import threading
 from fractions import Fraction
 
@@ -536,6 +537,34 @@ class TestIdealInfrastructure:
         for t in threads:
             t.join()
         assert all(r == results[0] for r in results)
+
+    def test_concurrent_generator_reads_share_one_tuple(self):
+        # An extended ideal builds its generators on first read; threads
+        # that read them at once must all get the one tuple it keeps.
+        big = TUV.extended(["s"])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                parent = cusp_graph_ideal()
+                ideal = parent.extended(big, [Poly.variable(big, "s") * Poly.variable(big, "u") - 1])
+                barrier = threading.Barrier(8)
+                results = []
+
+                def work():
+                    barrier.wait(timeout=10)
+                    results.append(ideal.generators)
+
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert len(results) == 8 and all(r is results[0] for r in results), trial
+                assert results[0] == tuple(g.transport(big) for g in parent.generators) + ideal._own
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_normal_form_against_nongroebner_list_still_divides(self):
         # Plain division by an arbitrary list: remainder plus combination
