@@ -138,7 +138,8 @@ for label, text in SESSIONS.items():
         handle.write(text)
     sources.append((label, ["--session", label + ".session"], parse_session(text)))
 for label, source, session in sources:
-    firsts = dict.fromkeys(ring[0] for ring in (session.source_ring, session.target_ring) if ring)
+    echo = session.to_json_dict()
+    firsts = dict.fromkeys(ring[0] for ring in (echo["source_ring"], echo["target_ring"]) if ring)
     for name, command in cli._COMMANDS.items():
         if not command.session:
             continue

@@ -83,7 +83,7 @@ class DichotomyReport:
     inverse: tuple[Poly, ...] | None
 
 
-def jacobian_matrix(endo: Endomorphism) -> list[list[Poly]]:
+def jacobian_matrix(endo: Morphism) -> list[list[Poly]]:
     names = endo.source.ctx.names
     return [[coord.derivative(name) for name in names] for coord in endo.coords]
 
@@ -123,18 +123,18 @@ def poly_matrix_det(rows: list[list[Poly]], ctx: VarContext) -> Poly:
     return minor(tuple(range(n)))
 
 
-def jacobian_determinant(endo: Endomorphism) -> Poly:
+def jacobian_determinant(endo: Morphism) -> Poly:
     """Determinant of the matrix of partial derivatives, exactly."""
     return poly_matrix_det(jacobian_matrix(endo), endo.source.ctx)
 
 
-def is_etale(endo: Endomorphism) -> bool:
+def is_etale(endo: Morphism) -> bool:
     """For self-maps of affine space: Jacobian determinant is a nonzero constant."""
     det = jacobian_determinant(endo)
     return det.is_constant() and not det.is_zero()
 
 
-def invert(endo: Endomorphism) -> InversionResult:
+def invert(endo: Morphism) -> InversionResult:
     """Constructive two-sided inverse, if one exists.
 
     Built by :meth:`Morphism.construct_inverse`; since source and target
@@ -149,7 +149,7 @@ def invert(endo: Endomorphism) -> InversionResult:
     return InversionResult(Endomorphism(endo.target.ctx, endo.source.ctx, inverse), None)
 
 
-def jc_criteria(endo: Endomorphism) -> JCReport:
+def jc_criteria(endo: Morphism) -> JCReport:
     """Evaluate the invertibility criteria and compare them.
 
     Requires an etale input (constant nonzero Jacobian determinant).

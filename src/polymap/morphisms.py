@@ -67,9 +67,9 @@ class AffineVariety:
             raise ContextMismatchError("variety ideal lives in a different context")
 
     @staticmethod
-    def affine_space(ctx: VarContext, assert_factorial: bool = True) -> "AffineVariety":
-        # Polynomial rings are factorial, so the flag defaults to set.
-        return AffineVariety(ctx, Ideal.zero(ctx), assert_irreducible=True, assert_factorial=assert_factorial)
+    def affine_space(ctx: VarContext) -> "AffineVariety":
+        # Polynomial rings are irreducible and factorial.
+        return AffineVariety(ctx, Ideal.zero(ctx), assert_irreducible=True, assert_factorial=True)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ Grammar (whitespace-insensitive)::
 Parentheses and unary signs nest at most ``_MAX_NESTING`` levels, counted
 together; the first token past the bound is refused at its position.  A
 power whose base has t terms expands to at most C(t + e - 1, e) terms;
-one whose bound exceeds ``_MAX_POWER_TERMS`` is refused at its ``^``
+one whose bound exceeds ``_MAX_POWER_TERMS``, or whose coefficients may
+outgrow Python's integer string conversion limit, is refused at its ``^``
 before anything is expanded.
 ``/`` is only legal when the divisor is a nonzero constant, so rational
 literals like ``2/3`` parse while genuinely rational expressions such as
@@ -22,6 +23,7 @@ round-trip on canonical forms.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -151,6 +153,9 @@ class _Parser:
             exponent = _literal(evalue, epos)
             if _power_terms_exceed(base.num_terms(), exponent):
                 raise ParseError(f"power may expand to more than {_MAX_POWER_TERMS} terms", pos)
+            if _power_digits_exceed(base, exponent):
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(f"power's coefficient may exceed the limit of {limit} digits", pos)
             return base ** exponent
         return base
 
@@ -185,6 +190,16 @@ def _power_terms_exceed(terms: int, exponent: int) -> bool:
         if count > _MAX_POWER_TERMS:
             return True
     return False
+
+
+def _power_digits_exceed(base: Poly, exponent: int) -> bool:
+    """Whether a coefficient of ``base ** exponent`` may have more digits
+    than Python's integer string conversion limit allows (a limit of 0 is
+    none).  c^e has floor(e * log10(c)) + 1 digits, with c the largest
+    numerator or denominator of ``base``; coefficients ±1 never grow."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    largest = max((max(abs(c.numerator), c.denominator) for _, c in base.terms()), default=0)
+    return bool(limit) and largest > 1 and exponent * math.log10(largest) >= limit
 
 
 def _literal(digits: str, pos: int) -> int:

@@ -1,12 +1,13 @@
-"""Sessions: a map between two varieties, with the flags and settings
-the commands read.
+"""Sessions: a map between two varieties, with the settings the
+commands read.
 
-A session has one model, the JSON object that :meth:`Session.to_json_dict`
-writes, and one builder, :meth:`Session.from_json_dict`, which reads it
-field by field: one variable per ring entry, one polynomial per ideal
-entry, one ``name = polynomial`` per map entry.  Session files spell the
-same object line by line; :func:`parse_session` only splits each value
-into its JSON shape and calls the builder.
+A session holds one model, the :class:`~polymap.morphisms.Morphism`, with
+its flags.  :meth:`Session.from_json_dict` builds it from the JSON object
+that :meth:`Session.to_json_dict` reads back from it, field by field: one
+variable per ring entry, one polynomial per ideal entry, one
+``name = polynomial`` per map entry.  Session files spell the same object
+line by line; :func:`parse_session` only splits each value into its JSON
+shape and calls the builder.
 
 File format (keys in any order, ``#`` starts a comment, blank lines ignored)::
 
@@ -21,18 +22,18 @@ File format (keys in any order, ``#`` starts a comment, blank lines ignored)::
     depth: 8                       # image-recursion depth
     order: grevlex                 # default report order
 
-Every target variable must get exactly one map entry.  The membership
-checks that make the map well defined run when :meth:`Session.morphism`
-builds it.
+Every target variable must get exactly one map entry.  The map is built
+and checked on load: each target equation must pull back into the source
+ideal.  The echo prints the ideals' nonzero generators, so a ``0``
+generator is dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SessionFormatError
 from .morphisms import DEFAULT_DEPTH, AffineVariety, Morphism
-from .endos import Endomorphism
 from .groebner import Ideal
 from .orders import ORDERS_BY_NAME
 from .parsing import parse_poly
@@ -75,50 +76,26 @@ def _one_line(text: str) -> bool:
     return "".join(text.splitlines()) == text
 
 
-@dataclass
+@dataclass(frozen=True)
 class Session:
-    source_ring: tuple[str, ...]
-    target_ring: tuple[str, ...]
-    source_ideal: tuple[Poly, ...]
-    target_ideal: tuple[Poly, ...]
-    map_coords: tuple[Poly, ...]  # ordered like target_ring
-    assert_factorial: bool = False
-    assert_irreducible: bool = False
-    assert_etale: bool = False
+    """A map and the two settings that the commands read: the image
+    descent's ``depth`` and the report ``order``."""
+
+    map: Morphism
     depth: int = DEFAULT_DEPTH
     order: str = "grevlex"
-    _morphism: Morphism | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def source_ctx(self) -> VarContext:
-        return VarContext(self.source_ring)
-
-    @property
-    def target_ctx(self) -> VarContext:
-        return VarContext(self.target_ring)
 
     def morphism(self) -> Morphism:
-        if self._morphism is None:
-            src = AffineVariety(
-                self.source_ctx,
-                Ideal(self.source_ctx, self.source_ideal),
-                assert_irreducible=self.assert_irreducible,
-            )
-            tgt = AffineVariety(
-                self.target_ctx,
-                Ideal(self.target_ctx, self.target_ideal),
-                assert_irreducible=self.assert_irreducible,
-                assert_factorial=self.assert_factorial,
-            )
-            self._morphism = Morphism(src, tgt, self.map_coords, assert_etale=self.assert_etale)
-        return self._morphism
+        return self.map
 
-    def endomorphism(self) -> Endomorphism:
-        if self.source_ideal or self.target_ideal:
+    def endomorphism(self) -> Morphism:
+        """The map, once it is known to be a self-map of affine space."""
+        source, target = self.map.source, self.map.target
+        if source.ideal.generators or target.ideal.generators:
             raise SessionFormatError("endomorphism commands need affine-space source and target")
-        if len(self.source_ring) != len(self.target_ring):
+        if source.ctx.arity != target.ctx.arity:
             raise SessionFormatError("endomorphism commands need equal source and target dimension")
-        return Endomorphism(self.source_ctx, self.target_ctx, self.map_coords)
+        return self.map
 
     @classmethod
     def from_json_dict(cls, data) -> Session:
@@ -126,7 +103,8 @@ class Session:
         field is read with its JSON type and checked once: variable names,
         one polynomial per ideal entry, one assignment per map entry with
         every target variable assigned once, ``depth >= 1`` and a known
-        ``order``."""
+        ``order``.  The map is then built, which checks that it is well
+        defined."""
         where = "session"
         source_ring = tuple(_texts(data, "source_ring", where))
         target_ring = tuple(_texts(data, "target_ring", where))
@@ -153,30 +131,30 @@ class Session:
         if order not in ORDERS_BY_NAME:
             raise SessionFormatError(f"unknown order {order!r}")
 
-        def ideal(key: str, ctx: VarContext) -> tuple[Poly, ...]:
-            return tuple(parse_poly(text, ctx) for text in _texts(data, key, where, required=False) or ())
+        def ideal(key: str, ctx: VarContext) -> Ideal:
+            return Ideal(ctx, (parse_poly(text, ctx) for text in _texts(data, key, where, required=False) or ()))
 
-        return cls(
-            source_ring=source_ring,
-            target_ring=target_ring,
-            source_ideal=ideal("source_ideal", src),
-            target_ideal=ideal("target_ideal", tgt),
-            map_coords=tuple(assignments[n] for n in target_ring),
-            **{flag: bool(_entry(data, flag, where, bool, required=False)) for flag in _FLAGS},
-            depth=depth,
-            order=order,
+        source_ideal, target_ideal = ideal("source_ideal", src), ideal("target_ideal", tgt)
+        factorial, irreducible, etale = (bool(_entry(data, flag, where, bool, required=False)) for flag in _FLAGS)
+        morphism = Morphism(
+            AffineVariety(src, source_ideal, assert_irreducible=irreducible),
+            AffineVariety(tgt, target_ideal, assert_irreducible=irreducible, assert_factorial=factorial),
+            (assignments[n] for n in target_ring),
+            assert_etale=etale,
         )
+        return cls(morphism, depth, order)
 
     def to_json_dict(self) -> dict:
+        source, target = self.map.source, self.map.target
         return {
-            "source_ring": list(self.source_ring),
-            "source_ideal": [str(g) for g in self.source_ideal],
-            "target_ring": list(self.target_ring),
-            "target_ideal": [str(g) for g in self.target_ideal],
-            "map": [f"{n} = {c}" for n, c in zip(self.target_ring, self.map_coords)],
-            "assert_factorial": self.assert_factorial,
-            "assert_irreducible": self.assert_irreducible,
-            "assert_etale": self.assert_etale,
+            "source_ring": list(source.ctx.names),
+            "source_ideal": [str(g) for g in source.ideal.generators],
+            "target_ring": list(target.ctx.names),
+            "target_ideal": [str(g) for g in target.ideal.generators],
+            "map": [f"{n} = {c}" for n, c in zip(target.ctx.names, self.map.coords)],
+            "assert_factorial": target.assert_factorial,
+            "assert_irreducible": source.assert_irreducible,
+            "assert_etale": self.map.assert_etale,
             "depth": self.depth,
             "order": self.order,
         }

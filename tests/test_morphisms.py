@@ -758,7 +758,7 @@ class TestBiregular:
         xy = VarContext(("x", "y"))
         m = Morphism(
             AffineVariety.affine_space(xy),
-            AffineVariety.affine_space(UV, assert_factorial=False),
+            AffineVariety(UV, Ideal.zero(UV)),
             [Poly.variable(xy, "x"), Poly.variable(xy, "y")],
         )
         with pytest.raises(MissingAssertionError):

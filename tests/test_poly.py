@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,9 @@ from conftest import random_poly
 XY = VarContext(("x", "y"))
 T = VarContext(("t",))
 UV = VarContext(("u", "v"))
+
+needs_default_digit_limit = pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                                               reason="integer string conversion limit is not the default 4300")
 
 
 class TestVarContext:
@@ -85,11 +90,14 @@ class TestParse:
 
     def test_largest_powers_accepted(self):
         # (x + 1)^199 and (x + y + 1)^18 may have 200 and C(20, 2) = 190
-        # terms; a monomial may have any exponent.
+        # terms; a monomial may have any exponent its coefficient allows,
+        # and one with coefficient ±1 any exponent at all.
         p = parse_poly("(x + 1)^199", XY)
         assert p.num_terms() == 200 and p.coefficient((100, 0)) == math.comb(199, 100)
         assert parse_poly("(x + y + 1)^18", XY).num_terms() == 190
-        assert parse_poly("(2*x*y)^100000", XY) == Poly(XY, {(100000, 100000): Fraction(2) ** 100000})
+        assert parse_poly("(2*x*y)^1000", XY) == Poly(XY, {(1000, 1000): Fraction(2) ** 1000})
+        assert parse_poly("(-x*y)^100001", XY) == Poly(XY, {(100001, 100001): Fraction(-1)})
+        assert parse_poly("(-1)^1000001", XY) == Poly.constant(XY, -1)
 
     @pytest.mark.parametrize("text, position", [
         ("(x + 1)^200", 7),
@@ -102,6 +110,21 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_poly(text, XY)
         assert err.value.position == position and "more than 200 terms" in str(err.value)
+
+    @needs_default_digit_limit
+    def test_power_coefficient_within_digit_limit_accepted(self):
+        # 3^9000 has 4295 digits.
+        assert parse_poly("3^9000*t", T) == Poly(T, {(1,): Fraction(3) ** 9000})
+
+    @needs_default_digit_limit
+    @pytest.mark.parametrize("text, position", [("3^9100*t", 1), ("(2/3)^20000", 5), ("3^40000000*t", 1)],
+                             ids=["integer", "fraction", "huge"])
+    def test_power_coefficient_past_digit_limit_refused_at_caret(self, text, position):
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, T)
+        assert time.perf_counter() - started < 1
+        assert err.value.position == position and "limit of 4300 digits" in str(err.value)
 
     def test_rational_function_rejected(self):
         with pytest.raises(ParseError) as err:

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from polymap import (
+    Morphism,
+    PreconditionError,
     Session,
     SessionFormatError,
     fixture_names,
@@ -63,8 +65,8 @@ def run_cli(capsys, *argv):
 
 def session_commands(name):
     """Every session command, with -g, -f and --drop on the first ring variables."""
-    session = load_fixture(name)
-    x, u, v = session.source_ring[0], session.target_ring[0], session.target_ring[-1]
+    morphism = load_fixture(name).morphism()
+    x, u, v = morphism.source.ctx.names[0], morphism.target.ctx.names[0], morphism.target.ctx.names[-1]
     return [
         ["gb"], ["gb", "--ring", "target"], ["dim"], ["nf", "-g", x], ["eliminate", "--drop", x],
         ["image", "--closure"], ["image", "--constructible"], ["almost-surjective"], ["injective"],
@@ -83,14 +85,13 @@ needs_digit_limit = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits"
 class TestSessionParsing:
     def test_full_session(self):
         session = parse_session(SESSION_TEXT)
-        assert session.source_ring == ("x", "y")
-        assert [str(g) for g in session.source_ideal] == ["x*y - 1"]
-        # map entries are reordered to target_ring order
-        assert [str(c) for c in session.map_coords] == ["x", "x*y"]
-        assert session.assert_factorial and not session.assert_etale
-        assert session.depth == 4
         morphism = session.morphism()
-        assert morphism.target.assert_factorial
+        assert morphism.source.ctx.names == ("x", "y")
+        assert [str(g) for g in morphism.source.ideal.generators] == ["x*y - 1"]
+        # map entries are reordered to target_ring order
+        assert [str(c) for c in morphism.coords] == ["x", "x*y"]
+        assert morphism.target.assert_factorial and not morphism.assert_etale
+        assert session.depth == 4
 
     def test_errors(self):
         with pytest.raises(SessionFormatError):
@@ -112,8 +113,21 @@ class TestSessionParsing:
                                       SESSION_TEXT, AUTOMORPHISM_TEXT, SHALLOW_SHEAR_TEXT],
                              ids=[*fixture_names(), "toy", "automorphism", "shallow-shear"])
     def test_json_round_trip(self, text):
-        session = parse_session(text)
-        assert Session.from_json_dict(session.to_json_dict()) == session
+        echo = parse_session(text).to_json_dict()
+        assert Session.from_json_dict(echo).to_json_dict() == echo
+
+    def test_ill_defined_map_refused_on_load(self):
+        # u = 3 does not land on the point u = 2.
+        with pytest.raises(PreconditionError, match="map is not well defined"):
+            parse_session("source_ring:\ntarget_ring: u\ntarget_ideal: u - 2\nmap: u = 3\n")
+
+    def test_zero_generator_dropped(self):
+        echo = parse_session("source_ring: x y\nsource_ideal: 0 ; x*y - 1\ntarget_ring: u\nmap: u = x\n"
+                             ).to_json_dict()
+        assert echo["source_ideal"] == ["x*y - 1"] and echo["target_ideal"] == []
+        # The zero ideal is affine space, so the endomorphism commands accept it.
+        session = parse_session("source_ring: x\nsource_ideal: 0\ntarget_ring: u\ntarget_ideal: 0\nmap: u = x\n")
+        assert session.endomorphism() is session.morphism()
 
     def test_endomorphism_requires_affine_spaces(self):
         session = parse_session(SESSION_TEXT)
@@ -127,12 +141,12 @@ class TestFixtureLibrary:
         assert "cusp" in names and "shear" in names and "identity2" in names
 
     def test_sl2row_loads_with_relation(self):
-        session = load_fixture("sl2row")
-        assert [str(g) for g in session.source_ideal] == ["-b*c + a*d - 1"]
+        morphism = load_fixture("sl2row").morphism()
+        assert [str(g) for g in morphism.source.ideal.generators] == ["-b*c + a*d - 1"]
 
     def test_identity2_loads(self):
-        session = load_fixture("identity2")
-        assert [str(c) for c in session.map_coords] == ["x", "y"]
+        morphism = load_fixture("identity2").morphism()
+        assert [str(c) for c in morphism.coords] == ["x", "y"]
 
     def test_unknown_fixture(self):
         from polymap import PolymapError
@@ -278,10 +292,12 @@ class TestCLI:
 
     @needs_digit_limit
     @pytest.mark.parametrize("make_g, named", [
-        (lambda limit: f"10^{limit + 700}*t", "cannot print a coefficient"),
+        # Two powers within the limit whose product is past it.
+        (lambda limit: f"10^{limit // 2 + 350}*10^{limit // 2 + 350}*t", "cannot print a coefficient"),
         (lambda limit: "1" * (limit + 1) + "*t", "exceeds the limit"),
         (lambda limit: "t^" + "1" * (limit + 1), "(at position 2)"),
-    ], ids=["printed-coefficient", "literal", "exponent"])
+        (lambda limit: f"10^{limit + 700}*t", "power's coefficient may exceed"),
+    ], ids=["printed-coefficient", "literal", "exponent", "power"])
     def test_integer_over_digit_limit_refused(self, capsys, make_g, named):
         limit = sys.get_int_max_str_digits()
         assert main(["--fixture", "square", "nf", "-g", make_g(limit)]) == 1
@@ -403,6 +419,25 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: power may expand to more than 200 terms (at position 5)\n"
+
+    @pytest.mark.parametrize("command, sources", [
+        ("etale", [("x", "y")]), ("invert", [("x", "y"), ("u", "v")]), ("jc", [("x", "y"), ("u", "v")]),
+        ("biregular", [("x", "y")]),
+    ])
+    def test_one_session_map_per_call(self, capsys, monkeypatch, command, sources):
+        # Every command reads the session's own map; invert and jc also
+        # build the inverse, from the target ring back to the source ring.
+        built = []
+        init = Morphism.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.source.ctx.names)
+
+        monkeypatch.setattr(Morphism, "__init__", counted)
+        assert main(["--fixture", "triangular", command]) == 0
+        capsys.readouterr()
+        assert built == sources
 
     def test_fixtures_listing(self, capsys):
         code, report = run_cli(capsys, "fixtures")
