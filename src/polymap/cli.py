@@ -20,11 +20,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .endos import etale_dichotomy, invert, is_etale, jacobian_determinant, jc_criteria
+from .endos import etale_dichotomy, is_nonzero_constant, jacobian_determinant, jc_criteria
 from .errors import PolymapError, SessionFormatError
 from .fixtures import fixture_names, fixture_session_text, load_fixture
 from .groebner import normal_form, s_polynomial
-from .morphisms import AffineVariety, Morphism, _compose
+from .morphisms import AffineVariety, Morphism
 from .orders import ORDERS_BY_NAME
 from .parsing import parse_poly
 from .poly import Poly
@@ -179,16 +179,15 @@ def _biregular(ns, session: Session, morphism: Morphism):
 
 
 def _etale(ns, session: Session, morphism: Morphism):
-    endo = session.endomorphism()
-    det = jacobian_determinant(endo)
-    verdict = is_etale(endo)
+    det = jacobian_determinant(session.endomorphism())
+    verdict = is_nonzero_constant(det)
     return {}, verdict, [{"kind": "jacobian", "determinant": str(det), "etale": verdict}], True
 
 
 def _invert(ns, session: Session, morphism: Morphism):
-    result = invert(session.endomorphism())
-    verdict = [str(c) for c in result.inverse.coords] if result.ok else None
-    certificate = {"kind": "inversion", "inverse": verdict, "failing_coordinate": result.failing_coordinate}
+    inverse, failing = session.endomorphism().construct_inverse()
+    verdict = _optional_texts(inverse)
+    certificate = {"kind": "inversion", "inverse": verdict, "failing_coordinate": failing}
     return {}, verdict, [certificate], True
 
 
@@ -217,44 +216,78 @@ def _fixtures(ns):
 
 # -- verify: one check per certificate kind ----------------------------------------
 
+# Each check also ties the report's verdict to its certificate; where a
+# negative answer leaves nothing to re-check, only when the verdict or the
+# certificate claims the positive one.
+_FOLLOWS = "verdict follows from the certificate"
+
 
 def _check_interpolation(cert: dict, report: dict, morphism: Morphism):
     where = "interpolation certificate"
     interpolant = _entry(cert, "interpolant", where, str, required=False)
-    if interpolant:
+    claimed = report.get("verdict") == "interpolant"
+    if interpolant is not None:
         g = parse_poly(_entry(cert, "g", where, str), morphism.source.ctx)
         p = parse_poly(interpolant, morphism.target.ctx)
         yield "interpolant pulls back to g", morphism.pulls_back_to(p, g)
+    if claimed or interpolant is not None:
+        yield _FOLLOWS, claimed and interpolant is not None
 
 
 def _check_graph_relation(cert: dict, report: dict, morphism: Morphism):
     where = "graph_relation certificate"
     text = _entry(cert, "relation", where, str, required=False)
-    if not text:
+    claimed = report.get("verdict") == "relation"
+    if text is None:
+        if claimed:
+            yield _FOLLOWS, False
         return
     var = _entry(cert, "var", where, str)
     relation = parse_poly(text, morphism.target.ctx.extended([var]))
     g = parse_poly(_entry(_entry(report, "args", "report"), "g", "report args", str), morphism.source.ctx)
-    graph = _compose(relation, morphism.coords + (g,), morphism.source.ctx)
-    yield "relation vanishes on the graph", morphism.source.ideal.contains(graph)
+    yield "relation vanishes on the graph", morphism.relation_vanishes(relation, g)
     pair = _texts(cert, "rational_pair", where, required=False, length=2)
     if pair:
         num, den = (parse_poly(text, morphism.target.ctx) for text in pair)
         yield "degree-1 pair represents g", morphism.pulls_back_to(num, morphism.pullback(den) * g)
+    yield _FOLLOWS, claimed and cert.get("degree") == relation.degree_in(var) >= 1
+
+
+def _jc_verdict(cert: dict, given: bool) -> dict | None:
+    """The ``jc`` verdict that the certificate's fields give, or None
+    when they disagree with each other or with whether an inverse is given."""
+    determined = cert.get("coords_determined")
+    injective = isinstance(determined, list) and all(determined)
+    verdict = {"injective": injective, "coords_determined": determined, "invertible": given,
+               "consistent": injective == given}
+    return verdict if cert.get("etale") is True and {key: cert.get(key) for key in verdict} == verdict else None
+
+
+# For each kind that carries an inverse: the verdict that the certificate
+# implies, given whether an inverse is given, and which verdicts are the
+# positive answer.  An inverse is given exactly when the implied verdict is.
+_INVERSE_VERDICTS = {
+    "biregularity": (lambda cert, given: None if cert.get("almost_surjective") is None
+                     else cert.get("injective") is True and cert.get("almost_surjective") is True,
+                     lambda verdict: verdict is True),
+    "inversion": (lambda cert, given: cert.get("inverse"), lambda verdict: verdict is not None),
+    "invertibility_criteria": (_jc_verdict, lambda verdict: isinstance(verdict, dict)
+                               and verdict.get("invertible") is True),
+    "dichotomy": (lambda cert, given: cert.get("branch"), lambda verdict: verdict == "biregular"),
+}
 
 
 def _check_inverse(cert: dict, report: dict, morphism: Morphism):
     src, tgt = morphism.source.ctx, morphism.target.ctx
     texts = _texts(cert, "inverse", f"{cert['kind']} certificate", required=False, length=src.arity)
-    if texts is None:
-        return
-    inverse, tgt_ideal = [parse_poly(text, tgt) for text in texts], morphism.target.ideal
-    # The inverse must be a morphism into the source variety before it can
-    # compose to the identity there.
-    into = all(tgt_ideal.contains(_compose(h, inverse, tgt)) for h in morphism.source.ideal.generators)
-    left = all(morphism.pulls_back_to(q, x) for q, x in zip(inverse, Poly.variables(src)))
-    right = all(tgt_ideal.contains(_compose(c, inverse, tgt) - y) for c, y in zip(morphism.coords, Poly.variables(tgt)))
-    yield "inverse composes to identity on both sides", into and left and right
+    if texts is not None:
+        inverse = [parse_poly(text, tgt) for text in texts]
+        left = all(morphism.pulls_back_to(q, x) for q, x in zip(inverse, Poly.variables(src)))
+        yield "inverse composes to identity on both sides", morphism.is_section(inverse) and left
+    implied, positive = _INVERSE_VERDICTS[cert["kind"]]
+    expected, verdict = implied(cert, texts is not None), report.get("verdict")
+    if texts is not None or positive(expected) or positive(verdict):
+        yield _FOLLOWS, verdict == expected and positive(expected) == (texts is not None)
 
 
 def _check_divisibility(cert: dict, report: dict, morphism: Morphism):
@@ -262,8 +295,9 @@ def _check_divisibility(cert: dict, report: dict, morphism: Morphism):
     f = parse_poly(_entry(cert, "f", where, str), morphism.target.ctx)
     g = parse_poly(_entry(cert, "g", where, str), morphism.target.ctx)
     source_div, target_div = morphism.divides_transfer(f, g)
-    yield "divisibility verdicts reproduce", (source_div == _entry(cert, "source_divides", where)
-                                              and target_div == _entry(cert, "target_divides", where))
+    claimed = {"source": _entry(cert, "source_divides", where), "target": _entry(cert, "target_divides", where)}
+    yield "divisibility verdicts reproduce", claimed == {"source": source_div, "target": target_div}
+    yield _FOLLOWS, report.get("verdict") == claimed
 
 
 def _check_groebner_basis(cert: dict, report: dict, morphism: Morphism):
@@ -272,7 +306,8 @@ def _check_groebner_basis(cert: dict, report: dict, morphism: Morphism):
     if ring not in ("source", "target"):
         raise SessionFormatError(f"{where} entry 'ring' is neither \"source\" nor \"target\"")
     variety = _variety(morphism, ring)
-    basis = [parse_poly(text, variety.ctx) for text in _texts(cert, "basis", where)]
+    texts = _texts(cert, "basis", where)
+    basis = [parse_poly(text, variety.ctx) for text in texts]
     order = ORDERS_BY_NAME.get(_entry(cert, "order", where, str))
     if order is None:
         raise SessionFormatError(f"{where} entry 'order' is not a known order")
@@ -285,11 +320,22 @@ def _check_groebner_basis(cert: dict, report: dict, morphism: Morphism):
     pairs = itertools.combinations(nonzero, 2)
     yield "every S-pair reduces to zero by the basis", all(
         normal_form(s_polynomial(f, g, order), nonzero, order).is_zero() for f, g in pairs)
+    yield _FOLLOWS, report.get("verdict") == texts
 
 
 def _check_image_closure(cert: dict, report: dict, morphism: Morphism):
-    again = [str(g) for g in morphism.image_closure().generators]
-    yield "image closure reproduces", again == _entry(cert, "generators", "image_closure certificate")
+    claimed = _entry(cert, "generators", "image_closure certificate")
+    yield "image closure reproduces", [str(g) for g in morphism.image_closure().generators] == claimed
+    yield _FOLLOWS, report.get("verdict") == claimed
+
+
+def _check_jacobian(cert: dict, report: dict, morphism: Morphism):
+    where = "jacobian certificate"
+    det = jacobian_determinant(Session(morphism).endomorphism())
+    etale = _entry(cert, "etale", where, bool)
+    claimed = parse_poly(_entry(cert, "determinant", where, str), morphism.source.ctx)
+    yield "determinant and etale verdict reproduce", claimed == det and etale is is_nonzero_constant(det)
+    yield _FOLLOWS, report.get("verdict") is etale
 
 
 # Certificate kinds that ``verify`` re-checks; every other kind is read as data.
@@ -303,6 +349,7 @@ _CHECKS = {
     "divisibility_transfer": _check_divisibility,
     "groebner_basis": _check_groebner_basis,
     "image_closure": _check_image_closure,
+    "jacobian": _check_jacobian,
 }
 
 

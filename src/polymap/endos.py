@@ -33,16 +33,10 @@ class Endomorphism(Morphism):
     check at construction has nothing to pull back.
     """
 
-    def __init__(self, source_ctx: VarContext, target_ctx: VarContext, coords,
-                 assert_etale: bool = False):
+    def __init__(self, source_ctx: VarContext, target_ctx: VarContext, coords):
         if source_ctx.arity != target_ctx.arity:
             raise ValueError("endomorphism needs source and target of equal dimension")
-        super().__init__(
-            AffineVariety.affine_space(source_ctx),
-            AffineVariety.affine_space(target_ctx),
-            coords,
-            assert_etale=assert_etale,
-        )
+        super().__init__(AffineVariety.affine_space(source_ctx), AffineVariety.affine_space(target_ctx), coords)
 
 
 @dataclass(frozen=True)
@@ -128,25 +122,29 @@ def jacobian_determinant(endo: Morphism) -> Poly:
     return poly_matrix_det(jacobian_matrix(endo), endo.source.ctx)
 
 
+def is_nonzero_constant(det: Poly) -> bool:
+    """The etale test on a Jacobian determinant: a nonzero constant."""
+    return det.is_constant() and not det.is_zero()
+
+
 def is_etale(endo: Morphism) -> bool:
     """For self-maps of affine space: Jacobian determinant is a nonzero constant."""
-    det = jacobian_determinant(endo)
-    return det.is_constant() and not det.is_zero()
+    return is_nonzero_constant(jacobian_determinant(endo))
 
 
 def invert(endo: Morphism) -> InversionResult:
     """Constructive two-sided inverse, if one exists.
 
-    Built by :meth:`Morphism.construct_inverse`; since source and target
-    are affine spaces, both composition identities hold as plain
-    polynomial identities.  On failure ``failing_coordinate`` is the
-    first source coordinate that does not interpolate, or None when
-    every coordinate does but the map is not onto.
+    The memoized pair of :meth:`Morphism.construct_inverse`, with the
+    inverse made a map from the target back to the source.  On affine
+    spaces "into" is vacuous, and "left" and "right" are plain polynomial
+    identities.  On failure ``failing_coordinate`` is the first source
+    coordinate that does not interpolate, or None when every coordinate
+    does but the map is not onto.
     """
     inverse, failing = endo.construct_inverse()
-    if inverse is None:
-        return InversionResult(None, failing)
-    return InversionResult(Endomorphism(endo.target.ctx, endo.source.ctx, inverse), None)
+    return InversionResult(None if inverse is None else Endomorphism(endo.target.ctx, endo.source.ctx, inverse),
+                           failing)
 
 
 def jc_criteria(endo: Morphism) -> JCReport:
@@ -157,16 +155,14 @@ def jc_criteria(endo: Morphism) -> JCReport:
     and injectivity is their conjunction; constructive inversion
     interpolates on the graph ideal.  The two verdicts must agree.
     """
-    if not is_etale(endo):
-        raise NotEtaleError(
-            f"Jacobian determinant {jacobian_determinant(endo)} is not a nonzero constant"
-        )
+    det = jacobian_determinant(endo)
+    if not is_nonzero_constant(det):
+        raise NotEtaleError(f"Jacobian determinant {det} is not a nonzero constant")
     determined = tuple(endo.determined_by(x) for x in Poly.variables(endo.source.ctx))
     injective = all(determined)
-    inversion = invert(endo)
-    consistent = injective == inversion.ok
-    inverse = inversion.inverse.coords if inversion.ok else None
-    return JCReport(True, injective, determined, inversion.ok, inverse, consistent)
+    inverse, _ = endo.construct_inverse()
+    invertible = inverse is not None
+    return JCReport(True, injective, determined, invertible, inverse, injective == invertible)
 
 
 def etale_dichotomy(morphism: Morphism, depth: int = DEFAULT_DEPTH) -> DichotomyReport:

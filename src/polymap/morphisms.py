@@ -278,14 +278,22 @@ class Morphism:
         return self.source.ideal.normal_form(self._composite(f))
 
     def pulls_back_to(self, f: Poly, g: Poly | int) -> bool:
-        """Whether f o map = g modulo the source ideal.
-
-        It is one certificate identity: a composite reduced modulo one
-        ideal.  The others compose along (map, g) for a graph relation
-        and along an inverse, modulo the target ideal, for its "right"
-        and "into" identities (see :func:`_compose`).
-        """
+        """Whether f o map = g modulo the source ideal: an interpolant's
+        identity, and an inverse's "left" one coordinate at a time.  Each
+        certificate identity has one such predicate (see :func:`_compose`)."""
         return self.source.ideal.contains(self._composite(f) - g)
+
+    def relation_vanishes(self, relation: Poly, g: Poly) -> bool:
+        """Whether ``relation`` vanishes along x -> (map(x), g(x)) modulo
+        the source ideal; its last variable is the line coordinate."""
+        return self.source.ideal.contains(_compose(relation, self.coords + (g,), self.source.ctx))
+
+    def is_section(self, inverse: Sequence[Poly]) -> bool:
+        """Whether ``inverse`` maps the target into the source variety ("into")
+        with map o inverse the identity ("right"), modulo the target ideal."""
+        ideal, ctx = self.target.ideal, self.target.ctx
+        expected = [(h, 0) for h in self.source.ideal.generators] + list(zip(self.coords, Poly.variables(ctx)))
+        return all(ideal.contains(_compose(f, inverse, ctx) - y) for f, y in expected)
 
     def image_closure(self) -> Ideal:
         """Ideal of the Zariski closure of the image."""
@@ -383,7 +391,7 @@ class Morphism:
             # Present the relation with a positively-normalized top
             # coefficient in the graph variable (same principal ideal).
             generator = -generator
-        if not self.source.ideal.contains(_compose(generator, self.coords + (g,), self.source.ctx)):
+        if not self.relation_vanishes(generator, g):
             raise EngineInconsistencyError("graph relation certificate failed to verify")
         pair = None
         if degree == 1 and dominant:
@@ -521,8 +529,8 @@ class Morphism:
 
         Returns ``(inverse, None)`` on success.  On failure the inverse is
         None and the second entry is the index of the first source
-        coordinate that does not interpolate, or None when all of them
-        do but the map is not onto (the candidate is only a retraction).
+        coordinate that does not interpolate, or None when all of them do
+        but the candidate fails "into" or "right" (:meth:`is_section`).
         ``interpolate`` has already checked inverse o map on the source.
         The pair is memoized on the map, so ``biregular``, ``invert`` and
         ``jc_criteria`` build and check it once between them.
@@ -539,10 +547,7 @@ class Morphism:
             if not result.ok:
                 return None, j
             inverse.append(result.interpolant)
-        ideal, ctx = self.target.ideal, self.target.ctx
-        if not all(ideal.contains(_compose(c, inverse, ctx) - y) for c, y in zip(self.coords, Poly.variables(ctx))):
-            return None, None
-        return tuple(inverse), None
+        return (tuple(inverse), None) if self.is_section(inverse) else (None, None)
 
     def __str__(self) -> str:
         arrows = ", ".join(f"{n} = {c}" for n, c in zip(self.target.ctx.names, self.coords))

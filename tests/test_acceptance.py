@@ -197,12 +197,13 @@ def test_criterion_8_dichotomy(fixture_morphisms, tame_pool):
         rep = etale_dichotomy(m)
         assert rep.branch == "biregular" and rep.inverse is not None
         branches["biregular"] += 1
-    from polymap import Endomorphism
+    from polymap import AffineVariety, Morphism
 
     for endo, _ in tame_pool[:3]:
         # Same map with the etale assertion set; the Jacobian determinant
         # is a nonzero constant by construction.
-        asserted = Endomorphism(endo.source.ctx, endo.target.ctx, endo.coords, assert_etale=True)
+        asserted = Morphism(AffineVariety.affine_space(endo.source.ctx), AffineVariety.affine_space(endo.target.ctx),
+                            endo.coords, assert_etale=True)
         rep = etale_dichotomy(asserted)
         assert rep.branch == "biregular"
         branches["biregular"] += 1

@@ -30,6 +30,9 @@ from polymap import (
     random_tame_automorphism,
 )
 
+from polymap import endos
+from polymap.cli import main
+
 from conftest import SEEDED_SITES, check_seeded_bases, random_poly, run_seeded_site
 
 XY = VarContext(("x", "y"))
@@ -228,7 +231,10 @@ class TestPartsComputedOnce:
          Morphism, {"almost_surjective": 1, "is_injective": 1}),
         (lambda: jc_criteria(load_fixture("identity2").endomorphism()).consistent,
          Ideal, {"radical_contains": 2}),
-    ], ids=["dichotomy", "jc"])
+        (lambda: main(["--fixture", "triangular", "etale"]) == 0, endos, {"poly_matrix_det": 1}),
+        # jc refuses a map that is not etale, naming the determinant it computed.
+        (lambda: main(["--fixture", "square", "jc"]) == 1, endos, {"poly_matrix_det": 1}),
+    ], ids=["dichotomy", "jc", "etale-command", "jc-refusal"])
     def test_call_counts(self, monkeypatch, verdict, owner, expected):
         calls = collections.Counter()
         for name in expected:

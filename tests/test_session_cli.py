@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,7 @@ from polymap import (
     load_fixture,
     parse_session,
 )
-from polymap.cli import build_parser, main
+from polymap.cli import _CHECKS, build_parser, main
 
 SESSION_TEXT = """
 # a toy session
@@ -74,6 +76,20 @@ def session_commands(name):
         *[[command, "-g", x] for command in ("determined", "interpolate", "minpoly", "extend")],
         ["divides", "-f", u, "-g", v],
     ]
+
+
+@functools.cache
+def documented_kinds() -> dict[str, bool]:
+    """Each certificate kind with a row in the table of docs/formats.md,
+    and whether that row marks it "not re-checked"."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    table = text[text.index("| kind | command | identity checked |"):].split("\n\n", 1)[0]
+    kinds = {}
+    for row in table.splitlines()[2:]:
+        kind_cell, _, identity = (cell.strip() for cell in row.split("|")[1:-1])
+        for kind in kind_cell.replace("`", "").split(", "):
+            kinds[kind] = identity.startswith("not re-checked")
+    return kinds
 
 
 MAP_SESSION = {"source_ring": ["x"], "target_ring": ["u"], "map": ["u = x"]}
@@ -232,6 +248,15 @@ class TestCLI:
         assert code == 0 and report["verdict"] is True
         assert report["certificates"][0]["inverse"] == ["u"]
 
+    def test_five_points_have_no_inverse_onto_the_line(self, capsys, tmp_path):
+        # On the five points y = -x^4, so both coordinates interpolate, but
+        # (u, -u^4) maps the line off them: u^2 - u^12 is not zero.
+        assert parse_session(FIVE_POINTS_TEXT).morphism().construct_inverse() == (None, None)
+        session = tmp_path / "five.session"
+        session.write_text(FIVE_POINTS_TEXT)
+        code, report = run_cli(capsys, "--session", str(session), "biregular")
+        assert code == 0 and report["verdict"] is False and report["certificates"][0]["inverse"] is None
+
     @pytest.mark.parametrize("text", [DOUBLE_LINE_TEXT, DOUBLE_TARGET_TEXT], ids=["double-line", "double-target"])
     def test_non_radical_ideals_named_as_broken_hypothesis(self, capsys, tmp_path, text):
         session = tmp_path / "double.session"
@@ -357,6 +382,19 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message + "\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("map: u x", "map entry 'u x' is not of the form 'var = polynomial'"),
+        ("map: u = x ; u = 2", "map assigns target variable 'u' twice"),
+        ("map: u = x\norder: foo", "unknown order 'foo'"),
+        ("map u = x", "line 3: expected 'key: value', got 'map u = x'"),
+    ], ids=["entry-without-equals", "variable-assigned-twice", "unknown-order", "line-without-colon"])
+    def test_session_file_refused(self, capsys, tmp_path, text, message):
+        session = tmp_path / "bad.session"
+        session.write_text("source_ring: x\ntarget_ring: u\n" + text + "\n")
+        assert main(["--session", str(session), "dim"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_calls_share_no_parser_state(self, capsys):
         # The parser is built once per process: a flag of one call must not
         # leak into the next, whichever side of the subcommand it is on.
@@ -421,12 +459,11 @@ class TestCLI:
         assert captured.err == "error: power may expand to more than 200 terms (at position 5)\n"
 
     @pytest.mark.parametrize("command, sources", [
-        ("etale", [("x", "y")]), ("invert", [("x", "y"), ("u", "v")]), ("jc", [("x", "y"), ("u", "v")]),
-        ("biregular", [("x", "y")]),
+        ("etale", [("x", "y")]), ("invert", [("x", "y")]), ("jc", [("x", "y")]), ("biregular", [("x", "y")]),
     ])
     def test_one_session_map_per_call(self, capsys, monkeypatch, command, sources):
-        # Every command reads the session's own map; invert and jc also
-        # build the inverse, from the target ring back to the source ring.
+        # Every command reads the session's own map; invert and jc read the
+        # inverse's coordinates without building it as a map of its own.
         built = []
         init = Morphism.__init__
 
@@ -519,10 +556,11 @@ class TestVerify:
         basis = data["certificates"][0]["basis"]
         assert basis == ["y^4 + x", "y^5 + 1"]
         for dropped in range(len(basis)):
-            data["certificates"][0]["basis"] = basis[:dropped] + basis[dropped + 1:]
+            data["verdict"] = data["certificates"][0]["basis"] = basis[:dropped] + basis[dropped + 1:]
             path.write_text(json.dumps(data))
             code, report = run_cli(capsys, "verify", str(path))
             assert code == 1 and report["verdict"] is False, dropped
+            assert report["certificates"][0] == {"check": "basis and generators span the same ideal", "ok": False}
         data["certificates"][0].update(basis=basis, order="banana")
         self._assert_refused(capsys, tmp_path, data, "'order' is not a known order")
 
@@ -534,14 +572,15 @@ class TestVerify:
         path = self._report_file(capsys, tmp_path, "--session", str(session), "gb", "--order", "grevlex")
         data = json.loads(path.read_text())
         assert data["certificates"][0]["basis"] == ["x^3 + y^2", "y^3 + x^2", "x*y - 1"]
-        data["certificates"][0]["basis"] = ["y^3 + x^2", "x*y - 1"]
+        data["verdict"] = data["certificates"][0]["basis"] = ["y^3 + x^2", "x*y - 1"]
         path.write_text(json.dumps(data))
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 1 and report["verdict"] is False
         assert report["certificates"] == [{"check": "basis and generators span the same ideal", "ok": True},
-                                          {"check": "every S-pair reduces to zero by the basis", "ok": False}]
+                                          {"check": "every S-pair reduces to zero by the basis", "ok": False},
+                                          {"check": "verdict follows from the certificate", "ok": True}]
         # A listed zero neither spans nor breaks anything.
-        data["certificates"][0]["basis"] = ["x^3 + y^2", "0", "y^3 + x^2", "x*y - 1"]
+        data["verdict"] = data["certificates"][0]["basis"] = ["x^3 + y^2", "0", "y^3 + x^2", "x*y - 1"]
         path.write_text(json.dumps(data))
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 0 and report["verdict"] is True
@@ -554,7 +593,8 @@ class TestVerify:
         assert data["verdict"] is True and data["certificates"][0]["inverse"] == []
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 0 and report["verdict"] is True
-        assert report["certificates"] == [{"check": "inverse composes to identity on both sides", "ok": True}]
+        assert report["certificates"] == [{"check": "inverse composes to identity on both sides", "ok": True},
+                                          {"check": "verdict follows from the certificate", "ok": True}]
         # The map onto the line u = 2 has no inverse onto the whole line.
         path.write_text(json.dumps({**data, "session": {**data["session"], "target_ideal": []}}))
         code, report = run_cli(capsys, "verify", str(path))
@@ -588,13 +628,25 @@ class TestVerify:
         # u -> u composes to the identity both ways, but does not map the
         # line into the point V(x).
         (POINT_INTO_LINE_TEXT, ["biregular"], "inverse", ["u"]),
-    ], ids=["relation", "rational-pair", "inverse", "one-sided-inverse", "inverse-off-source"])
+        # A "verdict" key is the report's verdict, any other key a certificate entry.
+        (fixture_session_text("triangular"), ["biregular"], "verdict", False),
+        (fixture_session_text("triangular"), ["biregular"], "inverse", None),
+        (fixture_session_text("triangular"), ["interpolate", "-g", "x"], "verdict", "not_determined"),
+        (fixture_session_text("triangular"), ["minpoly", "-g", "x"], "verdict", "no_relation"),
+        (fixture_session_text("triangular"), ["minpoly", "-g", "x"], "relation", "0"),
+        (fixture_session_text("sl2row"), ["gb"], "verdict", ["1"]),
+        (fixture_session_text("triangular"), ["jc"], "injective", False),
+        (fixture_session_text("triangular"), ["etale"], "determinant", "2"),
+        (fixture_session_text("square"), ["etale"], "etale", True),
+    ], ids=["relation", "rational-pair", "inverse", "one-sided-inverse", "inverse-off-source",
+            "biregular-verdict", "biregular-without-inverse", "interpolate-verdict", "minpoly-verdict",
+            "zero-relation", "gb-verdict", "jc-injective", "determinant", "etale"])
     def test_tampered_certificate_fails(self, capsys, tmp_path, text, argv, key, value):
         session = tmp_path / "map.session"
         session.write_text(text)
         path = self._report_file(capsys, tmp_path, "--session", str(session), *argv)
         data = json.loads(path.read_text())
-        data["certificates"][0][key] = value
+        (data if key == "verdict" else data["certificates"][0])[key] = value
         path.write_text(json.dumps(data))
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 1 and report["verdict"] is False
@@ -683,15 +735,26 @@ class TestVerify:
         ({"command": "gb", "session": MAP_SESSION,
           "certificates": [{"kind": "groebner_basis", "ring": ["source"], "order": "grevlex", "basis": []}]},
          "'ring' is not a string"),
+        # A Jacobian needs a self-map of affine space; sl2row's is 2 x 4.
+        ({"command": "etale", "session": load_fixture("sl2row").to_json_dict(),
+          "certificates": [{"kind": "jacobian", "determinant": "1", "etale": True}]},
+         "endomorphism commands need affine-space source and target"),
     ], ids=["list", "certificate-not-object", "interpolation-without-g", "basis-without-ring",
             "rational-pair-without-args-g", "g-not-a-string", "basis-not-an-array", "map-not-an-array",
             "rational-pair-of-one", "depth-with-line-break", "depth-zero", "order-with-line-break",
             "map-with-line-break", "map-entry-with-semicolon", "ring-entry-with-space",
             "ideal-entry-with-semicolon", "integer-over-digit-limit", "not-json",
             "json-nested-too-deep", "map-nested-too-deep",
-            "inverse-too-long", "ring-unknown", "ring-not-a-string"])
+            "inverse-too-long", "ring-unknown", "ring-not-a-string", "jacobian-off-affine-space"])
     def test_malformed_report_refused(self, capsys, tmp_path, report, named):
         self._assert_refused(capsys, tmp_path, report, named)
+
+    def test_every_checked_kind_has_a_row(self, capsys):
+        # Every kind verify re-checks has a row that says what it checks;
+        # the fixtures listing's kind is carried as data.
+        assert all(documented_kinds().get(kind) is False for kind in _CHECKS)
+        code, report = run_cli(capsys, "fixtures")
+        assert code == 0 and all(documented_kinds().get(cert["kind"]) for cert in report["certificates"])
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_every_report_verifies(self, capsys, tmp_path, name):
@@ -701,6 +764,9 @@ class TestVerify:
             if code == 1:  # a refused precondition, e.g. etale on a map between different spaces
                 assert captured.out == "" and captured.err.count("\n") == 1, argv
                 continue
+            # Each kind emitted is re-checked or documented as carried data.
+            for cert in json.loads(captured.out)["certificates"]:
+                assert cert["kind"] in _CHECKS or documented_kinds().get(cert["kind"]), (argv, cert["kind"])
             path = tmp_path / "report.json"
             path.write_text(captured.out)
             code, report = run_cli(capsys, "verify", str(path))
