@@ -17,7 +17,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .endos import etale_dichotomy, is_nonzero_constant, jacobian_determinant, jc_criteria
@@ -216,78 +216,74 @@ def _fixtures(ns):
 
 # -- verify: one check per certificate kind ----------------------------------------
 
-# Each check also ties the report's verdict to its certificate; where a
-# negative answer leaves nothing to re-check, only when the verdict or the
-# certificate claims the positive one.
-_FOLLOWS = "verdict follows from the certificate"
+
+def _same(a, b) -> bool:
+    """Whether two values are the same JSON: ``1`` is neither ``true`` nor ``1.0``."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+# A check returns its identity lines, empty exactly when the certificate holds
+# nothing to re-check, and the verdict that the certificate implies.
 def _check_interpolation(cert: dict, report: dict, morphism: Morphism):
     where = "interpolation certificate"
     interpolant = _entry(cert, "interpolant", where, str, required=False)
-    claimed = report.get("verdict") == "interpolant"
-    if interpolant is not None:
-        g = parse_poly(_entry(cert, "g", where, str), morphism.source.ctx)
-        p = parse_poly(interpolant, morphism.target.ctx)
-        yield "interpolant pulls back to g", morphism.pulls_back_to(p, g)
-    if claimed or interpolant is not None:
-        yield _FOLLOWS, claimed and interpolant is not None
+    if interpolant is None:
+        return [], None
+    g = parse_poly(_entry(cert, "g", where, str), morphism.source.ctx)
+    p = parse_poly(interpolant, morphism.target.ctx)
+    return [("interpolant pulls back to g", morphism.pulls_back_to(p, g))], "interpolant"
 
 
 def _check_graph_relation(cert: dict, report: dict, morphism: Morphism):
     where = "graph_relation certificate"
     text = _entry(cert, "relation", where, str, required=False)
-    claimed = report.get("verdict") == "relation"
     if text is None:
-        if claimed:
-            yield _FOLLOWS, False
-        return
+        return [], None
     var = _entry(cert, "var", where, str)
     relation = parse_poly(text, morphism.target.ctx.extended([var]))
     g = parse_poly(_entry(_entry(report, "args", "report"), "g", "report args", str), morphism.source.ctx)
-    yield "relation vanishes on the graph", morphism.relation_vanishes(relation, g)
+    lines = [("relation vanishes on the graph", morphism.relation_vanishes(relation, g))]
     pair = _texts(cert, "rational_pair", where, required=False, length=2)
     if pair:
         num, den = (parse_poly(text, morphism.target.ctx) for text in pair)
-        yield "degree-1 pair represents g", morphism.pulls_back_to(num, morphism.pullback(den) * g)
-    yield _FOLLOWS, claimed and cert.get("degree") == relation.degree_in(var) >= 1
+        lines.append(("degree-1 pair represents g", morphism.pulls_back_to(num, morphism.pullback(den) * g)))
+    degree = relation.degree_in(var)
+    return lines, "relation" if degree >= 1 and _same(cert.get("degree"), degree) else None
 
 
-def _jc_verdict(cert: dict, given: bool) -> dict | None:
-    """The ``jc`` verdict that the certificate's fields give, or None
-    when they disagree with each other or with whether an inverse is given."""
-    determined = cert.get("coords_determined")
-    injective = isinstance(determined, list) and all(determined)
-    verdict = {"injective": injective, "coords_determined": determined, "invertible": given,
-               "consistent": injective == given}
-    return verdict if cert.get("etale") is True and {key: cert.get(key) for key in verdict} == verdict else None
-
-
-# For each kind that carries an inverse: the verdict that the certificate
-# implies, given whether an inverse is given, and which verdicts are the
-# positive answer.  An inverse is given exactly when the implied verdict is.
-_INVERSE_VERDICTS = {
-    "biregularity": (lambda cert, given: None if cert.get("almost_surjective") is None
-                     else cert.get("injective") is True and cert.get("almost_surjective") is True,
-                     lambda verdict: verdict is True),
-    "inversion": (lambda cert, given: cert.get("inverse"), lambda verdict: verdict is not None),
-    "invertibility_criteria": (_jc_verdict, lambda verdict: isinstance(verdict, dict)
-                               and verdict.get("invertible") is True),
-    "dichotomy": (lambda cert, given: cert.get("branch"), lambda verdict: verdict == "biregular"),
-}
-
-
-def _check_inverse(cert: dict, report: dict, morphism: Morphism):
+def _inverse_lines(cert: dict, morphism: Morphism) -> list:
+    """The inverse's identity line, or none when no inverse is given."""
     src, tgt = morphism.source.ctx, morphism.target.ctx
     texts = _texts(cert, "inverse", f"{cert['kind']} certificate", required=False, length=src.arity)
-    if texts is not None:
-        inverse = [parse_poly(text, tgt) for text in texts]
-        left = all(morphism.pulls_back_to(q, x) for q, x in zip(inverse, Poly.variables(src)))
-        yield "inverse composes to identity on both sides", morphism.is_section(inverse) and left
-    implied, positive = _INVERSE_VERDICTS[cert["kind"]]
-    expected, verdict = implied(cert, texts is not None), report.get("verdict")
-    if texts is not None or positive(expected) or positive(verdict):
-        yield _FOLLOWS, verdict == expected and positive(expected) == (texts is not None)
+    if texts is None:
+        return []
+    inverse = [parse_poly(text, tgt) for text in texts]
+    left = all(morphism.pulls_back_to(q, x) for q, x in zip(inverse, Poly.variables(src)))
+    return [("inverse composes to identity on both sides", morphism.is_section(inverse) and left)]
+
+
+def _check_biregularity(cert: dict, report: dict, morphism: Morphism):
+    almost = cert.get("almost_surjective")
+    return _inverse_lines(cert, morphism), None if almost is None else cert.get("injective") is True and almost is True
+
+
+def _check_inversion(cert: dict, report: dict, morphism: Morphism):
+    return _inverse_lines(cert, morphism), cert.get("inverse") if cert.get("failing_coordinate") is None else None
+
+
+def _check_invertibility_criteria(cert: dict, report: dict, morphism: Morphism):
+    where = "invertibility_criteria certificate"
+    determined = _entry(cert, "coords_determined", where, list)
+    if not all(isinstance(d, bool) for d in determined):
+        raise SessionFormatError(f"{where} entry 'coords_determined' is not an array of booleans")
+    lines, injective = _inverse_lines(cert, morphism), all(determined)
+    verdict = {"injective": injective, "coords_determined": determined, "invertible": bool(lines),
+               "consistent": injective == bool(lines)}
+    return lines, verdict if cert.get("etale") is True and _same({k: cert.get(k) for k in verdict}, verdict) else None
+
+
+def _check_dichotomy(cert: dict, report: dict, morphism: Morphism):
+    return _inverse_lines(cert, morphism), cert.get("branch")
 
 
 def _check_divisibility(cert: dict, report: dict, morphism: Morphism):
@@ -296,8 +292,9 @@ def _check_divisibility(cert: dict, report: dict, morphism: Morphism):
     g = parse_poly(_entry(cert, "g", where, str), morphism.target.ctx)
     source_div, target_div = morphism.divides_transfer(f, g)
     claimed = {"source": _entry(cert, "source_divides", where), "target": _entry(cert, "target_divides", where)}
-    yield "divisibility verdicts reproduce", claimed == {"source": source_div, "target": target_div}
-    yield _FOLLOWS, report.get("verdict") == claimed
+    witness = claimed["source"] and not claimed["target"]
+    lines = [("divisibility verdicts reproduce", _same(claimed, {"source": source_div, "target": target_div}))]
+    return lines, claimed if _same(cert.get("witnesses_non_almost_surjective"), witness) else None
 
 
 def _check_groebner_basis(cert: dict, report: dict, morphism: Morphism):
@@ -313,20 +310,18 @@ def _check_groebner_basis(cert: dict, report: dict, morphism: Morphism):
         raise SessionFormatError(f"{where} entry 'order' is not a known order")
     gens_reduce = all(normal_form(g, basis, order).is_zero() for g in variety.ideal.generators)
     basis_member = all(variety.ideal.contains(b) for b in basis)
-    yield "basis and generators span the same ideal", gens_reduce and basis_member
     # Buchberger's criterion: the basis is a Groebner basis under ``order``
     # exactly when every S-polynomial of two elements reduces to zero by it.
     nonzero = [b for b in basis if not b.is_zero()]
     pairs = itertools.combinations(nonzero, 2)
-    yield "every S-pair reduces to zero by the basis", all(
-        normal_form(s_polynomial(f, g, order), nonzero, order).is_zero() for f, g in pairs)
-    yield _FOLLOWS, report.get("verdict") == texts
+    return [("basis and generators span the same ideal", gens_reduce and basis_member),
+            ("every S-pair reduces to zero by the basis",
+             all(normal_form(s_polynomial(f, g, order), nonzero, order).is_zero() for f, g in pairs))], texts
 
 
 def _check_image_closure(cert: dict, report: dict, morphism: Morphism):
-    claimed = _entry(cert, "generators", "image_closure certificate")
-    yield "image closure reproduces", [str(g) for g in morphism.image_closure().generators] == claimed
-    yield _FOLLOWS, report.get("verdict") == claimed
+    listed = _entry(cert, "generators", "image_closure certificate")
+    return [("image closure reproduces", _same(listed, [str(g) for g in morphism.image_closure().generators]))], listed
 
 
 def _check_jacobian(cert: dict, report: dict, morphism: Morphism):
@@ -334,23 +329,7 @@ def _check_jacobian(cert: dict, report: dict, morphism: Morphism):
     det = jacobian_determinant(Session(morphism).endomorphism())
     etale = _entry(cert, "etale", where, bool)
     claimed = parse_poly(_entry(cert, "determinant", where, str), morphism.source.ctx)
-    yield "determinant and etale verdict reproduce", claimed == det and etale is is_nonzero_constant(det)
-    yield _FOLLOWS, report.get("verdict") is etale
-
-
-# Certificate kinds that ``verify`` re-checks; every other kind is read as data.
-_CHECKS = {
-    "interpolation": _check_interpolation,
-    "graph_relation": _check_graph_relation,
-    "biregularity": _check_inverse,
-    "inversion": _check_inverse,
-    "invertibility_criteria": _check_inverse,
-    "dichotomy": _check_inverse,
-    "divisibility_transfer": _check_divisibility,
-    "groebner_basis": _check_groebner_basis,
-    "image_closure": _check_image_closure,
-    "jacobian": _check_jacobian,
-}
+    return [("determinant and etale verdict reproduce", claimed == det and etale is is_nonzero_constant(det))], etale
 
 
 def _verify(ns):
@@ -365,11 +344,19 @@ def _verify(ns):
     checks: list[dict] = []
     if session_data is not None:
         morphism = Session.from_json_dict(session_data).morphism()
+        verdict = original.get("verdict")
         for cert in _entry(original, "certificates", "report", list, required=False) or []:
             kind = _entry(cert, "kind", "report certificate", required=False)
-            check = _CHECKS.get(kind) if isinstance(kind, str) else None
-            for name, ok in check(cert, original, morphism) if check else ():
-                checks.append({"check": name, "ok": bool(ok)})
+            if not (isinstance(kind, str) and kind in _CHECKS):
+                continue
+            check, positive = _CHECKS[kind]
+            lines, implied = check(cert, original, morphism)
+            ran = bool(lines)
+            # The one rule that ties the report's verdict to each certificate.
+            if ran or positive(implied) or positive(verdict):
+                follows = _same(implied, verdict) and positive(implied) == ran
+                lines.append(("verdict follows from the certificate", follows))
+            checks.extend({"check": name, "ok": bool(ok)} for name, ok in lines)
     verified = all(c["ok"] for c in checks) if checks else None
     return {"report": ns.report, "verified_command": command}, verified, checks, True
 
@@ -380,41 +367,54 @@ def _verify(ns):
 @dataclass(frozen=True)
 class _Command:
     """One CLI command.  ``run`` gets (ns, session, morphism), or only ns
-    when the command reads no session.  Exit 2 means undecided: a null
-    verdict from an inexact description or, with ``inexact_undecided``,
-    any inexact description.  A ``check`` verdict of false exits 1."""
+    when the command reads no session.  ``kinds`` maps each certificate kind
+    it emits to None, carried as data, or to ``(check, positive)``: ``verify``
+    re-checks it, and positive(verdict) says a verdict is the positive answer.
+    Exit 2 means undecided: a null verdict from an inexact description or,
+    with ``inexact_undecided``, any inexact description.  A ``check``
+    verdict of false exits 1."""
 
     run: Callable
     flags: tuple = ()
+    kinds: dict = field(default_factory=dict)
     session: bool = True
     inexact_undecided: bool = False
     check: bool = False
 
 
+_INTERPOLATION = {"interpolation": (_check_interpolation, lambda v: v == "interpolant")}
 _COMMANDS: dict[str, _Command] = {
-    "gb": _Command(_gb, (_RING, _flag("--order", choices=sorted(ORDERS_BY_NAME), default=None))),
+    "gb": _Command(_gb, (_RING, _flag("--order", choices=sorted(ORDERS_BY_NAME), default=None)),
+                   {"groebner_basis": (_check_groebner_basis, lambda v: v is not None)}),
     "dim": _Command(lambda ns, session, morphism: (
         {"ring": ns.ring}, _variety(morphism, ns.ring).ideal.dimension(), [], True), (_RING,)),
-    "nf": _Command(_nf, (_G, _RING)),
+    "nf": _Command(_nf, (_G, _RING), {"normal_form": None}),
     "eliminate": _Command(_eliminate, (
-        _flag("--drop", required=True, metavar="VARS", help="comma-separated variables to eliminate"), _RING)),
+        _flag("--drop", required=True, metavar="VARS", help="comma-separated variables to eliminate"), _RING),
+        {"elimination_ideal": None}),
     "image": _Command(_image, ([_flag("--closure", action="store_true", default=True),
-                                _flag("--constructible", action="store_true")],), inexact_undecided=True),
-    "almost-surjective": _Command(_almost_surjective),
-    "determined": _Command(_determined, (_G,)),
-    "interpolate": _Command(_interpolate, (_G,)),
-    "minpoly": _Command(_minpoly, (_G,)),
-    "extend": _Command(_interpolate, (_G,)),
-    "divides": _Command(_divides, (_flag("-f", required=True, metavar="POLY"), _G)),
+                                _flag("--constructible", action="store_true")],),
+                      {"image_closure": (_check_image_closure, lambda v: v is not None),
+                       "constructible_image": None}, inexact_undecided=True),
+    "almost-surjective": _Command(_almost_surjective, kinds={"surjectivity": None}),
+    "determined": _Command(_determined, (_G,), {"fiber_constancy": None}),
+    "interpolate": _Command(_interpolate, (_G,), _INTERPOLATION),
+    "minpoly": _Command(_minpoly, (_G,), {"graph_relation": (_check_graph_relation, lambda v: v == "relation")}),
+    "extend": _Command(_interpolate, (_G,), _INTERPOLATION),
+    "divides": _Command(_divides, (_flag("-f", required=True, metavar="POLY"), _G),
+                        {"divisibility_transfer": (_check_divisibility, lambda v: v is not None)}),
     "injective": _Command(lambda ns, session, morphism: ({}, morphism.is_injective(), [], True)),
-    "biregular": _Command(_biregular),
-    "etale": _Command(_etale),
-    "invert": _Command(_invert),
-    "jc": _Command(_jc),
-    "dichotomy": _Command(_dichotomy),
-    "fixtures": _Command(_fixtures, session=False),
+    "biregular": _Command(_biregular, kinds={"biregularity": (_check_biregularity, lambda v: v is True)}),
+    "etale": _Command(_etale, kinds={"jacobian": (_check_jacobian, lambda v: v is not None)}),
+    "invert": _Command(_invert, kinds={"inversion": (_check_inversion, lambda v: v is not None)}),
+    "jc": _Command(_jc, kinds={"invertibility_criteria": (
+        _check_invertibility_criteria, lambda v: isinstance(v, dict) and v.get("invertible") is True)}),
+    "dichotomy": _Command(_dichotomy, kinds={"dichotomy": (_check_dichotomy, lambda v: v == "biregular")}),
+    "fixtures": _Command(_fixtures, kinds={"session": None}, session=False),
     "verify": _Command(_verify, (_flag("report", metavar="REPORT.json"),), session=False, check=True),
 }
+# The kinds that ``verify`` re-checks, read off the table.
+_CHECKS = {kind: entry for command in _COMMANDS.values() for kind, entry in command.kinds.items() if entry}
 
 
 def _add_flags(target, flags) -> None:

@@ -19,7 +19,7 @@ from polymap import (
     load_fixture,
     parse_session,
 )
-from polymap.cli import _CHECKS, build_parser, main
+from polymap.cli import _CHECKS, _COMMANDS, build_parser, main
 
 SESSION_TEXT = """
 # a toy session
@@ -619,34 +619,49 @@ class TestVerify:
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 1 and report["verdict"] is False
 
-    @pytest.mark.parametrize("text, argv, key, value", [
-        (fixture_session_text("square"), ["minpoly", "-g", "t"], "relation", "w^2 - 2*u"),
-        (fixture_session_text("square"), ["minpoly", "-g", "t^4 + 3*t^2"], "rational_pair", ["u^2 + 4*u", "1"]),
-        (fixture_session_text("triangular"), ["invert"], "inverse", ["-v^2 + 2*u", "v"]),
+    @pytest.mark.parametrize("text, argv, edits", [
+        (fixture_session_text("square"), ["minpoly", "-g", "t"], {"relation": "w^2 - 2*u"}),
+        (fixture_session_text("square"), ["minpoly", "-g", "t^4 + 3*t^2"], {"rational_pair": ["u^2 + 4*u", "1"]}),
+        (fixture_session_text("triangular"), ["invert"], {"inverse": ["-v^2 + 2*u", "v"]}),
         # u o map = t holds, but (u, u^2) is not the identity on the plane.
-        (PARABOLA_TEXT, ["biregular"], "inverse", ["u"]),
+        (PARABOLA_TEXT, ["biregular"], {"inverse": ["u"]}),
         # u -> u composes to the identity both ways, but does not map the
         # line into the point V(x).
-        (POINT_INTO_LINE_TEXT, ["biregular"], "inverse", ["u"]),
+        (POINT_INTO_LINE_TEXT, ["biregular"], {"inverse": ["u"]}),
         # A "verdict" key is the report's verdict, any other key a certificate entry.
-        (fixture_session_text("triangular"), ["biregular"], "verdict", False),
-        (fixture_session_text("triangular"), ["biregular"], "inverse", None),
-        (fixture_session_text("triangular"), ["interpolate", "-g", "x"], "verdict", "not_determined"),
-        (fixture_session_text("triangular"), ["minpoly", "-g", "x"], "verdict", "no_relation"),
-        (fixture_session_text("triangular"), ["minpoly", "-g", "x"], "relation", "0"),
-        (fixture_session_text("sl2row"), ["gb"], "verdict", ["1"]),
-        (fixture_session_text("triangular"), ["jc"], "injective", False),
-        (fixture_session_text("triangular"), ["etale"], "determinant", "2"),
-        (fixture_session_text("square"), ["etale"], "etale", True),
+        (fixture_session_text("triangular"), ["biregular"], {"verdict": False}),
+        # 1 is not true: verdicts and certificate entries compare as JSON.
+        (fixture_session_text("triangular"), ["biregular"], {"verdict": 1}),
+        (fixture_session_text("triangular"), ["biregular"], {"inverse": None}),
+        # The line runs when either verdict is positive and nothing is re-checked.
+        (fixture_session_text("triangular"), ["biregular"], {"inverse": None, "verdict": False}),
+        (fixture_session_text("cusp"), ["interpolate", "-g", "t"], {"verdict": "interpolant"}),
+        (fixture_session_text("triangular"), ["interpolate", "-g", "x"], {"verdict": "not_determined"}),
+        (fixture_session_text("triangular"), ["minpoly", "-g", "x"], {"verdict": "no_relation"}),
+        (fixture_session_text("triangular"), ["minpoly", "-g", "x"], {"relation": "0"}),
+        (fixture_session_text("triangular"), ["minpoly", "-g", "x"], {"degree": True}),
+        (fixture_session_text("sl2row"), ["gb"], {"verdict": ["1"]}),
+        (fixture_session_text("triangular"), ["jc"], {"injective": False}),
+        (fixture_session_text("triangular"), ["etale"], {"determinant": "2"}),
+        (fixture_session_text("square"), ["etale"], {"etale": True}),
+        (fixture_session_text("cusp"), ["divides", "-f", "u", "-g", "v"],
+         {"source_divides": 1, "verdict": {"source": 1, "target": False}}),
+        # Derived fields: the witness is source_divides and not
+        # target_divides, and no coordinate failed when an inverse is given.
+        (fixture_session_text("cusp"), ["divides", "-f", "u", "-g", "v"], {"witnesses_non_almost_surjective": False}),
+        (fixture_session_text("triangular"), ["invert"], {"failing_coordinate": 0}),
     ], ids=["relation", "rational-pair", "inverse", "one-sided-inverse", "inverse-off-source",
-            "biregular-verdict", "biregular-without-inverse", "interpolate-verdict", "minpoly-verdict",
-            "zero-relation", "gb-verdict", "jc-injective", "determinant", "etale"])
-    def test_tampered_certificate_fails(self, capsys, tmp_path, text, argv, key, value):
+            "biregular-verdict", "biregular-verdict-one", "biregular-without-inverse", "biregular-fields-without-inverse",
+            "interpolate-without-interpolant", "interpolate-verdict",
+            "minpoly-verdict", "zero-relation", "minpoly-degree-true", "gb-verdict", "jc-injective", "determinant",
+            "etale", "divides-one", "divides-witness", "invert-failing-coordinate"])
+    def test_tampered_certificate_fails(self, capsys, tmp_path, text, argv, edits):
         session = tmp_path / "map.session"
         session.write_text(text)
         path = self._report_file(capsys, tmp_path, "--session", str(session), *argv)
         data = json.loads(path.read_text())
-        (data if key == "verdict" else data["certificates"][0])[key] = value
+        for key, value in edits.items():
+            (data if key == "verdict" else data["certificates"][0])[key] = value
         path.write_text(json.dumps(data))
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 1 and report["verdict"] is False
@@ -739,13 +754,21 @@ class TestVerify:
         ({"command": "etale", "session": load_fixture("sl2row").to_json_dict(),
           "certificates": [{"kind": "jacobian", "determinant": "1", "etale": True}]},
          "endomorphism commands need affine-space source and target"),
+        # The triangular jc report with 1 for true: all() would read it as true.
+        ({"command": "jc", "session": load_fixture("triangular").to_json_dict(),
+          "verdict": {"injective": True, "coords_determined": [1, 1], "invertible": True, "consistent": True},
+          "certificates": [{"kind": "invertibility_criteria", "etale": True, "inverse": ["-v^2 + u", "v"],
+                            "injective": True, "coords_determined": [1, 1], "invertible": True,
+                            "consistent": True}]},
+         "'coords_determined' is not an array of booleans"),
     ], ids=["list", "certificate-not-object", "interpolation-without-g", "basis-without-ring",
             "rational-pair-without-args-g", "g-not-a-string", "basis-not-an-array", "map-not-an-array",
             "rational-pair-of-one", "depth-with-line-break", "depth-zero", "order-with-line-break",
             "map-with-line-break", "map-entry-with-semicolon", "ring-entry-with-space",
             "ideal-entry-with-semicolon", "integer-over-digit-limit", "not-json",
             "json-nested-too-deep", "map-nested-too-deep",
-            "inverse-too-long", "ring-unknown", "ring-not-a-string", "jacobian-off-affine-space"])
+            "inverse-too-long", "ring-unknown", "ring-not-a-string", "jacobian-off-affine-space",
+            "coords-determined-not-booleans"])
     def test_malformed_report_refused(self, capsys, tmp_path, report, named):
         self._assert_refused(capsys, tmp_path, report, named)
 
@@ -755,6 +778,17 @@ class TestVerify:
         assert all(documented_kinds().get(kind) is False for kind in _CHECKS)
         code, report = run_cli(capsys, "fixtures")
         assert code == 0 and all(documented_kinds().get(cert["kind"]) for cert in report["certificates"])
+        assert all(cert["kind"] in _COMMANDS["fixtures"].kinds for cert in report["certificates"])
+
+    def test_every_declared_kind_has_a_row(self):
+        # A declared kind's row says "not re-checked" exactly when the table
+        # carries it as data, and a kind two commands emit has one entry.
+        entries = {}
+        for name, command in _COMMANDS.items():
+            for kind, entry in command.kinds.items():
+                assert documented_kinds().get(kind) is (entry is None), (name, kind)
+                assert entries.setdefault(kind, entry) == entry, (name, kind)
+        assert _CHECKS == {kind: entry for kind, entry in entries.items() if entry is not None}
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_every_report_verifies(self, capsys, tmp_path, name):
@@ -764,8 +798,10 @@ class TestVerify:
             if code == 1:  # a refused precondition, e.g. etale on a map between different spaces
                 assert captured.out == "" and captured.err.count("\n") == 1, argv
                 continue
-            # Each kind emitted is re-checked or documented as carried data.
+            # Each kind emitted is declared by its command, and re-checked or
+            # documented as carried data.
             for cert in json.loads(captured.out)["certificates"]:
+                assert cert["kind"] in _COMMANDS[argv[0]].kinds, (argv, cert["kind"])
                 assert cert["kind"] in _CHECKS or documented_kinds().get(cert["kind"]), (argv, cert["kind"])
             path = tmp_path / "report.json"
             path.write_text(captured.out)
