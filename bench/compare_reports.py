@@ -40,7 +40,10 @@ It also runs each ``demos/*.py`` of the checkout in its own process, with
 
 Every call whose exit code, stdout or stderr differs between the two
 checkouts is printed, as is a call that only one checkout makes; the
-script exits 1 if there is any.  Only the standard library is used.
+script exits 1 if there is any.  For each checkout it then prints how
+many ``verify`` calls returned ``true``, ``null`` and ``false``: how much
+of the honest reports ``verify`` actually checks.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -175,6 +178,15 @@ def run_checkout(checkout: Path) -> dict[tuple[str, ...], dict]:
     return {tuple(c["argv"]): c for c in json.loads(done.stdout)}
 
 
+def verify_counts(calls: dict[tuple[str, ...], dict]) -> str:
+    """How many ``verify`` calls returned true, null and false; a refused
+    report prints nothing and is counted in the total only."""
+    verdicts = [json.loads(c["stdout"] or "{}").get("verdict", "refused") for key, c in calls.items()
+                if key[0] == "verify"]
+    counts = ", ".join(f"{json.dumps(v)} {sum(w is v for w in verdicts)}" for v in (True, None, False))
+    return f"{counts} of {len(verdicts)}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
@@ -190,6 +202,8 @@ def main(argv: list[str]) -> int:
             differing += 1
             print(f"{' '.join(key)}: {', '.join(fields)} differ")
     print(f"{differing} of {len(set(parent) | set(change))} calls differ")
+    for checkout, calls in zip(argv, (parent, change)):
+        print(f"{checkout}: verify returned {verify_counts(calls)}")
     return 1 if differing else 0
 
 

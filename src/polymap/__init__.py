@@ -46,7 +46,6 @@ from .endos import (
     invert,
     is_etale,
     jacobian_determinant,
-    jacobian_matrix,
     jc_criteria,
     poly_matrix_det,
     random_tame_automorphism,
@@ -101,7 +100,6 @@ __all__ = [
     "invert",
     "is_etale",
     "jacobian_determinant",
-    "jacobian_matrix",
     "jc_criteria",
     "load_fixture",
     "normal_form",

@@ -91,10 +91,9 @@ def _optional_texts(polys) -> list[str] | None:
 
 
 def _gb(ns, session: Session, morphism: Morphism):
-    order_name = ns.order or session.order
-    basis = [str(g) for g in _variety(morphism, ns.ring).ideal.groebner_basis(ORDERS_BY_NAME[order_name])]
-    certificate = {"kind": "groebner_basis", "ring": ns.ring, "order": order_name, "basis": basis}
-    return {"ring": ns.ring, "order": order_name}, basis, [certificate], True
+    basis = [str(g) for g in _variety(morphism, ns.ring).ideal.groebner_basis(ORDERS_BY_NAME[ns.order])]
+    certificate = {"kind": "groebner_basis", "ring": ns.ring, "order": ns.order, "basis": basis}
+    return {"ring": ns.ring, "order": ns.order}, basis, [certificate], True
 
 
 def _nf(ns, session: Session, morphism: Morphism):
@@ -102,7 +101,7 @@ def _nf(ns, session: Session, morphism: Morphism):
     f = parse_poly(ns.g, variety.ctx)
     value = str(variety.ideal.normal_form(f))
     certificate = {"kind": "normal_form", "ring": ns.ring, "g": str(f), "value": value}
-    return {"ring": ns.ring, "g": ns.g}, value, [certificate], True
+    return {"ring": ns.ring, "g": str(f)}, value, [certificate], True
 
 
 def _eliminate(ns, session: Session, morphism: Morphism):
@@ -291,9 +290,13 @@ def _check_divisibility(cert: dict, report: dict, morphism: Morphism):
     f = parse_poly(_entry(cert, "f", where, str), morphism.target.ctx)
     g = parse_poly(_entry(cert, "g", where, str), morphism.target.ctx)
     source_div, target_div = morphism.divides_transfer(f, g)
+    f_pullback, g_pullback = (parse_poly(_entry(cert, key, where, str), morphism.source.ctx)
+                              for key in ("f_pullback", "g_pullback"))
     claimed = {"source": _entry(cert, "source_divides", where), "target": _entry(cert, "target_divides", where)}
     witness = claimed["source"] and not claimed["target"]
-    lines = [("divisibility verdicts reproduce", _same(claimed, {"source": source_div, "target": target_div}))]
+    lines = [("divisibility verdicts reproduce", _same(claimed, {"source": source_div, "target": target_div})),
+             ("f and g pull back to f_pullback and g_pullback",
+              morphism.pulls_back_to(f, f_pullback) and morphism.pulls_back_to(g, g_pullback))]
     return lines, claimed if _same(cert.get("witnesses_non_almost_surjective"), witness) else None
 
 
@@ -332,6 +335,9 @@ def _check_jacobian(cert: dict, report: dict, morphism: Morphism):
     return [("determinant and etale verdict reproduce", claimed == det and etale is is_nonzero_constant(det))], etale
 
 
+_FOLLOWS = "verdict follows from the certificate"
+
+
 def _verify(ns):
     """Re-check a report's defining identities from the report alone."""
     with open(ns.report, "r", encoding="utf-8") as handle:
@@ -343,20 +349,28 @@ def _verify(ns):
     session_data = _entry(original, "session", "report", required=False)
     checks: list[dict] = []
     if session_data is not None:
+        declared = _COMMANDS.get(command) if isinstance(command, str) else None
+        if declared is None or not declared.session:
+            raise SessionFormatError(f"report command {command!r} is not a command that reads a session")
         morphism = Session.from_json_dict(session_data).morphism()
         verdict = original.get("verdict")
-        for cert in _entry(original, "certificates", "report", list, required=False) or []:
+        certificates = _entry(original, "certificates", "report", list, required=False) or []
+        for cert in certificates:
             kind = _entry(cert, "kind", "report certificate", required=False)
-            if not (isinstance(kind, str) and kind in _CHECKS):
+            if not (isinstance(kind, str) and kind in declared.kinds):
+                raise SessionFormatError(f"report certificate kind {kind!r} is not one that {command!r} emits")
+            if declared.kinds[kind] is None:
                 continue
-            check, positive = _CHECKS[kind]
+            check, positive = declared.kinds[kind]
             lines, implied = check(cert, original, morphism)
             ran = bool(lines)
             # The one rule that ties the report's verdict to each certificate.
             if ran or positive(implied) or positive(verdict):
-                follows = _same(implied, verdict) and positive(implied) == ran
-                lines.append(("verdict follows from the certificate", follows))
+                lines.append((_FOLLOWS, _same(implied, verdict) and positive(implied) == ran))
             checks.extend({"check": name, "ok": bool(ok)} for name, ok in lines)
+        # A positive verdict with no certificate has nothing to follow from.
+        if not certificates and any(positive(verdict) for _, positive in filter(None, declared.kinds.values())):
+            checks.append({"check": _FOLLOWS, "ok": False})
     verified = all(c["ok"] for c in checks) if checks else None
     return {"report": ns.report, "verified_command": command}, verified, checks, True
 
@@ -369,8 +383,8 @@ class _Command:
     """One CLI command.  ``run`` gets (ns, session, morphism), or only ns
     when the command reads no session.  ``kinds`` maps each certificate kind
     it emits to None, carried as data, or to ``(check, positive)``: ``verify``
-    re-checks it, and positive(verdict) says a verdict is the positive answer.
-    Exit 2 means undecided: a null verdict from an inexact description or,
+    re-checks it, and positive(verdict) says a verdict is the positive answer;
+    ``verify`` refuses any other kind in a report of the command.  Exit 2 means undecided: a null verdict from an inexact description or,
     with ``inexact_undecided``, any inexact description.  A ``check``
     verdict of false exits 1."""
 
@@ -384,7 +398,7 @@ class _Command:
 
 _INTERPOLATION = {"interpolation": (_check_interpolation, lambda v: v == "interpolant")}
 _COMMANDS: dict[str, _Command] = {
-    "gb": _Command(_gb, (_RING, _flag("--order", choices=sorted(ORDERS_BY_NAME), default=None)),
+    "gb": _Command(_gb, (_RING, _flag("--order", choices=sorted(ORDERS_BY_NAME), default="grevlex")),
                    {"groebner_basis": (_check_groebner_basis, lambda v: v is not None)}),
     "dim": _Command(lambda ns, session, morphism: (
         {"ring": ns.ring}, _variety(morphism, ns.ring).ideal.dimension(), [], True), (_RING,)),

@@ -77,11 +77,6 @@ class DichotomyReport:
     inverse: tuple[Poly, ...] | None
 
 
-def jacobian_matrix(endo: Morphism) -> list[list[Poly]]:
-    names = endo.source.ctx.names
-    return [[coord.derivative(name) for name in names] for coord in endo.coords]
-
-
 def poly_matrix_det(rows: list[list[Poly]], ctx: VarContext) -> Poly:
     """Determinant of a square matrix of polynomials over ``ctx``, by
     division-free Laplace expansion memoized over column subsets: exact,
@@ -119,7 +114,8 @@ def poly_matrix_det(rows: list[list[Poly]], ctx: VarContext) -> Poly:
 
 def jacobian_determinant(endo: Morphism) -> Poly:
     """Determinant of the matrix of partial derivatives, exactly."""
-    return poly_matrix_det(jacobian_matrix(endo), endo.source.ctx)
+    names = endo.source.ctx.names
+    return poly_matrix_det([[coord.derivative(name) for name in names] for coord in endo.coords], endo.source.ctx)
 
 
 def is_nonzero_constant(det: Poly) -> bool:

@@ -32,7 +32,6 @@ _SESSIONS: dict[str, str] = {
         target_ring: u v
         map: u = a ; v = b
         assert_factorial: true
-        assert_irreducible: true
     """,
     # x-projection of the hyperbola x*z = 1: an open immersion onto u != 0.
     "hyperbola": """

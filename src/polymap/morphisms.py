@@ -49,11 +49,10 @@ DEFAULT_DEPTH = 8
 class AffineVariety:
     """An ambient coordinate ring plus a defining ideal.
 
-    The two assertion flags record hypotheses the user vouches for
-    (irreducibility, factoriality of the coordinate ring); the engine
-    never verifies them.  It refuses operations whose meaning depends on
-    an absent factoriality assertion; the irreducibility flag is recorded
-    and echoed in reports but gates nothing.  A unit ideal is allowed and
+    ``assert_factorial`` records a hypothesis the user vouches for,
+    factoriality of the coordinate ring; the engine never verifies it and
+    refuses operations whose meaning depends on it when it is absent.
+    Nothing reads ``assert_irreducible``.  A unit ideal is allowed and
     means the empty variety.
     """
 
@@ -68,8 +67,8 @@ class AffineVariety:
 
     @staticmethod
     def affine_space(ctx: VarContext) -> "AffineVariety":
-        # Polynomial rings are irreducible and factorial.
-        return AffineVariety(ctx, Ideal.zero(ctx), assert_irreducible=True, assert_factorial=True)
+        # Polynomial rings are factorial.
+        return AffineVariety(ctx, Ideal.zero(ctx), assert_factorial=True)
 
 
 @dataclass(frozen=True)

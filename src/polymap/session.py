@@ -17,10 +17,8 @@ File format (keys in any order, ``#`` starts a comment, blank lines ignored)::
     target_ideal:                  # optional, same syntax
     map: u = x ; v = x*y
     assert_factorial: true         # flags default to false
-    assert_irreducible: false
     assert_etale: false
     depth: 8                       # image-recursion depth
-    order: grevlex                 # default report order
 
 Every target variable must get exactly one map entry.  The map is built
 and checked on load: each target equation must pull back into the source
@@ -35,12 +33,11 @@ from dataclasses import dataclass
 from .errors import SessionFormatError
 from .morphisms import DEFAULT_DEPTH, AffineVariety, Morphism
 from .groebner import Ideal
-from .orders import ORDERS_BY_NAME
 from .parsing import parse_poly
 from .poly import Poly, VarContext
 
-_FLAGS = ("assert_factorial", "assert_irreducible", "assert_etale")
-_KEYS = ("source_ring", "source_ideal", "target_ring", "target_ideal", "map", "depth", "order") + _FLAGS
+_FLAGS = ("assert_factorial", "assert_etale")
+_KEYS = ("source_ring", "source_ideal", "target_ring", "target_ideal", "map", "depth") + _FLAGS
 _KIND_NAMES = {str: "string", list: "JSON array", bool: "boolean"}
 
 
@@ -66,24 +63,19 @@ def _texts(data, key: str, where: str, required: bool = True, length: int | None
     if texts is not None and (not all(isinstance(t, str) for t in texts) or length not in (None, len(texts))):
         size = f"{length} " if length else ""
         raise SessionFormatError(f"{where} entry {key!r} is not an array of {size}strings")
-    if texts is not None and not all(_one_line(t) for t in texts):
+    # A line break is any that ``str.splitlines`` splits at.
+    if texts is not None and not all("".join(t.splitlines()) == t for t in texts):
         raise SessionFormatError(f"{where} entry {key!r} contains a line break")
     return texts
 
 
-def _one_line(text: str) -> bool:
-    """Whether ``text`` holds no line break that ``str.splitlines`` would split at."""
-    return "".join(text.splitlines()) == text
-
-
 @dataclass(frozen=True)
 class Session:
-    """A map and the two settings that the commands read: the image
-    descent's ``depth`` and the report ``order``."""
+    """A map and the one setting that the commands read: the image
+    descent's ``depth``."""
 
     map: Morphism
     depth: int = DEFAULT_DEPTH
-    order: str = "grevlex"
 
     def morphism(self) -> Morphism:
         return self.map
@@ -102,9 +94,9 @@ class Session:
         """The session that :meth:`to_json_dict` wrote as ``data``.  Each
         field is read with its JSON type and checked once: variable names,
         one polynomial per ideal entry, one assignment per map entry with
-        every target variable assigned once, ``depth >= 1`` and a known
-        ``order``.  The map is then built, which checks that it is well
-        defined."""
+        every target variable assigned once and ``depth >= 1``.  The map
+        is then built, which checks that it is well defined.  Keys it does
+        not read are ignored."""
         where = "session"
         source_ring = tuple(_texts(data, "source_ring", where))
         target_ring = tuple(_texts(data, "target_ring", where))
@@ -123,26 +115,22 @@ class Session:
         missing = [n for n in target_ring if n not in assignments]
         if missing:
             raise SessionFormatError(f"map misses target variables {missing}")
-        depth, order = data.get("depth", DEFAULT_DEPTH), data.get("order", "grevlex")
+        depth = data.get("depth", DEFAULT_DEPTH)
         if type(depth) is not int or depth < 1:
             raise SessionFormatError(f"{where} entry 'depth' is not a positive integer")
-        if not isinstance(order, str) or not _one_line(order):
-            raise SessionFormatError(f"{where} entry 'order' is not a one-line string")
-        if order not in ORDERS_BY_NAME:
-            raise SessionFormatError(f"unknown order {order!r}")
 
         def ideal(key: str, ctx: VarContext) -> Ideal:
             return Ideal(ctx, (parse_poly(text, ctx) for text in _texts(data, key, where, required=False) or ()))
 
         source_ideal, target_ideal = ideal("source_ideal", src), ideal("target_ideal", tgt)
-        factorial, irreducible, etale = (bool(_entry(data, flag, where, bool, required=False)) for flag in _FLAGS)
+        factorial, etale = (bool(_entry(data, flag, where, bool, required=False)) for flag in _FLAGS)
         morphism = Morphism(
-            AffineVariety(src, source_ideal, assert_irreducible=irreducible),
-            AffineVariety(tgt, target_ideal, assert_irreducible=irreducible, assert_factorial=factorial),
+            AffineVariety(src, source_ideal),
+            AffineVariety(tgt, target_ideal, assert_factorial=factorial),
             (assignments[n] for n in target_ring),
             assert_etale=etale,
         )
-        return cls(morphism, depth, order)
+        return cls(morphism, depth)
 
     def to_json_dict(self) -> dict:
         source, target = self.map.source, self.map.target
@@ -153,10 +141,8 @@ class Session:
             "target_ideal": [str(g) for g in target.ideal.generators],
             "map": [f"{n} = {c}" for n, c in zip(target.ctx.names, self.map.coords)],
             "assert_factorial": target.assert_factorial,
-            "assert_irreducible": source.assert_irreducible,
             "assert_etale": self.map.assert_etale,
             "depth": self.depth,
-            "order": self.order,
         }
 
 
@@ -177,8 +163,6 @@ def _json_value(key: str, value: str):
             return int(value)
         except ValueError:
             raise SessionFormatError(f"depth must be an integer, got {value!r}") from None
-    if key == "order":
-        return value
     if key.endswith("_ring"):
         return value.split()
     return [chunk.strip() for chunk in value.split(";") if chunk.strip()]

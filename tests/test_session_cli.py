@@ -19,7 +19,7 @@ from polymap import (
     load_fixture,
     parse_session,
 )
-from polymap.cli import _CHECKS, _COMMANDS, build_parser, main
+from polymap.cli import _CHECKS, _COMMANDS, _G, build_parser, main
 
 SESSION_TEXT = """
 # a toy session
@@ -29,7 +29,6 @@ target_ring: u v
 map: v = x*y ; u = x
 assert_factorial: true
 depth: 4
-order: grevlex
 """
 AUTOMORPHISM_TEXT = "source_ring: x y\ntarget_ring: u v\nmap: u = x + y^2 ; v = y\nassert_factorial: true\n"
 SHALLOW_SHEAR_TEXT = "source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = x*y\nassert_factorial: true\ndepth: 1\n"
@@ -340,6 +339,13 @@ class TestCLI:
         code, report = run_cli(capsys, "--fixture", "cusp", "eliminate", "--drop", "t")
         assert code == 0 and report["verdict"] == []
 
+    @pytest.mark.parametrize("command", [name for name, command in _COMMANDS.items() if _G in command.flags])
+    def test_g_echoed_canonically(self, capsys, command):
+        # divides reads -g over the target ring u v, the others over the source ring x y.
+        argv = ["-f", "u", "-g", "v*v + 0"] if command == "divides" else ["-g", "x*x + 0"]
+        code, report = run_cli(capsys, "--fixture", "triangular", command, *argv)
+        assert code == 0 and report["args"]["g"] == ("v^2" if command == "divides" else "x^2")
+
     def test_image_closure_cusp(self, capsys):
         code, report = run_cli(capsys, "--fixture", "cusp", "image", "--closure")
         assert code == 0 and report["verdict"] == ["u^3 - v^2"]
@@ -385,7 +391,7 @@ class TestCLI:
     @pytest.mark.parametrize("text, message", [
         ("map: u x", "map entry 'u x' is not of the form 'var = polynomial'"),
         ("map: u = x ; u = 2", "map assigns target variable 'u' twice"),
-        ("map: u = x\norder: foo", "unknown order 'foo'"),
+        ("map: u = x\norder: foo", "line 4: unknown key 'order'"),
         ("map u = x", "line 3: expected 'key: value', got 'map u = x'"),
     ], ids=["entry-without-equals", "variable-assigned-twice", "unknown-order", "line-without-colon"])
     def test_session_file_refused(self, capsys, tmp_path, text, message):
@@ -628,7 +634,7 @@ class TestVerify:
         # u -> u composes to the identity both ways, but does not map the
         # line into the point V(x).
         (POINT_INTO_LINE_TEXT, ["biregular"], {"inverse": ["u"]}),
-        # A "verdict" key is the report's verdict, any other key a certificate entry.
+        # A "verdict" or "certificates" key is the report's own, any other key a certificate entry.
         (fixture_session_text("triangular"), ["biregular"], {"verdict": False}),
         # 1 is not true: verdicts and certificate entries compare as JSON.
         (fixture_session_text("triangular"), ["biregular"], {"verdict": 1}),
@@ -650,21 +656,38 @@ class TestVerify:
         # target_divides, and no coordinate failed when an inverse is given.
         (fixture_session_text("cusp"), ["divides", "-f", "u", "-g", "v"], {"witnesses_non_almost_surjective": False}),
         (fixture_session_text("triangular"), ["invert"], {"failing_coordinate": 0}),
+        # The pullbacks are f o map and g o map modulo the source ideal.
+        (fixture_session_text("cusp"), ["divides", "-f", "u", "-g", "v"], {"f_pullback": "t^5"}),
+        (fixture_session_text("cusp"), ["divides", "-f", "u", "-g", "v"], {"g_pullback": "7"}),
+        # A positive verdict with no certificate follows from nothing.
+        (fixture_session_text("cusp"), ["biregular"], {"verdict": True, "certificates": []}),
+        (fixture_session_text("triangular"), ["invert"], {"certificates": []}),
     ], ids=["relation", "rational-pair", "inverse", "one-sided-inverse", "inverse-off-source",
             "biregular-verdict", "biregular-verdict-one", "biregular-without-inverse", "biregular-fields-without-inverse",
             "interpolate-without-interpolant", "interpolate-verdict",
             "minpoly-verdict", "zero-relation", "minpoly-degree-true", "gb-verdict", "jc-injective", "determinant",
-            "etale", "divides-one", "divides-witness", "invert-failing-coordinate"])
+            "etale", "divides-one", "divides-witness", "invert-failing-coordinate", "divides-f-pullback",
+            "divides-g-pullback", "biregular-without-certificate", "invert-without-certificate"])
     def test_tampered_certificate_fails(self, capsys, tmp_path, text, argv, edits):
         session = tmp_path / "map.session"
         session.write_text(text)
         path = self._report_file(capsys, tmp_path, "--session", str(session), *argv)
         data = json.loads(path.read_text())
         for key, value in edits.items():
-            (data if key == "verdict" else data["certificates"][0])[key] = value
+            (data if key in ("verdict", "certificates") else data["certificates"][0])[key] = value
         path.write_text(json.dumps(data))
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 1 and report["verdict"] is False
+
+    def test_session_echo_drops_retired_keys_and_verify_reads_past_them(self, capsys, tmp_path):
+        # Reports once echoed assert_irreducible and order; verify ignores both.
+        path = self._report_file(capsys, tmp_path, "--fixture", "sl2row", "gb", "--order", "lex")
+        data = json.loads(path.read_text())
+        assert "assert_irreducible" not in data["session"] and "order" not in data["session"]
+        data["session"].update(assert_irreducible=True, order="grevlex")
+        path.write_text(json.dumps(data))
+        code, report = run_cli(capsys, "verify", str(path))
+        assert code == 0 and report["verdict"] is True
 
     def test_report_without_certificates(self, capsys, tmp_path):
         path = self._report_file(capsys, tmp_path, "--fixture", "cusp", "injective")
@@ -715,8 +738,6 @@ class TestVerify:
          "'depth' is not a positive integer"),
         ({"command": "gb", "session": {**MAP_SESSION, "depth": 0}, "certificates": []},
          "'depth' is not a positive integer"),
-        ({"command": "gb", "session": {**MAP_SESSION, "order": "grevlex\nsource_ideal: x"}, "certificates": []},
-         "'order' is not a one-line string"),
         ({"command": "gb", "session": {**MAP_SESSION, "map": ["u = x\rsource_ideal: x"]}, "certificates": []},
          "'map' contains a line break"),
         # Each session entry is one item, never re-split on ';' or on
@@ -761,14 +782,22 @@ class TestVerify:
                             "injective": True, "coords_determined": [1, 1], "invertible": True,
                             "consistent": True}]},
          "'coords_determined' is not an array of booleans"),
+        # A kind its command does not declare is refused, not skipped: here
+        # the cusp biregular report's kind with a trailing space.
+        ({"command": "biregular", "session": load_fixture("cusp").to_json_dict(), "verdict": True,
+          "certificates": [{"kind": "biregularity ", "injective": True, "almost_surjective": True,
+                            "inverse": None, "consistent": True}]},
+         "kind 'biregularity ' is not one that 'biregular' emits"),
+        ({"command": "fixtures", "session": MAP_SESSION, "certificates": []},
+         "command 'fixtures' is not a command that reads a session"),
     ], ids=["list", "certificate-not-object", "interpolation-without-g", "basis-without-ring",
             "rational-pair-without-args-g", "g-not-a-string", "basis-not-an-array", "map-not-an-array",
-            "rational-pair-of-one", "depth-with-line-break", "depth-zero", "order-with-line-break",
+            "rational-pair-of-one", "depth-with-line-break", "depth-zero",
             "map-with-line-break", "map-entry-with-semicolon", "ring-entry-with-space",
             "ideal-entry-with-semicolon", "integer-over-digit-limit", "not-json",
             "json-nested-too-deep", "map-nested-too-deep",
             "inverse-too-long", "ring-unknown", "ring-not-a-string", "jacobian-off-affine-space",
-            "coords-determined-not-booleans"])
+            "coords-determined-not-booleans", "kind-renamed", "command-without-session"])
     def test_malformed_report_refused(self, capsys, tmp_path, report, named):
         self._assert_refused(capsys, tmp_path, report, named)
 
