@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .endos import etale_dichotomy, is_nonzero_constant, jacobian_determinant, jc_criteria
+from .endos import etale_dichotomy, is_nonzero_constant, jacobian_determinant, jc_criteria, require_self_map
 from .errors import PolymapError, SessionFormatError
 from .fixtures import fixture_names, fixture_session_text, load_fixture
 from .groebner import normal_form, s_polynomial
@@ -178,20 +178,21 @@ def _biregular(ns, session: Session, morphism: Morphism):
 
 
 def _etale(ns, session: Session, morphism: Morphism):
-    det = jacobian_determinant(session.endomorphism())
+    det = jacobian_determinant(morphism)
     verdict = is_nonzero_constant(det)
     return {}, verdict, [{"kind": "jacobian", "determinant": str(det), "etale": verdict}], True
 
 
 def _invert(ns, session: Session, morphism: Morphism):
-    inverse, failing = session.endomorphism().construct_inverse()
+    require_self_map(morphism)
+    inverse, failing = morphism.construct_inverse()
     verdict = _optional_texts(inverse)
     certificate = {"kind": "inversion", "inverse": verdict, "failing_coordinate": failing}
     return {}, verdict, [certificate], True
 
 
 def _jc(ns, session: Session, morphism: Morphism):
-    rep = jc_criteria(session.endomorphism())
+    rep = jc_criteria(morphism)
     verdict = {"injective": rep.injective, "coords_determined": list(rep.coords_determined),
                "invertible": rep.invertible, "consistent": rep.consistent}
     certificate = {"kind": "invertibility_criteria", "etale": rep.etale,
@@ -329,7 +330,7 @@ def _check_image_closure(cert: dict, report: dict, morphism: Morphism):
 
 def _check_jacobian(cert: dict, report: dict, morphism: Morphism):
     where = "jacobian certificate"
-    det = jacobian_determinant(Session(morphism).endomorphism())
+    det = jacobian_determinant(morphism)
     etale = _entry(cert, "etale", where, bool)
     claimed = parse_poly(_entry(cert, "determinant", where, str), morphism.source.ctx)
     return [("determinant and etale verdict reproduce", claimed == det and etale is is_nonzero_constant(det))], etale
@@ -427,8 +428,6 @@ _COMMANDS: dict[str, _Command] = {
     "fixtures": _Command(_fixtures, kinds={"session": None}, session=False),
     "verify": _Command(_verify, (_flag("report", metavar="REPORT.json"),), session=False, check=True),
 }
-# The kinds that ``verify`` re-checks, read off the table.
-_CHECKS = {kind: entry for command in _COMMANDS.values() for kind, entry in command.kinds.items() if entry}
 
 
 def _add_flags(target, flags) -> None:
@@ -501,16 +500,14 @@ def _render_human(report: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
+        ns = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv),
+                               argparse.Namespace(session=None, fixture=None, human=False, timings=False))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    for name, fallback in (("session", None), ("fixture", None), ("human", False), ("timings", False)):
-        if not hasattr(ns, name):
-            setattr(ns, name, fallback)
     started = time.perf_counter()
     try:
         report, exit_code = run_command(ns)
-    except (PolymapError, OSError) as exc:
+    except (PolymapError, OSError, UnicodeDecodeError) as exc:  # UnicodeDecodeError: a session file not in UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report["timings"] = {"seconds": round(time.perf_counter() - started, 6)} if ns.timings else None

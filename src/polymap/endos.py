@@ -3,6 +3,10 @@ constructive inversion, and the Jacobian criteria for etale maps, where
 injectivity (every coordinate determined on the fibers) is checked
 against the constructed inverse.
 
+The criteria hold for self-maps of affine space only, so the Jacobian and
+inversion check that shape (:func:`require_self_map`) for every caller,
+library or CLI, and refuse any other map with a ``PreconditionError``.
+
 Etaleness is machine-decided only here, where it reduces to "the
 Jacobian determinant is a nonzero constant".  For maps between general
 varieties it is a user assertion, and a wrong assertion voids the
@@ -19,6 +23,7 @@ from .errors import (
     MissingAssertionError,
     NotEtaleError,
     NotInjectiveError,
+    PreconditionError,
 )
 from .morphisms import DEFAULT_DEPTH, AffineVariety, Morphism, SurjectivityReport
 from .poly import Poly, VarContext
@@ -112,8 +117,18 @@ def poly_matrix_det(rows: list[list[Poly]], ctx: VarContext) -> Poly:
     return minor(tuple(range(n)))
 
 
+def require_self_map(endo: Morphism) -> None:
+    """Refuse a map whose source or target ideal has a generator, or whose two rings differ in arity."""
+    source, target = endo.source, endo.target
+    if source.ideal.generators or target.ideal.generators:
+        raise PreconditionError("endomorphism commands need affine-space source and target")
+    if source.ctx.arity != target.ctx.arity:
+        raise PreconditionError("endomorphism commands need equal source and target dimension")
+
+
 def jacobian_determinant(endo: Morphism) -> Poly:
     """Determinant of the matrix of partial derivatives, exactly."""
+    require_self_map(endo)
     names = endo.source.ctx.names
     return poly_matrix_det([[coord.derivative(name) for name in names] for coord in endo.coords], endo.source.ctx)
 
@@ -138,6 +153,7 @@ def invert(endo: Morphism) -> InversionResult:
     coordinate that does not interpolate, or None when every coordinate
     does but the map is not onto.
     """
+    require_self_map(endo)
     inverse, failing = endo.construct_inverse()
     return InversionResult(None if inverse is None else Endomorphism(endo.target.ctx, endo.source.ctx, inverse),
                            failing)

@@ -7,7 +7,7 @@ criteria and a normal selection strategy; inputs here are desk scale
 speed.  Reduced bases are canonical for (ideal, order): every run, under
 any selection strategy, returns the identical monic reduced basis.
 
-Every division goes through ``_divide``, which keeps its pending terms
+Every division goes through ``normal_form``, which keeps its pending terms
 ordered, as heap division does (Monagan & Pearce, "Sparse polynomial
 division using a heap", J. Symb. Comp. 2011), so each monomial's order
 key is computed once per call, when the monomial first enters the work
@@ -68,8 +68,11 @@ def _integral(c: int | Fraction) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-def _divide(f: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> Poly:
-    """Remainder of multivariate division of ``f`` by ``divisors``.
+def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) -> Poly:
+    """Remainder of multivariate division of ``f`` by ``basis``.
+
+    Deterministic for a fixed basis tuple; canonical whenever the basis
+    is a Groebner basis for ``order``.
 
     Terms are reduced largest first.  The divisor picked at each step is
     the first one whose leading monomial divides the current leading
@@ -87,9 +90,14 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> Poly:
     ints are never divided with ``/``: a monic divisor's factor is the
     coefficient itself, any other is an exact ``Fraction`` quotient.
     """
+    if not basis:
+        return f
+    for g in basis:
+        if g.ctx != f.ctx:
+            raise ContextMismatchError("normal_form: mixed contexts")
     key = order.key_function(f.ctx.arity)
     leads = []
-    for g in divisors:
+    for g in basis:
         if not g.is_zero():
             glm = g.leading_monomial(order)
             tail = [(gm, _integral(gc)) for gm, gc in g._terms.items() if gm != glm]
@@ -119,20 +127,6 @@ def _divide(f: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> Poly:
                 work[mono] = -factor * gc
                 insort(pending, (key(mono), mono))
     return _raw(f.ctx, remainder)
-
-
-def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) -> Poly:
-    """Remainder of multivariate division of ``f`` by ``basis``.
-
-    Deterministic for a fixed basis tuple; canonical whenever the basis
-    is a Groebner basis for ``order``.
-    """
-    if not basis:
-        return f
-    for g in basis:
-        if g.ctx != f.ctx:
-            raise ContextMismatchError("normal_form: mixed contexts")
-    return _divide(f, basis, order)
 
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:

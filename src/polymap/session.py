@@ -80,15 +80,6 @@ class Session:
     def morphism(self) -> Morphism:
         return self.map
 
-    def endomorphism(self) -> Morphism:
-        """The map, once it is known to be a self-map of affine space."""
-        source, target = self.map.source, self.map.target
-        if source.ideal.generators or target.ideal.generators:
-            raise SessionFormatError("endomorphism commands need affine-space source and target")
-        if source.ctx.arity != target.ctx.arity:
-            raise SessionFormatError("endomorphism commands need equal source and target dimension")
-        return self.map
-
     @classmethod
     def from_json_dict(cls, data) -> Session:
         """The session that :meth:`to_json_dict` wrote as ``data``.  Each

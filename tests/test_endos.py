@@ -17,6 +17,7 @@ from polymap import (
     NotEtaleError,
     NotInjectiveError,
     Poly,
+    PreconditionError,
     VarContext,
     etale_dichotomy,
     invert,
@@ -26,6 +27,7 @@ from polymap import (
     load_fixture,
     Morphism,
     parse_poly,
+    parse_session,
     poly_matrix_det,
     random_tame_automorphism,
 )
@@ -194,6 +196,25 @@ class TestJCCriteria:
             assert rep.injective and all(rep.coords_determined) and rep.invertible
 
 
+class TestSelfMapShape:
+    """Every criterion here refuses a map that is not a self-map of affine
+    space, whichever caller asks."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("source_ring: t\nsource_ideal: t^2 - 1\ntarget_ring: u\ntarget_ideal: u^2 - 1\nmap: u = t\n",
+         "need affine-space source and target"),
+        ("source_ring: x y\nsource_ideal: x*y - 1\ntarget_ring: u v\nmap: u = x ; v = y\n",
+         "need affine-space source and target"),
+        ("source_ring: t\ntarget_ring: u v\nmap: u = t ; v = t^2\n",
+         "need equal source and target dimension"),
+    ], ids=["two-points", "hyperbola-into-plane", "line-into-plane"])
+    @pytest.mark.parametrize("criterion", [jacobian_determinant, is_etale, jc_criteria, invert],
+                             ids=lambda f: f.__name__)
+    def test_non_self_map_refused(self, criterion, text, message):
+        with pytest.raises(PreconditionError, match=message):
+            criterion(parse_session(text).morphism())
+
+
 class TestDichotomy:
     def test_hyperbola_codim_one(self, fixture_morphisms):
         rep = etale_dichotomy(fixture_morphisms["hyperbola"])
@@ -229,7 +250,7 @@ class TestPartsComputedOnce:
     @pytest.mark.parametrize("verdict, owner, expected", [
         (lambda: etale_dichotomy(load_fixture("triangular").morphism()).branch == "biregular",
          Morphism, {"almost_surjective": 1, "is_injective": 1}),
-        (lambda: jc_criteria(load_fixture("identity2").endomorphism()).consistent,
+        (lambda: jc_criteria(load_fixture("identity2").morphism()).consistent,
          Ideal, {"radical_contains": 2}),
         (lambda: main(["--fixture", "triangular", "etale"]) == 0, endos, {"poly_matrix_det": 1}),
         # jc refuses a map that is not etale, naming the determinant it computed.

@@ -16,10 +16,11 @@ from polymap import (
     SessionFormatError,
     fixture_names,
     fixture_session_text,
+    jacobian_determinant,
     load_fixture,
     parse_session,
 )
-from polymap.cli import _CHECKS, _COMMANDS, _G, build_parser, main
+from polymap.cli import _COMMANDS, _G, build_parser, main
 
 SESSION_TEXT = """
 # a toy session
@@ -56,6 +57,8 @@ FIVE_POINTS_TEXT = ("source_ring: x y\nsource_ideal: x^2 + y^3 ; x*y - 1\ntarget
                     "assert_factorial: true\n")
 POINT_ONTO_POINT_TEXT = "source_ring:\ntarget_ring: u\ntarget_ideal: u - 2\nmap: u = 2\nassert_factorial: true\n"
 NESTING_ERROR = "error: nesting deeper than 100 levels (at position 100)\n"
+# The kinds that verify re-checks, read off the command table.
+CHECKED_KINDS = {kind for command in _COMMANDS.values() for kind, entry in command.kinds.items() if entry}
 
 
 def run_cli(capsys, *argv):
@@ -140,14 +143,14 @@ class TestSessionParsing:
         echo = parse_session("source_ring: x y\nsource_ideal: 0 ; x*y - 1\ntarget_ring: u\nmap: u = x\n"
                              ).to_json_dict()
         assert echo["source_ideal"] == ["x*y - 1"] and echo["target_ideal"] == []
-        # The zero ideal is affine space, so the endomorphism commands accept it.
-        session = parse_session("source_ring: x\nsource_ideal: 0\ntarget_ring: u\ntarget_ideal: 0\nmap: u = x\n")
-        assert session.endomorphism() is session.morphism()
+        # The zero ideal is affine space, so the Jacobian accepts the map.
+        morphism = parse_session("source_ring: x\nsource_ideal: 0\ntarget_ring: u\ntarget_ideal: 0\nmap: u = x\n"
+                                 ).morphism()
+        assert str(jacobian_determinant(morphism)) == "1"
 
     def test_endomorphism_requires_affine_spaces(self):
-        session = parse_session(SESSION_TEXT)
-        with pytest.raises(SessionFormatError):
-            session.endomorphism()
+        with pytest.raises(PreconditionError, match="need affine-space source and target"):
+            jacobian_determinant(parse_session(SESSION_TEXT).morphism())
 
 
 class TestFixtureLibrary:
@@ -393,10 +396,13 @@ class TestCLI:
         ("map: u = x ; u = 2", "map assigns target variable 'u' twice"),
         ("map: u = x\norder: foo", "line 4: unknown key 'order'"),
         ("map u = x", "line 3: expected 'key: value', got 'map u = x'"),
-    ], ids=["entry-without-equals", "variable-assigned-twice", "unknown-order", "line-without-colon"])
+        (b"map: u = x\xff", "'utf-8' codec can't decode byte 0xff in position 40: invalid start byte"),
+    ], ids=["entry-without-equals", "variable-assigned-twice", "unknown-order", "line-without-colon",
+            "not-utf-8"])
     def test_session_file_refused(self, capsys, tmp_path, text, message):
         session = tmp_path / "bad.session"
-        session.write_text("source_ring: x\ntarget_ring: u\n" + text + "\n")
+        body = text if isinstance(text, bytes) else text.encode()
+        session.write_bytes(b"source_ring: x\ntarget_ring: u\n" + body + b"\n")
         assert main(["--session", str(session), "dim"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
@@ -804,7 +810,7 @@ class TestVerify:
     def test_every_checked_kind_has_a_row(self, capsys):
         # Every kind verify re-checks has a row that says what it checks;
         # the fixtures listing's kind is carried as data.
-        assert all(documented_kinds().get(kind) is False for kind in _CHECKS)
+        assert all(documented_kinds().get(kind) is False for kind in CHECKED_KINDS)
         code, report = run_cli(capsys, "fixtures")
         assert code == 0 and all(documented_kinds().get(cert["kind"]) for cert in report["certificates"])
         assert all(cert["kind"] in _COMMANDS["fixtures"].kinds for cert in report["certificates"])
@@ -817,7 +823,6 @@ class TestVerify:
             for kind, entry in command.kinds.items():
                 assert documented_kinds().get(kind) is (entry is None), (name, kind)
                 assert entries.setdefault(kind, entry) == entry, (name, kind)
-        assert _CHECKS == {kind: entry for kind, entry in entries.items() if entry is not None}
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_every_report_verifies(self, capsys, tmp_path, name):
@@ -831,7 +836,7 @@ class TestVerify:
             # documented as carried data.
             for cert in json.loads(captured.out)["certificates"]:
                 assert cert["kind"] in _COMMANDS[argv[0]].kinds, (argv, cert["kind"])
-                assert cert["kind"] in _CHECKS or documented_kinds().get(cert["kind"]), (argv, cert["kind"])
+                assert cert["kind"] in CHECKED_KINDS or documented_kinds().get(cert["kind"]), (argv, cert["kind"])
             path = tmp_path / "report.json"
             path.write_text(captured.out)
             code, report = run_cli(capsys, "verify", str(path))
