@@ -33,7 +33,10 @@ plane automorphism (x + (y + x^2)^2, y + x^2), and two asserted-etale
 maps for ``dichotomy``'s gates: one that is not injective and an open
 immersion of the punctured plane that misses the line u = 0, the five
 points x^2 + y^3 = xy - 1 = 0 projected to the line, whose lex and
-grevlex bases differ, and a point onto a point, whose inverse is empty.
+grevlex bases differ, a point onto a point, whose inverse is empty, and
+the plane onto a line in the plane, (x, y) -> (y, 0), over whose image x
+is free: its graph closure is principal with a generator free of the
+line coordinate, which ``minpoly`` reads as no relation.
 
 It also runs each ``demos/*.py`` of the checkout in its own process, with
 ``PYTHONPATH`` set to that checkout's ``src/``, as one call.
@@ -104,6 +107,7 @@ SESSIONS = {
     "five-points": "source_ring: x y\nsource_ideal: x^2 + y^3 ; x*y - 1\ntarget_ring: u\nmap: u = x\n"
                    "assert_factorial: true\n",
     "point-onto-point": "source_ring:\ntarget_ring: u\ntarget_ideal: u - 2\nmap: u = 2\nassert_factorial: true\n",
+    "free-over-image": "source_ring: x y\ntarget_ring: u v\nmap: u = y ; v = 0\n",
 }
 
 def flag_names(flags):

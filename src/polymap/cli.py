@@ -24,7 +24,7 @@ from .endos import etale_dichotomy, is_nonzero_constant, jacobian_determinant, j
 from .errors import PolymapError, SessionFormatError
 from .fixtures import fixture_names, fixture_session_text, load_fixture
 from .groebner import normal_form, s_polynomial
-from .morphisms import AffineVariety, Morphism
+from .morphisms import AffineVariety, Morphism, is_graph_relation
 from .orders import ORDERS_BY_NAME
 from .parsing import parse_poly
 from .poly import Poly
@@ -247,8 +247,8 @@ def _check_graph_relation(cert: dict, report: dict, morphism: Morphism):
     if pair:
         num, den = (parse_poly(text, morphism.target.ctx) for text in pair)
         lines.append(("degree-1 pair represents g", morphism.pulls_back_to(num, morphism.pullback(den) * g)))
-    degree = relation.degree_in(var)
-    return lines, "relation" if degree >= 1 and _same(cert.get("degree"), degree) else None
+    follows = is_graph_relation(relation, var) and _same(cert.get("degree"), relation.degree_in(var))
+    return lines, "relation" if follows else None
 
 
 def _inverse_lines(cert: dict, morphism: Morphism) -> list:

@@ -3,9 +3,10 @@ constructive inversion, and the Jacobian criteria for etale maps, where
 injectivity (every coordinate determined on the fibers) is checked
 against the constructed inverse.
 
-The criteria hold for self-maps of affine space only, so the Jacobian and
-inversion check that shape (:func:`require_self_map`) for every caller,
-library or CLI, and refuse any other map with a ``PreconditionError``.
+The criteria hold for self-maps of affine space only, so the Jacobian,
+inversion and the :class:`Endomorphism` constructor check that shape
+(:func:`require_self_map`) for every caller, library or CLI, and refuse
+any other map with a ``PreconditionError``.
 
 Etaleness is machine-decided only here, where it reduces to "the
 Jacobian determinant is a nonzero constant".  For maps between general
@@ -39,9 +40,8 @@ class Endomorphism(Morphism):
     """
 
     def __init__(self, source_ctx: VarContext, target_ctx: VarContext, coords):
-        if source_ctx.arity != target_ctx.arity:
-            raise ValueError("endomorphism needs source and target of equal dimension")
         super().__init__(AffineVariety.affine_space(source_ctx), AffineVariety.affine_space(target_ctx), coords)
+        require_self_map(self)
 
 
 @dataclass(frozen=True)
@@ -84,34 +84,26 @@ class DichotomyReport:
 
 def poly_matrix_det(rows: list[list[Poly]], ctx: VarContext) -> Poly:
     """Determinant of a square matrix of polynomials over ``ctx``, by
-    division-free Laplace expansion memoized over column subsets: exact,
-    and fast at the sizes of Jacobians of desk-scale maps."""
+    division-free cofactor expansion along the first row: exact, and at
+    the sizes of Jacobians of desk-scale maps (3x3 at most) no minor is
+    met twice often enough for a memo to pay."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if n == 0:
-        return Poly.one(ctx)
-
-    memo: dict[tuple[int, ...], Poly] = {}
 
     def minor(cols: tuple[int, ...]) -> Poly:
         # Expand along row n - len(cols), over the still-available columns.
         if not cols:
             return Poly.one(ctx)
-        got = memo.get(cols)
-        if got is not None:
-            return got
         i = n - len(cols)
         total = Poly.zero(ctx)
         for pos, j in enumerate(cols):
             entry = rows[i][j]
             if entry.is_zero():
                 continue
-            sub = minor(cols[:pos] + cols[pos + 1:])
-            contribution = entry * sub
+            contribution = entry * minor(cols[:pos] + cols[pos + 1:])
             total = total + contribution if pos % 2 == 0 else total - contribution
-        memo[cols] = total
         return total
 
     return minor(tuple(range(n)))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
     ContextMismatchError,
@@ -43,6 +43,7 @@ from .poly import Poly, VarContext
 # Rounds of leading-coefficient descent in ``constructible_image`` unless a
 # session sets its own ``depth``.
 DEFAULT_DEPTH = 8
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,19 @@ class InterpolationResult:
         return self.status == "interpolant"
 
 
+def is_graph_relation(relation: Poly, var: str) -> bool:
+    """Whether a graph-closure generator is a relation of g over the image:
+    it has degree at least one in the line coordinate ``var``."""
+    return relation.degree_in(var) >= 1
+
+
 @dataclass(frozen=True)
 class MinPolyResult:
     """Defining relation of a function over the image of a map.
 
     The relation lives in the target ring extended by ``var`` (the fresh
-    graph coordinate).  When the relation has degree one and the map is
+    graph coordinate) and has degree at least one in it
+    (:func:`is_graph_relation`).  When that degree is one and the map is
     dominant, ``rational_pair = (num, den)`` certifies g = (num/den) o map.
     """
 
@@ -237,12 +245,15 @@ class Morphism:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _graph(self) -> _GraphData:
-        got = self._memo.get("graph")
+    def _derived(self, key: str, build: Callable[[], _T]) -> _T:
+        """``build()``, computed on the first call for ``key`` and kept on the map."""
+        got = self._memo.get(key)
         if got is None:
-            got = _GraphData(self)
-            self._memo["graph"] = got
+            got = self._memo[key] = build()
         return got
+
+    def _graph(self) -> _GraphData:
+        return self._derived("graph", lambda: _GraphData(self))
 
     def _fiber(self) -> tuple[VarContext, Ideal, dict[str, str]]:
         """Doubled source context with the fiber-product ideal.
@@ -251,8 +262,7 @@ class Morphism:
         both copies, and the equations identifying the two images.  It
         extends the source ideal, so its bases start from that ideal's.
         """
-        got = self._memo.get("fiber")
-        if got is None:
+        def build():
             src = self.source.ctx
             ctx2 = src
             for name in src.names:
@@ -260,9 +270,9 @@ class Morphism:
             rename = dict(zip(src.names, ctx2.names[src.arity:]))
             gens = [g.transport(ctx2, rename) for g in self.source.ideal.generators]
             gens += [c.transport(ctx2) - c.transport(ctx2, rename) for c in self.coords]
-            got = (ctx2, self.source.ideal.extended(ctx2, gens), rename)
-            self._memo["fiber"] = got
-        return got
+            return ctx2, self.source.ideal.extended(ctx2, gens), rename
+
+        return self._derived("fiber", build)
 
     # -- ring-level operations ---------------------------------------------------
 
@@ -296,11 +306,8 @@ class Morphism:
 
     def image_closure(self) -> Ideal:
         """Ideal of the Zariski closure of the image."""
-        got = self._memo.get("image_closure")
-        if got is None:
-            graph = self._graph()
-            got = self._memo["image_closure"] = graph.ideal.eliminate(graph.src_names)
-        return got
+        graph = self._graph()
+        return self._derived("image_closure", lambda: graph.ideal.eliminate(graph.src_names))
 
     def dominant(self) -> bool:
         """Whether the image is dense in the target variety."""
@@ -370,10 +377,11 @@ class Morphism:
     def minimal_polynomial(self, g: Poly) -> MinPolyResult:
         """Defining relation of g over the image, on an affine-space target.
 
-        The graph closure in target x line is zero (no relation), a
-        hypersurface (principal: the relation, with its degree in the
-        fresh variable), or smaller (not a hypersurface).  Degree one
-        plus dominance certifies g as a ratio of pulled-back functions.
+        The graph closure in target x line is principal with a generator
+        of degree at least one in the fresh variable (the relation), or
+        with one free of it (no relation: zero, or the image's own equation,
+        or 1 on an empty source), or not principal (not a hypersurface).
+        Degree one plus dominance certifies g as a ratio of pulled-back functions.
         """
         if self.target.ideal.generators:
             raise TargetNotAffineSpaceError("minimal_polynomial needs a target with zero defining ideal")
@@ -382,7 +390,7 @@ class Morphism:
         generator = ideal.principal_generator()
         if generator is None:
             return MinPolyResult("not_hypersurface", None, w, None, None, dominant, ideal)
-        if generator.is_zero():
+        if not is_graph_relation(generator, w):
             return MinPolyResult("no_relation", None, w, None, None, dominant, ideal)
         degree = generator.degree_in(w)
         top = generator.coefficients_in(w).get(degree)
@@ -534,10 +542,7 @@ class Morphism:
         The pair is memoized on the map, so ``biregular``, ``invert`` and
         ``jc_criteria`` build and check it once between them.
         """
-        got = self._memo.get("inverse")
-        if got is None:
-            got = self._memo["inverse"] = self._inverse()
-        return got
+        return self._derived("inverse", self._inverse)
 
     def _inverse(self) -> tuple[tuple[Poly, ...] | None, int | None]:
         inverse: list[Poly] = []

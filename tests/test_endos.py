@@ -214,6 +214,11 @@ class TestSelfMapShape:
         with pytest.raises(PreconditionError, match=message):
             criterion(parse_session(text).morphism())
 
+    def test_constructor_refuses_unequal_dimensions(self):
+        x, y = Poly.variables(XY)
+        with pytest.raises(PreconditionError, match="equal source and target dimension"):
+            Endomorphism(XY, UVW, [x, y, x * y])
+
 
 class TestDichotomy:
     def test_hyperbola_codim_one(self, fixture_morphisms):

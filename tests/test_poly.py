@@ -148,6 +148,9 @@ class TestParse:
             parse_poly("2x", XY)  # implicit multiplication is not in the grammar
         with pytest.raises(ParseError):
             parse_poly("x ^ y", XY)
+        with pytest.raises(ParseError, match="expected '\\)'") as err:
+            parse_poly("(x + y", XY)
+        assert err.value.position == 6
 
     def test_round_trip_on_random_polys(self):
         rng = random.Random(1)

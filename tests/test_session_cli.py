@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from polymap import (
     PreconditionError,
     Session,
     SessionFormatError,
+    VarContext,
     fixture_names,
     fixture_session_text,
     jacobian_determinant,
@@ -21,6 +23,8 @@ from polymap import (
     parse_session,
 )
 from polymap.cli import _COMMANDS, _G, build_parser, main
+
+from conftest import random_poly
 
 SESSION_TEXT = """
 # a toy session
@@ -67,9 +71,8 @@ def run_cli(capsys, *argv):
     return code, (json.loads(out) if out.strip().startswith("{") else out)
 
 
-def session_commands(name):
+def session_commands(morphism):
     """Every session command, with -g, -f and --drop on the first ring variables."""
-    morphism = load_fixture(name).morphism()
     x, u, v = morphism.source.ctx.names[0], morphism.target.ctx.names[0], morphism.target.ctx.names[-1]
     return [
         ["gb"], ["gb", "--ring", "target"], ["dim"], ["nf", "-g", x], ["eliminate", "--drop", x],
@@ -128,8 +131,9 @@ class TestSessionParsing:
             parse_session("source_ring: x\ntarget_ring: u\nmap: u = x\ndepth: abc\n")
 
     @pytest.mark.parametrize("text", [*map(fixture_session_text, fixture_names()),
-                                      SESSION_TEXT, AUTOMORPHISM_TEXT, SHALLOW_SHEAR_TEXT],
-                             ids=[*fixture_names(), "toy", "automorphism", "shallow-shear"])
+                                      SESSION_TEXT, AUTOMORPHISM_TEXT, SHALLOW_SHEAR_TEXT,
+                                      AUTOMORPHISM_TEXT + "assert_etale: no\n"],
+                             ids=[*fixture_names(), "toy", "automorphism", "shallow-shear", "flag-no"])
     def test_json_round_trip(self, text):
         echo = parse_session(text).to_json_dict()
         assert Session.from_json_dict(echo).to_json_dict() == echo
@@ -699,6 +703,9 @@ class TestVerify:
         path = self._report_file(capsys, tmp_path, "--fixture", "cusp", "injective")
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 0 and report["verdict"] is None
+        code, out = run_cli(capsys, "verify", str(path), "--human")
+        assert code == 0 and out.endswith("verdict: null\nexact: True\n"
+                                          "note: report contains no re-checkable certificate\n")
 
     @staticmethod
     def _assert_refused(capsys, tmp_path, report, named):
@@ -826,11 +833,50 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_every_report_verifies(self, capsys, tmp_path, name):
-        for argv in session_commands(name):
-            code = main(["--fixture", name, *argv])
+        self._assert_every_report_verifies(capsys, tmp_path, ["--fixture", name],
+                                           session_commands(load_fixture(name).morphism()))
+
+    def test_seeded_sessions_verify(self, capsys, tmp_path):
+        # Small random maps, with a source ideal a quarter of the time.
+        # image --constructible is left out: its descent has no work bound yet.
+        rng = random.Random(1)
+        for index in range(40):
+            session = tmp_path / f"seeded-{index}.session"
+            source = VarContext(("x", "y")[:rng.randint(1, 2)])
+            target = ("u", "v")[:rng.randint(1, 2)]
+            lines = [f"source_ring: {' '.join(source.names)}", f"target_ring: {' '.join(target)}"]
+            if rng.random() < 0.25:
+                lines.append(f"source_ideal: {random_poly(rng, source, max_deg=2, max_terms=3)}")
+            lines.append("map: " + " ; ".join(f"{u} = {random_poly(rng, source, max_deg=2, max_terms=3)}"
+                                              for u in target))
+            text = "\n".join(lines) + "\n"
+            session.write_text(text)
+            commands = session_commands(parse_session(text).morphism())
+            self._assert_every_report_verifies(capsys, tmp_path, ["--session", str(session)],
+                                               [argv for argv in commands if argv != ["image", "--constructible"]])
+
+    @pytest.mark.parametrize("text, g", [
+        ("source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = 0\n", "y"),
+        ("source_ring: x\ntarget_ring: u\nmap: u = 2\n", "x"),
+        ("source_ring: x\nsource_ideal: 1\ntarget_ring: u\nmap: u = x\n", "x"),
+    ], ids=["free-over-image", "constant-map", "empty-source"])
+    def test_generator_free_of_line_coordinate_is_no_relation(self, capsys, tmp_path, text, g):
+        # The graph closure is principal, but its generator (v, u - 2, 1)
+        # does not involve the line coordinate: g is free over the image.
+        session = tmp_path / "map.session"
+        session.write_text(text)
+        path = self._report_file(capsys, tmp_path, "--session", str(session), "minpoly", "-g", g)
+        report = json.loads(path.read_text())
+        assert report["verdict"] == "no_relation" and report["certificates"][0]["relation"] is None
+        code, report = run_cli(capsys, "verify", str(path))
+        assert code == 0 and report["verdict"] is None
+
+    def _assert_every_report_verifies(self, capsys, tmp_path, source, commands):
+        for argv in commands:
+            code = main([*source, *argv])
             captured = capsys.readouterr()
             if code == 1:  # a refused precondition, e.g. etale on a map between different spaces
-                assert captured.out == "" and captured.err.count("\n") == 1, argv
+                assert captured.out == "" and captured.err.count("\n") == 1, (source, argv)
                 continue
             # Each kind emitted is declared by its command, and re-checked or
             # documented as carried data.
@@ -840,4 +886,4 @@ class TestVerify:
             path = tmp_path / "report.json"
             path.write_text(captured.out)
             code, report = run_cli(capsys, "verify", str(path))
-            assert code == 0 and report["verdict"] in (True, None), argv
+            assert code == 0 and report["verdict"] in (True, None), (source, argv)
