@@ -44,8 +44,9 @@ It also runs each ``demos/*.py`` of the checkout in its own process, with
 Every call whose exit code, stdout or stderr differs between the two
 checkouts is printed, as is a call that only one checkout makes; the
 script exits 1 if there is any.  For each checkout it then prints how
-many ``verify`` calls returned ``true``, ``null`` and ``false``: how much
-of the honest reports ``verify`` actually checks.  Only the standard
+many ``verify`` calls returned ``true``, ``null`` and ``false``, and how
+many refused their report: how much of the honest reports ``verify``
+actually checks, and whether it refuses any of them.  Only the standard
 library is used.
 """
 
@@ -183,12 +184,12 @@ def run_checkout(checkout: Path) -> dict[tuple[str, ...], dict]:
 
 
 def verify_counts(calls: dict[tuple[str, ...], dict]) -> str:
-    """How many ``verify`` calls returned true, null and false; a refused
-    report prints nothing and is counted in the total only."""
+    """How many ``verify`` calls returned true, null and false, and how many
+    refused their report (a refusal prints nothing on stdout)."""
     verdicts = [json.loads(c["stdout"] or "{}").get("verdict", "refused") for key, c in calls.items()
                 if key[0] == "verify"]
     counts = ", ".join(f"{json.dumps(v)} {sum(w is v for w in verdicts)}" for v in (True, None, False))
-    return f"{counts} of {len(verdicts)}"
+    return f"{counts}, refused {verdicts.count('refused')} of {len(verdicts)}"
 
 
 def main(argv: list[str]) -> int:

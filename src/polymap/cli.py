@@ -152,9 +152,9 @@ def _minpoly(ns, session: Session, morphism: Morphism):
     g = parse_poly(ns.g, morphism.source.ctx)
     result = morphism.minimal_polynomial(g)
     relation = str(result.relation) if result.relation is not None else None
-    certificate = {"kind": "graph_relation", "var": result.var, "relation": relation, "degree": result.degree,
-                   "rational_pair": _optional_texts(result.rational_pair), "dominant": result.dominant,
-                   "graph_ideal": [str(p) for p in result.graph_ideal.generators]}
+    certificate = {"kind": "graph_relation", "g": str(g), "var": result.var, "relation": relation,
+                   "degree": result.degree, "rational_pair": _optional_texts(result.rational_pair),
+                   "dominant": result.dominant, "graph_ideal": [str(p) for p in result.graph_ideal.generators]}
     return {"g": str(g)}, result.status, [certificate], True
 
 
@@ -222,9 +222,10 @@ def _same(a, b) -> bool:
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-# A check returns its identity lines, empty exactly when the certificate holds
-# nothing to re-check, and the verdict that the certificate implies.
-def _check_interpolation(cert: dict, report: dict, morphism: Morphism):
+# A check reads only its certificate and the session's map.  It returns its
+# identity lines, empty exactly when the certificate holds nothing to
+# re-check, and the verdict that the certificate implies.
+def _check_interpolation(cert: dict, morphism: Morphism):
     where = "interpolation certificate"
     interpolant = _entry(cert, "interpolant", where, str, required=False)
     if interpolant is None:
@@ -234,14 +235,14 @@ def _check_interpolation(cert: dict, report: dict, morphism: Morphism):
     return [("interpolant pulls back to g", morphism.pulls_back_to(p, g))], "interpolant"
 
 
-def _check_graph_relation(cert: dict, report: dict, morphism: Morphism):
+def _check_graph_relation(cert: dict, morphism: Morphism):
     where = "graph_relation certificate"
     text = _entry(cert, "relation", where, str, required=False)
     if text is None:
         return [], None
     var = _entry(cert, "var", where, str)
     relation = parse_poly(text, morphism.target.ctx.extended([var]))
-    g = parse_poly(_entry(_entry(report, "args", "report"), "g", "report args", str), morphism.source.ctx)
+    g = parse_poly(_entry(cert, "g", where, str), morphism.source.ctx)
     lines = [("relation vanishes on the graph", morphism.relation_vanishes(relation, g))]
     pair = _texts(cert, "rational_pair", where, required=False, length=2)
     if pair:
@@ -262,16 +263,16 @@ def _inverse_lines(cert: dict, morphism: Morphism) -> list:
     return [("inverse composes to identity on both sides", morphism.is_section(inverse) and left)]
 
 
-def _check_biregularity(cert: dict, report: dict, morphism: Morphism):
+def _check_biregularity(cert: dict, morphism: Morphism):
     almost = cert.get("almost_surjective")
     return _inverse_lines(cert, morphism), None if almost is None else cert.get("injective") is True and almost is True
 
 
-def _check_inversion(cert: dict, report: dict, morphism: Morphism):
+def _check_inversion(cert: dict, morphism: Morphism):
     return _inverse_lines(cert, morphism), cert.get("inverse") if cert.get("failing_coordinate") is None else None
 
 
-def _check_invertibility_criteria(cert: dict, report: dict, morphism: Morphism):
+def _check_invertibility_criteria(cert: dict, morphism: Morphism):
     where = "invertibility_criteria certificate"
     determined = _entry(cert, "coords_determined", where, list)
     if not all(isinstance(d, bool) for d in determined):
@@ -282,11 +283,11 @@ def _check_invertibility_criteria(cert: dict, report: dict, morphism: Morphism):
     return lines, verdict if cert.get("etale") is True and _same({k: cert.get(k) for k in verdict}, verdict) else None
 
 
-def _check_dichotomy(cert: dict, report: dict, morphism: Morphism):
+def _check_dichotomy(cert: dict, morphism: Morphism):
     return _inverse_lines(cert, morphism), cert.get("branch")
 
 
-def _check_divisibility(cert: dict, report: dict, morphism: Morphism):
+def _check_divisibility(cert: dict, morphism: Morphism):
     where = "divisibility_transfer certificate"
     f = parse_poly(_entry(cert, "f", where, str), morphism.target.ctx)
     g = parse_poly(_entry(cert, "g", where, str), morphism.target.ctx)
@@ -301,7 +302,7 @@ def _check_divisibility(cert: dict, report: dict, morphism: Morphism):
     return lines, claimed if _same(cert.get("witnesses_non_almost_surjective"), witness) else None
 
 
-def _check_groebner_basis(cert: dict, report: dict, morphism: Morphism):
+def _check_groebner_basis(cert: dict, morphism: Morphism):
     where = "groebner_basis certificate"
     ring = _entry(cert, "ring", where, str)
     if ring not in ("source", "target"):
@@ -323,12 +324,12 @@ def _check_groebner_basis(cert: dict, report: dict, morphism: Morphism):
              all(normal_form(s_polynomial(f, g, order), nonzero, order).is_zero() for f, g in pairs))], texts
 
 
-def _check_image_closure(cert: dict, report: dict, morphism: Morphism):
+def _check_image_closure(cert: dict, morphism: Morphism):
     listed = _entry(cert, "generators", "image_closure certificate")
     return [("image closure reproduces", _same(listed, [str(g) for g in morphism.image_closure().generators]))], listed
 
 
-def _check_jacobian(cert: dict, report: dict, morphism: Morphism):
+def _check_jacobian(cert: dict, morphism: Morphism):
     where = "jacobian certificate"
     det = jacobian_determinant(morphism)
     etale = _entry(cert, "etale", where, bool)
@@ -355,20 +356,24 @@ def _verify(ns):
             raise SessionFormatError(f"report command {command!r} is not a command that reads a session")
         morphism = Session.from_json_dict(session_data).morphism()
         verdict = original.get("verdict")
+        args = _entry(original, "args", "report", dict, required=False) or {}
         certificates = _entry(original, "certificates", "report", list, required=False) or []
         for cert in certificates:
             kind = _entry(cert, "kind", "report certificate", required=False)
             if not (isinstance(kind, str) and kind in declared.kinds):
                 raise SessionFormatError(f"report certificate kind {kind!r} is not one that {command!r} emits")
-            if declared.kinds[kind] is None:
-                continue
-            check, positive = declared.kinds[kind]
-            lines, implied = check(cert, original, morphism)
-            ran = bool(lines)
-            # The one rule that ties the report's verdict to each certificate.
-            if ran or positive(implied) or positive(verdict):
-                lines.append((_FOLLOWS, _same(implied, verdict) and positive(implied) == ran))
-            checks.extend({"check": name, "ok": bool(ok)} for name, ok in lines)
+            if declared.kinds[kind] is not None:
+                check, positive = declared.kinds[kind]
+                lines, implied = check(cert, morphism)
+                ran = bool(lines)
+                # The one rule that ties the report's verdict to each certificate.
+                if ran or positive(implied) or positive(verdict):
+                    lines.append((_FOLLOWS, _same(implied, verdict) and positive(implied) == ran))
+                checks.extend({"check": name, "ok": bool(ok)} for name, ok in lines)
+            # The one rule that ties the report's question to each certificate.
+            for key in cert:
+                if key in args and not _same(args[key], cert[key]):
+                    raise SessionFormatError(f"report args entry {key!r} contradicts the {kind} certificate")
         # A positive verdict with no certificate has nothing to follow from.
         if not certificates and any(positive(verdict) for _, positive in filter(None, declared.kinds.values())):
             checks.append({"check": _FOLLOWS, "ok": False})
@@ -384,10 +389,11 @@ class _Command:
     """One CLI command.  ``run`` gets (ns, session, morphism), or only ns
     when the command reads no session.  ``kinds`` maps each certificate kind
     it emits to None, carried as data, or to ``(check, positive)``: ``verify``
-    re-checks it, and positive(verdict) says a verdict is the positive answer;
-    ``verify`` refuses any other kind in a report of the command.  Exit 2 means undecided: a null verdict from an inexact description or,
-    with ``inexact_undecided``, any inexact description.  A ``check``
-    verdict of false exits 1."""
+    re-checks it by ``check(cert, morphism)``, and positive(verdict) says a
+    verdict is the positive answer; ``verify`` refuses any other kind in a
+    report of the command.  Exit 2 means undecided: a null verdict from an
+    inexact description or, with ``inexact_undecided``, any inexact
+    description.  A ``check`` verdict of false exits 1."""
 
     run: Callable
     flags: tuple = ()

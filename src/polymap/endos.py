@@ -113,9 +113,9 @@ def require_self_map(endo: Morphism) -> None:
     """Refuse a map whose source or target ideal has a generator, or whose two rings differ in arity."""
     source, target = endo.source, endo.target
     if source.ideal.generators or target.ideal.generators:
-        raise PreconditionError("endomorphism commands need affine-space source and target")
+        raise PreconditionError("map is not a self-map of affine space: source or target has equations")
     if source.ctx.arity != target.ctx.arity:
-        raise PreconditionError("endomorphism commands need equal source and target dimension")
+        raise PreconditionError("map is not a self-map of affine space: source and target dimensions differ")
 
 
 def jacobian_determinant(endo: Morphism) -> Poly:

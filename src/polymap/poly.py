@@ -88,7 +88,7 @@ def _scalar_text(value: Fraction) -> str:
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("ctx", "_terms", "_hash", "_lead")
+    __slots__ = ("ctx", "_terms", "_lead")
 
     def __init__(self, ctx: VarContext, terms: Mapping[Monomial, Scalar] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -103,7 +103,6 @@ class Poly:
                 clean[tuple(mono)] = coeff
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):
@@ -408,11 +407,7 @@ class Poly:
         return self.ctx == other.ctx and self._terms == other._terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.ctx, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.ctx, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -450,6 +445,5 @@ def _raw(ctx: VarContext, terms: dict[Monomial, Fraction]) -> Poly:
     p = object.__new__(Poly)
     object.__setattr__(p, "ctx", ctx)
     object.__setattr__(p, "_terms", terms)
-    object.__setattr__(p, "_hash", None)
     object.__setattr__(p, "_lead", None)
     return p

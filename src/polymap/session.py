@@ -38,7 +38,7 @@ from .poly import Poly, VarContext
 
 _FLAGS = ("assert_factorial", "assert_etale")
 _KEYS = ("source_ring", "source_ideal", "target_ring", "target_ideal", "map", "depth") + _FLAGS
-_KIND_NAMES = {str: "string", list: "JSON array", bool: "boolean"}
+_KIND_NAMES = {str: "string", list: "JSON array", bool: "boolean", dict: "JSON object"}
 
 
 def _entry(data, key: str, where: str, kind: type = object, required: bool = True):

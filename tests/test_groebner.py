@@ -278,6 +278,20 @@ class TestSeededBuchberger:
             if kind == "unit":
                 assert expected == (Poly.one(XYZ),)
 
+    def test_strategies_agree_under_every_order(self):
+        # The "first" strategy is the reference for the determinism claim:
+        # both strategies give the one reduced basis, with a seed or without.
+        rng = random.Random(1402)
+        orders = [*SEED_ORDERS.values(), Block((1, 2))]
+        for trial in range(30):
+            gens = [random_nonzero_poly(rng, XYZ, max_deg=2, max_terms=3) for _ in range(rng.randint(2, 3))]
+            extra = [random_nonzero_poly(rng, XYZ, max_deg=2, max_terms=3)]
+            for order in orders:
+                seed = buchberger(gens, order, "normal")
+                assert buchberger(gens, order, "first") == seed, (trial, order)
+                seeded = buchberger(extra, order, "normal", seed)
+                assert buchberger(extra, order, "first", seed) == seeded, (trial, order)
+
     def test_extended_ideals_equal_fresh_ideals(self, seeds_used):
         # Same ring and one appended variable, under each order the
         # restriction rule knows, including a head of appended variables

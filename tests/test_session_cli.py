@@ -153,7 +153,7 @@ class TestSessionParsing:
         assert str(jacobian_determinant(morphism)) == "1"
 
     def test_endomorphism_requires_affine_spaces(self):
-        with pytest.raises(PreconditionError, match="need affine-space source and target"):
+        with pytest.raises(PreconditionError, match="source or target has equations"):
             jacobian_determinant(parse_session(SESSION_TEXT).morphism())
 
 
@@ -739,8 +739,12 @@ class TestVerify:
           "certificates": [{"kind": "groebner_basis", "ring": "source", "basis": 5}]}, "'basis' is not a JSON array"),
         ({"command": "gb", "session": {**MAP_SESSION, "map": 5}, "certificates": []}, "'map' is not a JSON array"),
         ({"command": "minpoly", "session": MAP_SESSION, "args": {"g": "x"},
-          "certificates": [{"kind": "graph_relation", "var": "w", "relation": "w - u",
+          "certificates": [{"kind": "graph_relation", "g": "x", "var": "w", "relation": "w - u",
                             "rational_pair": ["u"]}]}, "'rational_pair' is not an array of 2 strings"),
+        # A relation is checked against the certificate's own g, never args.g.
+        ({"command": "minpoly", "session": MAP_SESSION, "args": {"g": "x"}, "verdict": "relation",
+          "certificates": [{"kind": "graph_relation", "var": "w", "relation": "w - u", "degree": 1,
+                            "rational_pair": ["u", "1"]}]}, "'g'"),
         # A line break in a session entry would add a line of its own to the
         # session text that verify re-parses: here g = t would be checked on
         # the ring t/<t>, where its interpolant 0 holds, not on u = t^2.
@@ -787,7 +791,7 @@ class TestVerify:
         # A Jacobian needs a self-map of affine space; sl2row's is 2 x 4.
         ({"command": "etale", "session": load_fixture("sl2row").to_json_dict(),
           "certificates": [{"kind": "jacobian", "determinant": "1", "etale": True}]},
-         "endomorphism commands need affine-space source and target"),
+         "map is not a self-map of affine space: source or target has equations"),
         # The triangular jc report with 1 for true: all() would read it as true.
         ({"command": "jc", "session": load_fixture("triangular").to_json_dict(),
           "verdict": {"injective": True, "coords_determined": [1, 1], "invertible": True, "consistent": True},
@@ -803,14 +807,38 @@ class TestVerify:
          "kind 'biregularity ' is not one that 'biregular' emits"),
         ({"command": "fixtures", "session": MAP_SESSION, "certificates": []},
          "command 'fixtures' is not a command that reads a session"),
+        # Honest reports whose args ask another question than their
+        # certificate answers: each verified true or null before args were
+        # tied to the certificate.
+        ({"command": "interpolate", "session": load_fixture("triangular").to_json_dict(), "args": {"g": "y"},
+          "verdict": "interpolant", "certificates": [{"kind": "interpolation", "g": "x", "interpolant": "-v^2 + u",
+                                                      "witness_normal_form": "-v^2 + u"}]},
+         "args entry 'g' contradicts the interpolation certificate"),
+        ({"command": "divides", "session": load_fixture("cusp").to_json_dict(), "args": {"f": "v", "g": "u"},
+          "verdict": {"source": True, "target": False},
+          "certificates": [{"kind": "divisibility_transfer", "f": "u", "g": "v", "f_pullback": "t^2",
+                            "g_pullback": "t^3", "source_divides": True, "target_divides": False,
+                            "witnesses_non_almost_surjective": True}]},
+         "args entry 'f' contradicts the divisibility_transfer certificate"),
+        ({"command": "gb", "session": load_fixture("sl2row").to_json_dict(), "args": {"ring": "source", "order": "lex"},
+          "verdict": ["b*c - a*d + 1"], "certificates": [{"kind": "groebner_basis", "ring": "source",
+                                                           "order": "grevlex", "basis": ["b*c - a*d + 1"]}]},
+         "args entry 'order' contradicts the groebner_basis certificate"),
+        ({"command": "determined", "session": load_fixture("triangular").to_json_dict(), "args": {"g": "y"},
+          "verdict": True, "certificates": [{"kind": "fiber_constancy", "g": "x", "determined": True}]},
+         "args entry 'g' contradicts the fiber_constancy certificate"),
+        ({"command": "interpolate", "session": MAP_SESSION, "args": 5, "certificates": []},
+         "'args' is not a JSON object"),
     ], ids=["list", "certificate-not-object", "interpolation-without-g", "basis-without-ring",
             "rational-pair-without-args-g", "g-not-a-string", "basis-not-an-array", "map-not-an-array",
-            "rational-pair-of-one", "depth-with-line-break", "depth-zero",
+            "rational-pair-of-one", "relation-without-g", "depth-with-line-break", "depth-zero",
             "map-with-line-break", "map-entry-with-semicolon", "ring-entry-with-space",
             "ideal-entry-with-semicolon", "integer-over-digit-limit", "not-json",
             "json-nested-too-deep", "map-nested-too-deep",
             "inverse-too-long", "ring-unknown", "ring-not-a-string", "jacobian-off-affine-space",
-            "coords-determined-not-booleans", "kind-renamed", "command-without-session"])
+            "coords-determined-not-booleans", "kind-renamed", "command-without-session",
+            "interpolate-args-g-changed", "divides-args-f-g-swapped", "gb-args-order-changed",
+            "determined-args-g-changed", "args-not-an-object"])
     def test_malformed_report_refused(self, capsys, tmp_path, report, named):
         self._assert_refused(capsys, tmp_path, report, named)
 
