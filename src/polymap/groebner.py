@@ -13,9 +13,10 @@ division using a heap", J. Symb. Comp. 2011), so each monomial's order
 key is computed once per call, when the monomial first enters the work
 set.  Order keys are flat tuples (``orders``), each polynomial keeps its
 last leading monomial, and inside a division an integral coefficient
-travels as a plain ``int``: ``Fraction`` arithmetic is paid only where a
-coefficient is not an integer.  Buchberger likewise ranks each critical
-pair once, when the pair is formed.
+travels as a plain ``int`` (``poly._integral``, the rule ``Poly``'s own
+products and substitutions follow): ``Fraction`` arithmetic is paid only
+where a coefficient is not an integer.  Buchberger likewise ranks each
+critical pair once, when the pair is formed.
 
 An ideal built from another one plus extra generators (``Ideal.extended``,
 ``+``), on the same ring or on one that appends variables, starts its
@@ -44,7 +45,7 @@ from typing import Iterable, Sequence
 
 from .errors import ContextMismatchError
 from .orders import Block, GREVLEX, MonomialOrder, restriction
-from .poly import Monomial, Poly, VarContext, _raw
+from .poly import Monomial, Poly, VarContext, _integral, _integral_terms, _raw, _stored
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -61,11 +62,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(sub, a, b))
-
-
-def _integral(c: int | Fraction) -> int | Fraction:
-    """``c`` as a plain int when it is an integer, else unchanged."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) -> Poly:
@@ -102,7 +98,7 @@ def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) 
             glm = g.leading_monomial(order)
             tail = [(gm, _integral(gc)) for gm, gc in g._terms.items() if gm != glm]
             leads.append((glm, _integral(g._terms[glm]), tail))
-    work = {m: _integral(c) for m, c in f._terms.items()}
+    work = _integral_terms(f._terms)
     pending = sorted((key(m), m) for m in work)
     remainder: dict[Monomial, Fraction] = {}
     while pending:
@@ -114,7 +110,7 @@ def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) 
             if _divides(glm, lm):
                 break
         else:
-            remainder[lm] = lc if type(lc) is Fraction else Fraction(lc)
+            remainder[lm] = lc
             continue
         shift = _mono_sub(lm, glm)
         factor = lc if glc == 1 else _integral(Fraction(lc, glc))
@@ -126,7 +122,7 @@ def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) 
             else:
                 work[mono] = -factor * gc
                 insort(pending, (key(mono), mono))
-    return _raw(f.ctx, remainder)
+    return _raw(f.ctx, _stored(remainder))
 
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:

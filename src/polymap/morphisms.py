@@ -38,7 +38,7 @@ from .errors import (
 )
 from .groebner import Ideal, normal_form
 from .orders import Block
-from .poly import Poly, VarContext
+from .poly import Poly, Powers, VarContext
 
 # Rounds of leading-coefficient descent in ``constructible_image`` unless a
 # session sets its own ``depth``.
@@ -280,7 +280,7 @@ class Morphism:
         """f o map over the source ring, not reduced by the source ideal."""
         if f.ctx != self.target.ctx:
             raise ContextMismatchError("pullback argument must live on the target ring")
-        return _compose(f, self.coords, self.source.ctx)
+        return f.substitute(Powers(self.source.ctx, self.coords))
 
     def pullback(self, f: Poly) -> Poly:
         """Canonical representative of f o map in the source coordinate ring."""
@@ -289,20 +289,22 @@ class Morphism:
     def pulls_back_to(self, f: Poly, g: Poly | int) -> bool:
         """Whether f o map = g modulo the source ideal: an interpolant's
         identity, and an inverse's "left" one coordinate at a time.  Each
-        certificate identity has one such predicate (see :func:`_compose`)."""
+        certificate identity has one such predicate: a composite
+        (``Poly.substitute``) reduced modulo one ideal."""
         return self.source.ideal.contains(self._composite(f) - g)
 
     def relation_vanishes(self, relation: Poly, g: Poly) -> bool:
         """Whether ``relation`` vanishes along x -> (map(x), g(x)) modulo
         the source ideal; its last variable is the line coordinate."""
-        return self.source.ideal.contains(_compose(relation, self.coords + (g,), self.source.ctx))
+        return self.source.ideal.contains(relation.substitute(Powers(self.source.ctx, self.coords + (g,))))
 
     def is_section(self, inverse: Sequence[Poly]) -> bool:
         """Whether ``inverse`` maps the target into the source variety ("into")
         with map o inverse the identity ("right"), modulo the target ideal."""
         ideal, ctx = self.target.ideal, self.target.ctx
+        powers = Powers(ctx, inverse)  # built once for all n + k identities
         expected = [(h, 0) for h in self.source.ideal.generators] + list(zip(self.coords, Poly.variables(ctx)))
-        return all(ideal.contains(_compose(f, inverse, ctx) - y) for f, y in expected)
+        return all(ideal.contains(f.substitute(powers) - y) for f, y in expected)
 
     def image_closure(self) -> Ideal:
         """Ideal of the Zariski closure of the image."""
@@ -556,15 +558,6 @@ class Morphism:
     def __str__(self) -> str:
         arrows = ", ".join(f"{n} = {c}" for n, c in zip(self.target.ctx.names, self.coords))
         return f"({arrows})"
-
-
-def _compose(f: Poly, images: Sequence[Poly], ctx: VarContext) -> Poly:
-    """f with its variables replaced, in order, by ``images`` over ``ctx``:
-    every certificate identity is such a composite reduced modulo one ideal."""
-    if not images:
-        # f is a constant, and substitute would keep it on the empty ring.
-        return f.transport(ctx)
-    return f.substitute(dict(zip(f.ctx.names, images)))
 
 
 # -- constructible-set helpers ------------------------------------------------------

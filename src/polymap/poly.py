@@ -9,7 +9,16 @@ fixed :class:`VarContext`:
 The zero polynomial is the empty map.  Storage is canonical and
 independent of any monomial order, so equality is plain term-map
 equality; orders only matter for leading terms and printing.  All
-values are immutable and safe to share between threads.
+``Poly`` values are immutable and safe to share between threads.
+
+Stored coefficients are always ``Fraction``.  Inside a routine that
+multiplies (products, powers, substitution, and division in
+``groebner.normal_form``) a coefficient that is an integer travels as a
+plain ``int`` instead (:func:`_integral`), so ``Fraction`` arithmetic is
+paid only for the others, and the result goes back to ``Fraction`` once,
+when its term map is stored (:func:`_stored`).  A :class:`Powers` keeps
+the powers of one substitution's images in that working form, so that
+many substitutions through the same images build each power once.
 """
 
 from __future__ import annotations
@@ -244,38 +253,14 @@ class Poly:
                 return Poly.zero(self.ctx)
             return _raw(self.ctx, {m: c * other for m, c in self._terms.items()})
         self._check_ctx(other)
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                mono = tuple(map(add, ma, mb))
-                acc = out.get(mono)
-                if acc is None:
-                    out[mono] = ca * cb
-                else:
-                    acc = acc + ca * cb
-                    if acc:
-                        out[mono] = acc
-                    else:
-                        del out[mono]
-        return _raw(self.ctx, out)
+        return _raw(self.ctx, _stored(_mul_terms(_integral_terms(self._terms), _integral_terms(other._terms))))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
-        result = Poly.one(self.ctx)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _raw(self.ctx, _stored(Powers(self.ctx, (self,)).power(0, exponent)))
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Poly":
         if not self._terms:
@@ -302,44 +287,37 @@ class Poly:
             out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
         return Poly(self.ctx, out)
 
-    def substitute(self, assignment: Mapping[str, "Poly"]) -> "Poly":
+    def substitute(self, assignment: "Mapping[str, Poly] | Powers") -> "Poly":
         """Ring morphism sending each context variable to a polynomial.
 
-        Every variable of this context must be assigned; all images must
-        share one target context.
+        ``assignment`` maps every variable of this context to an image,
+        all images over one target context.  It may instead be a
+        :class:`Powers`, whose i-th image is the i-th variable's, over the
+        ``Powers``'s own ring; the powers it builds here serve every later
+        substitution through it.
         """
-        for name in self.ctx.names:
-            if name not in assignment:
-                raise UnknownVariableError(f"missing assignment for variable {name!r}")
-        images = [assignment[name] for name in self.ctx.names]
-        target = images[0].ctx if images else self.ctx
-        for img in images:
-            if img.ctx != target:
-                raise ContextMismatchError("assignment images live in different contexts")
-        powers: list[dict[int, Poly]] = [{} for _ in images]
-
-        def power(i: int, e: int) -> Poly:
-            cache = powers[i]
-            got = cache.get(e)
-            if got is None:
-                got = images[i] ** e
-                cache[e] = got
-            return got
-
+        if isinstance(assignment, Powers):
+            powers = assignment
+            if len(powers) != self.ctx.arity:
+                raise ContextMismatchError(f"{len(powers)} images for the {self.ctx.arity} variables of {self.ctx}")
+        else:
+            for name in self.ctx.names:
+                if name not in assignment:
+                    raise UnknownVariableError(f"missing assignment for variable {name!r}")
+            images = [assignment[name] for name in self.ctx.names]
+            powers = Powers(images[0].ctx if images else self.ctx, images)
+        power = powers.power
+        one = powers.one
         # Each term's power product is added, times its coefficient, into
-        # one dict; the result is built once.
-        out: dict[Monomial, Fraction] = {}
+        # one dict; the last factor is multiplied straight into it.
+        out: dict[Monomial, Scalar] = {}
         for mono, coeff in self._terms.items():
-            product = None
-            for i, e in enumerate(mono):
-                if e:
-                    product = power(i, e) if product is None else product * power(i, e)
-            if product is None:
-                product = Poly.one(target)
-            for m, c in product._terms.items():
-                acc = out.get(m)
-                out[m] = coeff * c if acc is None else acc + coeff * c
-        return _raw(target, {m: c for m, c in out.items() if c})
+            factors = [power(i, e) for i, e in enumerate(mono) if e] or [one]
+            product = factors[0] if len(factors) > 1 else one
+            for factor in factors[1:-1]:
+                product = _mul_terms(product, factor)
+            _add_product(out, product, factors[-1], _integral(coeff))
+        return _raw(powers.ctx, _stored(out))
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point (one value per context variable)."""
@@ -381,6 +359,7 @@ class Poly:
             mapped = rename.get(name, name)
             positions.append(target.index(mapped) if mapped in target else None)
         out: dict[Monomial, Fraction] = {}
+        merged = False
         zero = [0] * target.arity
         for mono, coeff in self._terms.items():
             exps = zero[:]
@@ -394,8 +373,12 @@ class Poly:
                     )
                 exps[j] += e
             key = tuple(exps)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return Poly(target, out)
+            if key in out:  # a rename merged two variables
+                out[key] += coeff
+                merged = True
+            else:
+                out[key] = coeff
+        return _raw(target, {m: c for m, c in out.items() if c} if merged else out)
 
     # -- equality / printing -------------------------------------------------
 
@@ -447,3 +430,93 @@ def _raw(ctx: VarContext, terms: dict[Monomial, Fraction]) -> Poly:
     object.__setattr__(p, "_terms", terms)
     object.__setattr__(p, "_lead", None)
     return p
+
+
+# -- coefficients inside a routine ---------------------------------------------------
+
+
+def _integral(c: Scalar) -> Scalar:
+    """``c`` as a plain int when it is an integer, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _integral_terms(terms: Mapping[Monomial, Fraction]) -> dict[Monomial, Scalar]:
+    return {m: _integral(c) for m, c in terms.items()}
+
+
+def _stored(terms: Mapping[Monomial, Scalar]) -> dict[Monomial, Fraction]:
+    """A working term map as ``Poly`` stores it: zero terms dropped and
+    every coefficient a ``Fraction``.  Equal integers become one shared
+    ``Fraction``."""
+    shared: dict[int, Fraction] = {}
+    out = {}
+    for m, c in terms.items():
+        if not c:
+            continue
+        if type(c) is int:
+            f = shared.get(c)
+            if f is None:
+                f = shared[c] = Fraction(c)
+            c = f
+        out[m] = c
+    return out
+
+
+def _add_product(out: dict[Monomial, Scalar], a: Mapping[Monomial, Scalar],
+                 b: Mapping[Monomial, Scalar], scale: Scalar = 1) -> None:
+    """Add ``scale * a * b`` into ``out``; a term that cancels stays, as zero."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for ma, ca in a.items():
+        ca *= scale
+        for mb, cb in b.items():
+            mono = tuple(map(add, ma, mb))
+            acc = get(mono)
+            out[mono] = ca * cb if acc is None else acc + ca * cb
+
+
+def _mul_terms(a: Mapping[Monomial, Scalar], b: Mapping[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+    out: dict[Monomial, Scalar] = {}
+    _add_product(out, a, b)
+    return out
+
+
+class Powers:
+    """The images of a substitution, with each image's powers built once.
+
+    ``Powers(ctx, images)`` sends the i-th variable of a substituted
+    polynomial's ring to ``images[i]``, a polynomial over ``ctx``.  Every
+    power is a working term map (``int`` where integral, zero terms
+    dropped), built on first use and kept for the life of this object.
+    A stored power is never changed, and when two threads build the same
+    power the first one stored is the one kept, so substitutions through
+    one ``Powers`` may share it.
+    """
+
+    __slots__ = ("ctx", "one", "_cache")
+
+    def __init__(self, ctx: VarContext, images: Sequence[Poly]):
+        for img in images:
+            if img.ctx != ctx:
+                raise ContextMismatchError("assignment images live in different contexts")
+        self.ctx = ctx
+        self.one = {(0,) * ctx.arity: 1}
+        self._cache = [{0: self.one, 1: _integral_terms(img._terms)} for img in images]
+
+    def __len__(self) -> int:
+        return len(self._cache)
+
+    def power(self, i: int, e: int) -> dict[Monomial, Scalar]:
+        """The ``e``-th power of image ``i``: the next power up from one
+        already kept, else the square of the half power."""
+        cache = self._cache[i]
+        got = cache.get(e)
+        if got is None:
+            if e & 1 or e - 1 in cache:
+                got = _mul_terms(self.power(i, e - 1), cache[1])
+            else:
+                half = self.power(i, e >> 1)
+                got = _mul_terms(half, half)
+            got = cache.setdefault(e, {m: c for m, c in got.items() if c})
+        return got

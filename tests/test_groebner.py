@@ -147,8 +147,11 @@ class TestDivisionKernel:
                 r = normal_form(f, basis, order)
                 assert all(type(c) is Fraction for _, c in r.terms())
             images = {name: random_poly(rng, XY) for name in TUV.names}
-            image = f.substitute(images)
-            assert all(type(c) is Fraction for _, c in image.terms())
+            # Products, powers and transports work on ints where they can;
+            # a basis element brings rational coefficients in.
+            merged = f.transport(VarContext(("w",)), dict.fromkeys(TUV.names, "w"))
+            for p in (f.substitute(images), f * f, f * basis[-1], basis[-1] ** 3, f ** 2, merged):
+                assert all(type(c) is Fraction for _, c in p.terms())
 
     def test_term_that_cancels_and_reappears(self):
         # Modulo x^2 - x*y - y^2 (grevlex), reducing x^3 adds x^2*y + x*y^2,

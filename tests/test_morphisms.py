@@ -215,9 +215,12 @@ class TestPullback:
         assert cusp.pullback(Poly.one(UV)) == Poly.one(cusp.source.ctx)
 
     def test_map_with_no_coordinates(self):
+        # f is a constant, and its pullback lives on the source ring.
         m = parse_session("source_ring: x\ntarget_ring:\nmap:\n").morphism()
         assert m.pullback(Poly.one(VarContext(()))) == Poly.one(VarContext(("x",)))
+        assert m.pullback(Poly.constant(VarContext(()), Fraction(3, 2))) == Poly.constant(VarContext(("x",)), Fraction(3, 2))
         assert m.pulls_back_to(Poly.constant(VarContext(()), 3), 3)
+        assert not m.pulls_back_to(Poly.constant(VarContext(()), 3), 2)
 
     def test_ring_morphism(self, fixture_morphisms):
         rng = random.Random(41)

@@ -22,6 +22,7 @@ from polymap import (
     VarContext,
     parse_poly,
 )
+from polymap.poly import Powers
 
 from conftest import random_poly
 
@@ -230,6 +231,150 @@ class TestSubstitute:
             assignment = {"u": random_poly(rng, XY), "v": random_poly(rng, XY)}
             assert (f + g).substitute(assignment) == f.substitute(assignment) + g.substitute(assignment)
             assert (f * g).substitute(assignment) == f.substitute(assignment) * g.substitute(assignment)
+
+
+def reference_mul(a: Poly, b: Poly) -> Poly:
+    """Product by the plain all-``Fraction`` double loop, dropping a term
+    as soon as it cancels: the loop the integer arithmetic must agree with."""
+    out = {}
+    for ma, ca in a.terms():
+        for mb, cb in b.terms():
+            mono = tuple(i + j for i, j in zip(ma, mb))
+            acc = out.get(mono, Fraction(0)) + ca * cb
+            if acc:
+                out[mono] = acc
+            else:
+                out.pop(mono, None)
+    return Poly(a.ctx, out)
+
+
+def reference_substitute(f: Poly, images: list[Poly], target: VarContext) -> Poly:
+    """f with its i-th variable replaced by ``images[i]``: each term's power
+    product built by repeated :func:`reference_mul` and added, times its
+    coefficient, into one all-``Fraction`` dict."""
+    out = {}
+    for mono, coeff in f.terms():
+        product = Poly.one(target)
+        for image, e in zip(images, mono):
+            for _ in range(e):
+                product = reference_mul(product, image)
+        for m, c in product.terms():
+            out[m] = out.get(m, Fraction(0)) + coeff * c
+    return Poly(target, out)
+
+
+def reference_transport(f: Poly, target: VarContext, rename: dict) -> Poly:
+    """f re-expressed over ``target``, every coefficient added to a fresh
+    ``Fraction(0)``."""
+    out = {}
+    for mono, coeff in f.terms():
+        exps = [0] * target.arity
+        for name, e in zip(f.ctx.names, mono):
+            if e:
+                exps[target.index(rename.get(name, name))] += e
+        out[tuple(exps)] = out.get(tuple(exps), Fraction(0)) + coeff
+    return Poly(target, out)
+
+
+def random_coefficients(rng: random.Random, ctx: VarContext, kind: str) -> Poly:
+    """A random polynomial whose coefficients are integers, non-integral
+    rationals, or a mix of the two."""
+    p = random_poly(rng, ctx, max_deg=4, max_terms=5)
+    scale = {"integral": lambda: 1, "rational": lambda: Fraction(1, rng.choice((2, 3, 7))),
+             "mixed": lambda: Fraction(1, rng.choice((1, 2, 5)))}[kind]
+    return Poly(ctx, {m: c * scale() for m, c in p.terms()})
+
+
+class TestAgainstFractionLoops:
+    """Products, powers, substitutions and transports keep integral
+    coefficients as ints while they work; they must give what the
+    all-``Fraction`` loops give."""
+
+    KINDS = ("integral", "rational", "mixed")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_product_and_power(self, kind):
+        rng = random.Random(f"mul-{kind}")
+        for _ in range(40):
+            a, b = (random_coefficients(rng, XY, kind) for _ in range(2))
+            assert a * b == reference_mul(a, b)
+            assert a ** 3 == reference_mul(reference_mul(a, a), a)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_substitute(self, kind):
+        rng = random.Random(f"substitute-{kind}")
+        for _ in range(30):
+            f = random_coefficients(rng, UV, kind)
+            images = [random_coefficients(rng, XY, kind) for _ in UV.names]
+            expected = reference_substitute(f, images, XY)
+            assert f.substitute(dict(zip(UV.names, images))) == expected
+            assert f.substitute(Powers(XY, images)) == expected
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_transport(self, kind):
+        rng = random.Random(f"transport-{kind}")
+        xyz = VarContext(("x", "y", "z"))
+        for _ in range(30):
+            f = random_coefficients(rng, XY, kind)
+            assert f.transport(xyz) == reference_transport(f, xyz, {})
+            assert f.transport(UV, {"x": "v", "y": "u"}) == reference_transport(f, UV, {"x": "v", "y": "u"})
+            assert f.transport(T, {"x": "t", "y": "t"}) == reference_transport(f, T, {"x": "t", "y": "t"})
+
+    def test_product_whose_terms_cancel(self):
+        x, y = Poly.variables(XY)
+        for a, b in ((x + y, x - y), (x * Fraction(1, 2) + y, x - 2 * y), (x - y * Fraction(1, 3), x + y * Fraction(1, 3))):
+            product = a * b
+            assert product == reference_mul(a, b)
+            assert product.num_terms() == 2
+            assert all(c for _, c in product.terms())
+
+    def test_power_whose_terms_cancel(self):
+        # The x*y terms of (1 + x + y - x*y)^2 cancel: 2*x*y - 2*x*y.
+        p = parse_poly("1 + x + y - x*y", XY)
+        assert p ** 2 == reference_mul(p, p)
+        assert (1, 1) not in dict((p ** 2).terms())
+
+    def test_transport_that_merges_variables_and_cancels(self):
+        merge = {"x": "t", "y": "t"}
+        assert parse_poly("x - y", XY).transport(T, merge).is_zero()
+        f = parse_poly("x^2 - 3/2*x*y + y^2/2 + x", XY)
+        cancelled = f.transport(T, merge)
+        assert cancelled == parse_poly("t", T) == reference_transport(f, T, merge)
+        assert cancelled.num_terms() == 1
+
+
+class TestPowers:
+    @pytest.mark.parametrize("kind", TestAgainstFractionLoops.KINDS)
+    def test_one_powers_serve_many_substitutions(self, kind):
+        # Each substitution through one Powers gives what a fresh one
+        # gives, and a power once stored is never changed.
+        rng = random.Random(f"powers-{kind}")
+        images = [random_coefficients(rng, XY, kind) for _ in UV.names]
+        powers = Powers(XY, images)
+        stored = {}
+        for k in range(20):
+            f = random_coefficients(rng, UV, kind) + Poly.variable(UV, "u") ** (k % 7)
+            assert f.substitute(powers) == f.substitute(Powers(XY, images)) == reference_substitute(f, images, XY)
+            for i, cache in enumerate(powers._cache):
+                for e, power in cache.items():
+                    stored.setdefault((i, e), (power, dict(power)))
+        assert max(e for _, e in stored) >= 6
+        for (i, e), (power, copy) in stored.items():
+            assert powers._cache[i][e] is power and power == copy
+
+    def test_images_must_share_the_ring(self):
+        with pytest.raises(ContextMismatchError):
+            Powers(XY, [Poly.variable(XY, "x"), Poly.variable(T, "t")])
+
+    def test_one_image_per_variable(self):
+        with pytest.raises(ContextMismatchError):
+            parse_poly("u + v", UV).substitute(Powers(XY, [Poly.variable(XY, "x")]))
+
+    def test_constant_over_the_powers_ring(self):
+        # A ring without variables has no images to take a ring from.
+        empty = VarContext(())
+        assert Poly.constant(empty, 3).substitute(Powers(XY, [])) == Poly.constant(XY, 3)
+        assert Poly.constant(empty, 3).substitute({}) == Poly.constant(empty, 3)
 
 
 class TestDerivative:
