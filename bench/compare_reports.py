@@ -36,7 +36,15 @@ points x^2 + y^3 = xy - 1 = 0 projected to the line, whose lex and
 grevlex bases differ, a point onto a point, whose inverse is empty, and
 the plane onto a line in the plane, (x, y) -> (y, 0), over whose image x
 is free: its graph closure is principal with a generator free of the
-line coordinate, which ``minpoly`` reads as no relation.
+line coordinate, which ``minpoly`` reads as no relation.  Four more
+sessions exercise the factoriality and etaleness rules: the cusp map
+t -> (t^2, t^3) onto the cusp curve u^3 = v^2, a bijection onto a target
+that is not factorial, without and with a (refuted) ``assert_factorial``;
+squaring on the hyperbola xz = 1, etale but not injective; and the
+hyperbola onto the hyperbola pq = 1, etale onto a target that is neither
+affine space nor asserted factorial.  The sessions above that still set
+flags the engine now decides show that a redundant or refuted flag is
+handled.
 
 It also runs each ``demos/*.py`` of the checkout in its own process, with
 ``PYTHONPATH`` set to that checkout's ``src/``, as one call.
@@ -109,6 +117,13 @@ SESSIONS = {
                    "assert_factorial: true\n",
     "point-onto-point": "source_ring:\ntarget_ring: u\ntarget_ideal: u - 2\nmap: u = 2\nassert_factorial: true\n",
     "free-over-image": "source_ring: x y\ntarget_ring: u v\nmap: u = y ; v = 0\n",
+    "cusp-curve": "source_ring: t\ntarget_ring: u v\ntarget_ideal: u^3 - v^2\nmap: u = t^2 ; v = t^3\n",
+    "cusp-curve-asserted": "source_ring: t\ntarget_ring: u v\ntarget_ideal: u^3 - v^2\nmap: u = t^2 ; v = t^3\n"
+                           "assert_factorial: true\n",
+    "hyperbola-squared": "source_ring: x z\nsource_ideal: x*z - 1\ntarget_ring: u\nmap: u = x^2\n"
+                         "assert_etale: true\n",
+    "hyperbola-onto-hyperbola": "source_ring: x z\nsource_ideal: x*z - 1\ntarget_ring: p q\n"
+                                "target_ideal: p*q - 1\nmap: p = x ; q = z\nassert_etale: true\n",
 }
 
 def flag_names(flags):

@@ -118,9 +118,11 @@ def _image(ns, session: Session, morphism: Morphism):
         image = morphism.constructible_image(session.depth)
         description = image.to_json_dict()
         certificate = {"kind": "constructible_image", **description}
-        return {"mode": "constructible"}, description, [certificate], image.exact
-    generators = [str(g) for g in morphism.image_closure().generators]
-    return {"mode": "closure"}, generators, [{"kind": "image_closure", "generators": generators}], True
+        verdict, exact = description, image.exact
+    else:
+        verdict = [str(g) for g in morphism.image_closure().generators]
+        certificate, exact = {"kind": "image_closure", "generators": verdict}, True
+    return dict(_COMMANDS["image"].kind_args[certificate["kind"]]), verdict, [certificate], exact
 
 
 def _almost_surjective(ns, session: Session, morphism: Morphism):
@@ -165,7 +167,7 @@ def _divides(ns, session: Session, morphism: Morphism):
     certificate = {"kind": "divisibility_transfer", "f": str(f), "g": str(g),
                    "f_pullback": str(morphism.pullback(f)), "g_pullback": str(morphism.pullback(g)),
                    "source_divides": source_div, "target_divides": target_div,
-                   "witnesses_non_almost_surjective": source_div and not target_div}
+                   "witnesses_non_almost_surjective": morphism.divisor_witness(source_div, target_div)}
     return {"f": str(f), "g": str(g)}, {"source": source_div, "target": target_div}, [certificate], True
 
 
@@ -295,7 +297,7 @@ def _check_divisibility(cert: dict, morphism: Morphism):
     f_pullback, g_pullback = (parse_poly(_entry(cert, key, where, str), morphism.source.ctx)
                               for key in ("f_pullback", "g_pullback"))
     claimed = {"source": _entry(cert, "source_divides", where), "target": _entry(cert, "target_divides", where)}
-    witness = claimed["source"] and not claimed["target"]
+    witness = morphism.divisor_witness(claimed["source"], claimed["target"])
     lines = [("divisibility verdicts reproduce", _same(claimed, {"source": source_div, "target": target_div})),
              ("f and g pull back to f_pullback and g_pullback",
               morphism.pulls_back_to(f, f_pullback) and morphism.pulls_back_to(g, g_pullback))]
@@ -371,8 +373,8 @@ def _verify(ns):
                     lines.append((_FOLLOWS, _same(implied, verdict) and positive(implied) == ran))
                 checks.extend({"check": name, "ok": bool(ok)} for name, ok in lines)
             # The one rule that ties the report's question to each certificate.
-            for key in cert:
-                if key in args and not _same(args[key], cert[key]):
+            for key, value in {**cert, **declared.kind_args.get(kind, {})}.items():
+                if key in args and not _same(args[key], value):
                     raise SessionFormatError(f"report args entry {key!r} contradicts the {kind} certificate")
         # A positive verdict with no certificate has nothing to follow from.
         if not certificates and any(positive(verdict) for _, positive in filter(None, declared.kinds.values())):
@@ -391,9 +393,12 @@ class _Command:
     it emits to None, carried as data, or to ``(check, positive)``: ``verify``
     re-checks it by ``check(cert, morphism)``, and positive(verdict) says a
     verdict is the positive answer; ``verify`` refuses any other kind in a
-    report of the command.  Exit 2 means undecided: a null verdict from an
-    inexact description or, with ``inexact_undecided``, any inexact
-    description.  A ``check`` verdict of false exits 1."""
+    report of the command.  ``kind_args`` maps a kind to the ``args``
+    entries that the kind itself answers; ``verify`` ties them to a
+    report's ``args`` as it ties each certificate key.  Exit 2 means
+    undecided: a null verdict from an inexact description or, with
+    ``inexact_undecided``, any inexact description.  A ``check`` verdict of
+    false exits 1."""
 
     run: Callable
     flags: tuple = ()
@@ -401,6 +406,7 @@ class _Command:
     session: bool = True
     inexact_undecided: bool = False
     check: bool = False
+    kind_args: dict = field(default_factory=dict)
 
 
 _INTERPOLATION = {"interpolation": (_check_interpolation, lambda v: v == "interpolant")}
@@ -416,7 +422,9 @@ _COMMANDS: dict[str, _Command] = {
     "image": _Command(_image, ([_flag("--closure", action="store_true", default=True),
                                 _flag("--constructible", action="store_true")],),
                       {"image_closure": (_check_image_closure, lambda v: v is not None),
-                       "constructible_image": None}, inexact_undecided=True),
+                       "constructible_image": None}, inexact_undecided=True,
+                      kind_args={"image_closure": {"mode": "closure"},
+                                 "constructible_image": {"mode": "constructible"}}),
     "almost-surjective": _Command(_almost_surjective, kinds={"surjectivity": None}),
     "determined": _Command(_determined, (_G,), {"fiber_constancy": None}),
     "interpolate": _Command(_interpolate, (_G,), _INTERPOLATION),
@@ -493,7 +501,7 @@ def _render_human(report: dict) -> str:
     if "args" in report and report["args"]:
         lines.append("args: " + ", ".join(f"{k}={v}" for k, v in report["args"].items()))
     lines.append(f"verdict: {json.dumps(report.get('verdict'))}")
-    lines.append(f"exact: {report.get('exact')}")
+    lines.append(f"exact: {json.dumps(report.get('exact'))}")
     for cert in report.get("certificates", ()):
         kind = cert.get("kind", "data")
         body = ", ".join(f"{k}={json.dumps(v)}" for k, v in cert.items() if k != "kind")

@@ -8,10 +8,12 @@ inversion and the :class:`Endomorphism` constructor check that shape
 (:func:`require_self_map`) for every caller, library or CLI, and refuse
 any other map with a ``PreconditionError``.
 
-Etaleness is machine-decided only here, where it reduces to "the
-Jacobian determinant is a nonzero constant".  For maps between general
-varieties it is a user assertion, and a wrong assertion voids the
-dichotomy guarantee of :func:`etale_dichotomy`.
+Etaleness is machine-decided here, where it reduces to "the Jacobian
+determinant is a nonzero constant" (:func:`require_etale`), and
+:func:`etale_dichotomy` decides it so on every self-map of affine space.
+For maps between other varieties it is the user assertion
+``assert_etale``, read by that function alone, and a wrong assertion
+voids its dichotomy guarantee.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     PreconditionError,
 )
 from .morphisms import DEFAULT_DEPTH, AffineVariety, Morphism, SurjectivityReport
-from .poly import Poly, VarContext
+from .poly import Poly, VarContext, poly_matrix_det
 
 
 class Endomorphism(Morphism):
@@ -82,40 +84,21 @@ class DichotomyReport:
     inverse: tuple[Poly, ...] | None
 
 
-def poly_matrix_det(rows: list[list[Poly]], ctx: VarContext) -> Poly:
-    """Determinant of a square matrix of polynomials over ``ctx``, by
-    division-free cofactor expansion along the first row: exact, and at
-    the sizes of Jacobians of desk-scale maps (3x3 at most) no minor is
-    met twice often enough for a memo to pay."""
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-
-    def minor(cols: tuple[int, ...]) -> Poly:
-        # Expand along row n - len(cols), over the still-available columns.
-        if not cols:
-            return Poly.one(ctx)
-        i = n - len(cols)
-        total = Poly.zero(ctx)
-        for pos, j in enumerate(cols):
-            entry = rows[i][j]
-            if entry.is_zero():
-                continue
-            contribution = entry * minor(cols[:pos] + cols[pos + 1:])
-            total = total + contribution if pos % 2 == 0 else total - contribution
-        return total
-
-    return minor(tuple(range(n)))
+def _not_self_map(morphism: Morphism) -> str | None:
+    """Why ``morphism`` is not a self-map of affine space, or None when it is."""
+    source, target = morphism.source, morphism.target
+    if source.ideal.generators or target.ideal.generators:
+        return "source or target has equations"
+    if source.ctx.arity != target.ctx.arity:
+        return "source and target dimensions differ"
+    return None
 
 
 def require_self_map(endo: Morphism) -> None:
     """Refuse a map whose source or target ideal has a generator, or whose two rings differ in arity."""
-    source, target = endo.source, endo.target
-    if source.ideal.generators or target.ideal.generators:
-        raise PreconditionError("map is not a self-map of affine space: source or target has equations")
-    if source.ctx.arity != target.ctx.arity:
-        raise PreconditionError("map is not a self-map of affine space: source and target dimensions differ")
+    reason = _not_self_map(endo)
+    if reason is not None:
+        raise PreconditionError(f"map is not a self-map of affine space: {reason}")
 
 
 def jacobian_determinant(endo: Morphism) -> Poly:
@@ -133,6 +116,13 @@ def is_nonzero_constant(det: Poly) -> bool:
 def is_etale(endo: Morphism) -> bool:
     """For self-maps of affine space: Jacobian determinant is a nonzero constant."""
     return is_nonzero_constant(jacobian_determinant(endo))
+
+
+def require_etale(endo: Morphism) -> None:
+    """Refuse a self-map of affine space that is not etale, naming its Jacobian determinant."""
+    det = jacobian_determinant(endo)
+    if not is_nonzero_constant(det):
+        raise NotEtaleError(f"Jacobian determinant {det} is not a nonzero constant")
 
 
 def invert(endo: Morphism) -> InversionResult:
@@ -159,9 +149,7 @@ def jc_criteria(endo: Morphism) -> JCReport:
     and injectivity is their conjunction; constructive inversion
     interpolates on the graph ideal.  The two verdicts must agree.
     """
-    det = jacobian_determinant(endo)
-    if not is_nonzero_constant(det):
-        raise NotEtaleError(f"Jacobian determinant {det} is not a nonzero constant")
+    require_etale(endo)
     determined = tuple(endo.determined_by(x) for x in Poly.variables(endo.source.ctx))
     injective = all(determined)
     inverse, _ = endo.construct_inverse()
@@ -173,14 +161,16 @@ def etale_dichotomy(morphism: Morphism, depth: int = DEFAULT_DEPTH) -> Dichotomy
     """For an injective etale map into a factorial target: the missed
     locus is a hypersurface, or the map is an isomorphism.
 
-    It is :meth:`Morphism.biregular` plus a reading of the missed set's
-    codimension.  Etaleness of a general variety map is taken from the
-    user assertion flag; the verdict is only as good as that assertion.
+    It is :meth:`Morphism.biregular`, which also refuses a target that is
+    not factorial, plus a reading of the missed set's codimension.  On a
+    self-map of affine space etaleness is decided (:func:`require_etale`);
+    on any other map it is taken from the ``assert_etale`` flag, and the
+    verdict is only as good as that assertion.
     """
-    if not morphism.assert_etale:
+    if _not_self_map(morphism) is None:
+        require_etale(morphism)
+    elif not morphism.assert_etale:
         raise MissingAssertionError("dichotomy requires the assert_etale flag on the map")
-    if not morphism.target.assert_factorial:
-        raise MissingAssertionError("dichotomy requires assert_factorial on the target")
     rep = morphism.biregular(depth)
     if not rep.injective:
         raise NotInjectiveError("dichotomy requires an injective map")

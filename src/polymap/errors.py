@@ -44,7 +44,9 @@ class NotEtaleError(PreconditionError):
 
 
 class MissingAssertionError(PreconditionError):
-    """A user assertion flag (factorial / etale) required by the operation is absent."""
+    """A hypothesis the engine cannot decide for this input is not asserted by its
+    flag: factoriality of a target that is not affine space (``assert_factorial``)
+    or etaleness of a map that is not a self-map of affine space (``assert_etale``)."""
 
 
 class DegenerateDivisorError(PreconditionError):

@@ -16,14 +16,12 @@ _SESSIONS: dict[str, str] = {
         source_ring: t
         target_ring: u v
         map: u = t^2 ; v = t^3
-        assert_factorial: true
     """,
     # (x, y) -> (x, x*y): dominant, misses the punctured line u = 0.
     "shear": """
         source_ring: x y
         target_ring: u v
         map: u = x ; v = x*y
-        assert_factorial: true
     """,
     # First row of a determinant-one 2x2 matrix; image misses only the origin.
     "sl2row": """
@@ -31,7 +29,6 @@ _SESSIONS: dict[str, str] = {
         source_ideal: a*d - b*c - 1
         target_ring: u v
         map: u = a ; v = b
-        assert_factorial: true
     """,
     # x-projection of the hyperbola x*z = 1: an open immersion onto u != 0.
     "hyperbola": """
@@ -39,7 +36,6 @@ _SESSIONS: dict[str, str] = {
         source_ideal: x*z - 1
         target_ring: u
         map: u = x
-        assert_factorial: true
         assert_etale: true
     """,
     # Elementary symmetric functions of two variables: onto, two-to-one.
@@ -47,30 +43,24 @@ _SESSIONS: dict[str, str] = {
         source_ring: x y
         target_ring: u v
         map: u = x + y ; v = x*y
-        assert_factorial: true
     """,
     # Squaring on the line: onto over an algebraically closed field.
     "square": """
         source_ring: t
         target_ring: u
         map: u = t^2
-        assert_factorial: true
     """,
     # Triangular plane automorphism.
     "triangular": """
         source_ring: x y
         target_ring: u v
         map: u = x + y^2 ; v = y
-        assert_factorial: true
-        assert_etale: true
     """,
     # Identity on the plane.
     "identity2": """
         source_ring: x y
         target_ring: u v
         map: u = x ; v = y
-        assert_factorial: true
-        assert_etale: true
     """,
 }
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .groebner import Ideal, normal_form
 from .orders import Block
-from .poly import Poly, Powers, VarContext
+from .poly import Poly, Powers, VarContext, poly_matrix_det
 
 # Rounds of leading-coefficient descent in ``constructible_image`` unless a
 # session sets its own ``depth``.
@@ -50,11 +51,12 @@ _T = TypeVar("_T")
 class AffineVariety:
     """An ambient coordinate ring plus a defining ideal.
 
-    ``assert_factorial`` records a hypothesis the user vouches for,
-    factoriality of the coordinate ring; the engine never verifies it and
-    refuses operations whose meaning depends on it when it is absent.
-    Nothing reads ``assert_irreducible``.  A unit ideal is allowed and
-    means the empty variety.
+    ``assert_factorial`` vouches for factoriality of the coordinate ring
+    where the engine cannot decide it: :func:`factorial` is its only
+    reader, returns True on affine space whatever the flag, and refuses
+    the flag where the Jacobian criterion refutes it.  Nothing reads
+    ``assert_irreducible``.  A unit ideal is allowed and means the empty
+    variety.
     """
 
     ctx: VarContext
@@ -68,8 +70,36 @@ class AffineVariety:
 
     @staticmethod
     def affine_space(ctx: VarContext) -> "AffineVariety":
-        # Polynomial rings are factorial.
-        return AffineVariety(ctx, Ideal.zero(ctx), assert_factorial=True)
+        return AffineVariety(ctx, Ideal.zero(ctx))
+
+
+def factorial(variety: AffineVariety) -> bool:
+    """Whether the coordinate ring is factorial: True on affine space (k[u]
+    is a UFD), False where the Jacobian criterion shows V(I) singular in
+    codimension one or not a domain, hence not normal (Eisenbud,
+    Commutative Algebra, Thm 11.5 and 16.6), and the ``assert_factorial``
+    flag elsewhere, as on the cone xy = z^2, normal but not factorial.  A
+    factorial ring is never refuted, and a flag the criterion refutes is
+    refused."""
+    ideal, ctx = variety.ideal, variety.ctx
+    if not ideal.generators:
+        return True
+    if not ideal.is_unit():
+        # On a prime I of dimension d, I and the c x c minors of its
+        # Jacobian, c = n - d, cut out the singular locus.
+        d = ideal.dimension()
+        c = ctx.arity - d
+        jacobian = [[g.derivative(name) for name in ctx.names] for g in ideal.generators]
+        singular = ideal + [poly_matrix_det([[jacobian[i][j] for j in cols] for i in rows], ctx)
+                            for rows in combinations(range(len(jacobian)), c)
+                            for cols in combinations(range(ctx.arity), c)]
+        if not singular.is_unit() and singular.dimension() >= d - 1:
+            if variety.assert_factorial:
+                equations = ", ".join(str(g) for g in ideal.generators)
+                raise PreconditionError(f"assert_factorial is refuted: V({equations}) is singular in codimension"
+                                        " one or is not a domain, so its ring is not factorial")
+            return False
+    return variety.assert_factorial
 
 
 @dataclass(frozen=True)
@@ -417,8 +447,9 @@ class Morphism:
     def divides_transfer(self, f: Poly, g: Poly) -> tuple[bool, bool]:
         """(f o map divides g o map on the source, f divides g on the target).
 
-        A (True, False) outcome is a certified witness that the map
-        misses a hypersurface worth of target points.
+        On a factorial target a (True, False) outcome is a certified
+        witness that the map misses a hypersurface worth of target points
+        (:meth:`divisor_witness`).
         """
         if f.ctx != self.target.ctx or g.ctx != self.target.ctx:
             raise ContextMismatchError("divisibility arguments live on the target ring")
@@ -431,6 +462,13 @@ class Morphism:
         source_divides = (self.source.ideal + (f_src,)).contains(g_src)
         target_divides = (self.target.ideal + (f,)).contains(g)
         return source_divides, target_divides
+
+    def divisor_witness(self, source_divides, target_divides) -> bool | None:
+        """Whether a :meth:`divides_transfer` outcome shows the map is not
+        almost surjective.  By the paper's lemma a map almost surjective onto
+        a factorial target has f o map | g o map only when f | g, so there
+        (True, False) is a witness; off factorial targets it is None."""
+        return source_divides and not target_divides if factorial(self.target) else None
 
     # -- injectivity / image ------------------------------------------------------
 
@@ -513,13 +551,15 @@ class Morphism:
         """Isomorphism test: injective and almost surjective, with the
         inverse constructed coordinate by coordinate as a certificate.
 
-        Requires the target's factoriality assertion.  The set-theoretic
+        Requires a factorial target (:func:`factorial`).  The set-theoretic
         verdict and the success of the inverse construction agree on
         radical source and target ideals and a factorial target, so a
         disagreement raises naming those hypotheses.
         """
-        if not self.target.assert_factorial:
-            raise MissingAssertionError("biregularity test requires assert_factorial on the target")
+        if not factorial(self.target):
+            raise MissingAssertionError(
+                "biregularity test requires a factorial target: it is not affine space and assert_factorial is not set"
+            )
         injective = self.is_injective()
         surj = self.almost_surjective(depth)
         if surj.almost_surjective is None:

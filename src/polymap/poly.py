@@ -27,7 +27,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ContextMismatchError, PolymapError, UnknownVariableError
@@ -217,21 +217,7 @@ class Poly:
             raise ContextMismatchError(f"contexts differ: {self.ctx} vs {other.ctx}")
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.ctx, other)
-        self._check_ctx(other)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = out.get(mono)
-            if acc is None:
-                out[mono] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-        return _raw(self.ctx, out)
+        return self._plus(other, add)
 
     __radd__ = __add__
 
@@ -239,9 +225,27 @@ class Poly:
         return _raw(self.ctx, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
+        return self._plus(other, sub)
+
+    def _plus(self, other: "Poly | Scalar", op) -> "Poly":
+        """``self + other`` when ``op`` is ``operator.add``, ``self - other``
+        when it is ``operator.sub``: one loop, and a term of ``other`` is
+        negated only where ``self`` has no term to subtract it from."""
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.ctx, other)
-        return self + (-other)
+        self._check_ctx(other)
+        out = dict(self._terms)
+        for mono, coeff in other._terms.items():
+            acc = out.get(mono)
+            if acc is None:
+                out[mono] = coeff if op is add else -coeff
+            else:
+                acc = op(acc, coeff)
+                if acc:
+                    out[mono] = acc
+                else:
+                    del out[mono]
+        return _raw(self.ctx, out)
 
     def __rsub__(self, other: Scalar) -> "Poly":
         return Poly.constant(self.ctx, other) - self
@@ -520,3 +524,30 @@ class Powers:
                 got = _mul_terms(half, half)
             got = cache.setdefault(e, {m: c for m, c in got.items() if c})
         return got
+
+
+def poly_matrix_det(rows: list[list[Poly]], ctx: VarContext) -> Poly:
+    """Determinant of a square matrix of polynomials over ``ctx``, by
+    division-free cofactor expansion along the first row: exact, and at
+    the sizes of Jacobians of desk-scale maps (3x3 at most) no minor is
+    met twice often enough for a memo to pay."""
+    n = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+
+    def minor(cols: tuple[int, ...]) -> Poly:
+        # Expand along row n - len(cols), over the still-available columns.
+        if not cols:
+            return Poly.one(ctx)
+        i = n - len(cols)
+        total = Poly.zero(ctx)
+        for pos, j in enumerate(cols):
+            entry = rows[i][j]
+            if entry.is_zero():
+                continue
+            contribution = entry * minor(cols[:pos] + cols[pos + 1:])
+            total = total + contribution if pos % 2 == 0 else total - contribution
+        return total
+
+    return minor(tuple(range(n)))

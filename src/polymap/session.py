@@ -16,8 +16,8 @@ File format (keys in any order, ``#`` starts a comment, blank lines ignored)::
     target_ring: u v
     target_ideal:                  # optional, same syntax
     map: u = x ; v = x*y
-    assert_factorial: true         # flags default to false
-    assert_etale: false
+    assert_factorial: true         # flags default to false; each is read
+    assert_etale: false            # only where the engine cannot decide
     depth: 8                       # image-recursion depth
 
 Every target variable must get exactly one map entry.  The map is built

@@ -237,16 +237,18 @@ class TestDichotomy:
             etale_dichotomy(fixture_morphisms["cusp"])
 
     def test_requires_injectivity(self):
-        from polymap import AffineVariety, Morphism
-
-        shear_like = Morphism(
-            AffineVariety.affine_space(XY),
-            AffineVariety.affine_space(UV),
-            [parse_poly("x", XY), parse_poly("x*y", XY)],
-            assert_etale=True,  # wrong assertion on purpose; the map fails the injectivity gate
-        )
+        # Squaring on the hyperbola x*z = 1 is etale and two-to-one.
+        squaring = parse_session("source_ring: x z\nsource_ideal: x*z - 1\ntarget_ring: u\nmap: u = x^2\n"
+                                 "assert_etale: true\n").morphism()
         with pytest.raises(NotInjectiveError):
-            etale_dichotomy(shear_like)
+            etale_dichotomy(squaring)
+
+    def test_self_map_etale_flag_not_read(self):
+        # On a self-map of affine space the Jacobian decides, whatever the flag says.
+        shear = parse_session("source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = x*y\n"
+                              "assert_etale: true\n").morphism()
+        with pytest.raises(NotEtaleError, match="Jacobian determinant x is not a nonzero constant"):
+            etale_dichotomy(shear)
 
 
 class TestPartsComputedOnce:

@@ -24,7 +24,7 @@ from polymap import (
     parse_poly,
     parse_session,
 )
-from polymap.morphisms import ConstructibleSet, _intersect_many, _piece_closure
+from polymap.morphisms import ConstructibleSet, _intersect_many, _piece_closure, factorial
 
 from conftest import SEEDED_SITES, check_seeded_bases, random_point, random_poly, run_seeded_site
 
@@ -452,6 +452,40 @@ class TestDividesTransfer:
             m.divides_transfer(Poly.variable(UV, "u"), Poly.variable(UV, "v"))
 
 
+class TestFactorial:
+    """Affine space is factorial; an ideal that the Jacobian criterion shows
+    not normal is refuted, flag or not; the flag decides the rest."""
+
+    @pytest.mark.parametrize("ring, equations, refuted", [
+        ("u v", "u^3 - v^2", True),
+        ("u v", "u^2", True),
+        ("u v", "u*v", True),
+        ("u v w", "u^2*w - v^2", True),
+        ("u", "u - 2", False),
+        ("u", "u^2 - 1", False),
+        ("p q", "p*q - 1", False),
+        ("u v", "u^2 + v^2 - 1", False),
+        ("u v w", "v - u^2 ; w - u*v ; u*w - v^2", False),
+        # The cone is normal but not factorial: the rule finds nothing.
+        ("x y z", "x*y - z^2", False),
+    ], ids=["cusp", "double-line", "axes", "whitney", "point", "two-points", "hyperbola", "circle",
+            "twisted-cubic", "cone"])
+    def test_rule(self, ring, equations, refuted):
+        ctx = VarContext(ring.split())
+        ideal = Ideal(ctx, [parse_poly(text, ctx) for text in equations.split(";")])
+        assert factorial(AffineVariety(ctx, ideal)) is False
+        asserted = AffineVariety(ctx, ideal, assert_factorial=True)
+        if refuted:
+            with pytest.raises(PreconditionError, match="^assert_factorial is refuted"):
+                factorial(asserted)
+        else:
+            assert factorial(asserted) is True
+
+    def test_affine_space_without_flag(self):
+        assert factorial(AffineVariety(UV, Ideal(UV, [Poly.zero(UV)]))) is True
+        assert factorial(AffineVariety.affine_space(UV)) is True
+
+
 class TestExtend:
     def test_sl2row_extension(self, fixture_morphisms):
         sl2 = fixture_morphisms["sl2row"]
@@ -758,13 +792,11 @@ class TestBiregular:
         assert rep.verdict is False and rep.consistent and rep.inverse is None
 
     def test_requires_factorial_assertion(self):
-        xy = VarContext(("x", "y"))
-        m = Morphism(
-            AffineVariety.affine_space(xy),
-            AffineVariety(UV, Ideal.zero(UV)),
-            [Poly.variable(xy, "x"), Poly.variable(xy, "y")],
-        )
-        with pytest.raises(MissingAssertionError):
+        # p*q = 1 is not affine space, and the factoriality rule finds
+        # nothing against it, so only the flag could vouch for it.
+        m = parse_session("source_ring: x z\nsource_ideal: x*z - 1\ntarget_ring: p q\ntarget_ideal: p*q - 1\n"
+                          "map: p = x ; q = z\n").morphism()
+        with pytest.raises(MissingAssertionError, match="assert_factorial"):
             m.biregular()
 
     def test_graph_dimension_matches_target_for_determined_functions(self, fixture_morphisms):

@@ -188,6 +188,9 @@ class TestArithmetic:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+            # Subtraction is addition of the negative, term for term in the same order.
+            assert list((a - b).terms()) == list((a + (-b)).terms())
+            assert (a - a).is_zero()
 
     def test_scalar_operations(self):
         x, _ = Poly.variables(XY)

@@ -48,13 +48,17 @@ DOUBLE_LINE_TEXT = ("source_ring: x y\nsource_ideal: y^2\ntarget_ring: u\nmap: u
                     "assert_factorial: true\nassert_etale: true\n")
 DOUBLE_TARGET_TEXT = ("source_ring: t\ntarget_ring: u v\ntarget_ideal: u^2\nmap: u = 0 ; v = t\n"
                       "assert_factorial: true\nassert_etale: true\n")
-# Asserted etale, one not injective (it collapses the line x = 0), one an
-# open immersion of the punctured plane with the line u = 0 missed.
-NOT_INJECTIVE_TEXT = ("source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = x*y\n"
-                      "assert_factorial: true\nassert_etale: true\n")
+# Asserted etale, one not injective (squaring on the hyperbola x*z = 1),
+# one an open immersion of the punctured plane with the line u = 0 missed,
+# and one an isomorphism onto p*q = 1, which no rule shows factorial.
+NOT_INJECTIVE_TEXT = ("source_ring: x z\nsource_ideal: x*z - 1\ntarget_ring: u\nmap: u = x^2\n"
+                      "assert_etale: true\n")
 PUNCTURED_PLANE_TEXT = ("source_ring: x y z\nsource_ideal: x*z - 1\ntarget_ring: u v\nmap: u = x ; v = y\n"
                         "assert_factorial: true\nassert_etale: true\n")
-ETALE_NOT_FACTORIAL_TEXT = "source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = y\nassert_etale: true\n"
+ETALE_NOT_FACTORIAL_TEXT = ("source_ring: x z\nsource_ideal: x*z - 1\ntarget_ring: p q\ntarget_ideal: p*q - 1\n"
+                            "map: p = x ; q = z\nassert_etale: true\n")
+# The cusp curve: t -> (t^2, t^3) is a bijection onto it, and it is not factorial.
+CUSP_CURVE_TEXT = "source_ring: t\ntarget_ring: u v\ntarget_ideal: u^3 - v^2\nmap: u = t^2 ; v = t^3\n"
 # Five points of the plane, whose lex and grevlex bases differ, and a point
 # onto a point: a source ring without variables, so the inverse is empty.
 FIVE_POINTS_TEXT = ("source_ring: x y\nsource_ideal: x^2 + y^3 ; x*y - 1\ntarget_ring: u\nmap: u = x\n"
@@ -263,8 +267,12 @@ class TestCLI:
         code, report = run_cli(capsys, "--session", str(session), "biregular")
         assert code == 0 and report["verdict"] is False and report["certificates"][0]["inverse"] is None
 
-    @pytest.mark.parametrize("text", [DOUBLE_LINE_TEXT, DOUBLE_TARGET_TEXT], ids=["double-line", "double-target"])
-    def test_non_radical_ideals_named_as_broken_hypothesis(self, capsys, tmp_path, text):
+    # The factoriality rule refutes the asserted u^2 = 0 before any inverse is built.
+    @pytest.mark.parametrize("text, named", [
+        (DOUBLE_LINE_TEXT, "radical source and target ideals and a factorial target"),
+        (DOUBLE_TARGET_TEXT, "assert_factorial"),
+    ], ids=["double-line", "double-target"])
+    def test_non_radical_ideals_named_as_broken_hypothesis(self, capsys, tmp_path, text, named):
         session = tmp_path / "double.session"
         session.write_text(text)
         for command in ("injective", "almost-surjective"):
@@ -275,7 +283,7 @@ class TestCLI:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.count("\n") == 1, command
-            assert "radical source and target ideals and a factorial target" in captured.err, command
+            assert named in captured.err, command
 
     @pytest.mark.parametrize("text, argv", [
         (EMPTY_INTO_EMPTY_TEXT, ["dim"]),
@@ -455,7 +463,40 @@ class TestCLI:
         assert main(["--session", str(session), "dichotomy"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: dichotomy requires assert_factorial on the target\n"
+        assert captured.err == ("error: biregularity test requires a factorial target: it is not affine space"
+                                " and assert_factorial is not set\n")
+
+    def test_affine_space_maps_need_no_flags(self, capsys, tmp_path):
+        # The plane is factorial and a self-map's etaleness is its Jacobian's.
+        session = tmp_path / "plain.session"
+        session.write_text("source_ring: x y\ntarget_ring: u v\nmap: u = x ; v = x*y\n")
+        code, report = run_cli(capsys, "--session", str(session), "biregular")
+        assert code == 0 and report["verdict"] is False
+        assert main(["--session", str(session), "dichotomy"]) == 1
+        assert capsys.readouterr().err == "error: Jacobian determinant x is not a nonzero constant\n"
+        session.write_text("source_ring: x y\ntarget_ring: u v\nmap: u = x + y^2 ; v = y\n")
+        code, report = run_cli(capsys, "--session", str(session), "dichotomy")
+        assert code == 0 and report["verdict"] == "biregular"
+
+    def test_cusp_curve_divisibility_witnesses_nothing(self, capsys, tmp_path):
+        session = tmp_path / "cusp-curve.session"
+        session.write_text(CUSP_CURVE_TEXT)
+        code, report = run_cli(capsys, "--session", str(session), "divides", "-f", "u", "-g", "v")
+        assert code == 0 and report["verdict"] == {"source": True, "target": False}
+        assert report["certificates"][0]["witnesses_non_almost_surjective"] is None
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        code, report = run_cli(capsys, "verify", str(path))
+        assert code == 0 and report["verdict"] is True
+
+    @pytest.mark.parametrize("argv", [["divides", "-f", "u", "-g", "v"], ["biregular"]], ids=["divides", "biregular"])
+    def test_refuted_factorial_assertion(self, capsys, tmp_path, argv):
+        session = tmp_path / "cusp-curve.session"
+        session.write_text(CUSP_CURVE_TEXT + "assert_factorial: true\n")
+        assert main(["--session", str(session), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: assert_factorial is refuted")
 
     @pytest.mark.parametrize("g", ["(" * 10000 + "t" + ")" * 10000, "-" * 10000 + "t"], ids=["parentheses", "signs"])
     def test_deep_nesting_refused_in_one_line(self, capsys, tmp_path, g):
@@ -665,6 +706,8 @@ class TestVerify:
         # Derived fields: the witness is source_divides and not
         # target_divides, and no coordinate failed when an inverse is given.
         (fixture_session_text("cusp"), ["divides", "-f", "u", "-g", "v"], {"witnesses_non_almost_surjective": False}),
+        # Onto a target that is not factorial the outcome witnesses nothing.
+        (CUSP_CURVE_TEXT, ["divides", "-f", "u", "-g", "v"], {"witnesses_non_almost_surjective": True}),
         (fixture_session_text("triangular"), ["invert"], {"failing_coordinate": 0}),
         # The pullbacks are f o map and g o map modulo the source ideal.
         (fixture_session_text("cusp"), ["divides", "-f", "u", "-g", "v"], {"f_pullback": "t^5"}),
@@ -676,7 +719,7 @@ class TestVerify:
             "biregular-verdict", "biregular-verdict-one", "biregular-without-inverse", "biregular-fields-without-inverse",
             "interpolate-without-interpolant", "interpolate-verdict",
             "minpoly-verdict", "zero-relation", "minpoly-degree-true", "gb-verdict", "jc-injective", "determinant",
-            "etale", "divides-one", "divides-witness", "invert-failing-coordinate", "divides-f-pullback",
+            "etale", "divides-one", "divides-witness", "divides-witness-off-factorial", "invert-failing-coordinate", "divides-f-pullback",
             "divides-g-pullback", "biregular-without-certificate", "invert-without-certificate"])
     def test_tampered_certificate_fails(self, capsys, tmp_path, text, argv, edits):
         session = tmp_path / "map.session"
@@ -704,7 +747,7 @@ class TestVerify:
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 0 and report["verdict"] is None
         code, out = run_cli(capsys, "verify", str(path), "--human")
-        assert code == 0 and out.endswith("verdict: null\nexact: True\n"
+        assert code == 0 and out.endswith("verdict: null\nexact: true\n"
                                           "note: report contains no re-checkable certificate\n")
 
     @staticmethod
@@ -829,6 +872,10 @@ class TestVerify:
          "args entry 'g' contradicts the fiber_constancy certificate"),
         ({"command": "interpolate", "session": MAP_SESSION, "args": 5, "certificates": []},
          "'args' is not a JSON object"),
+        # The image_closure kind answers the closure mode only.
+        ({"command": "image", "session": load_fixture("cusp").to_json_dict(), "args": {"mode": "constructible"},
+          "verdict": ["u^3 - v^2"], "certificates": [{"kind": "image_closure", "generators": ["u^3 - v^2"]}]},
+         "args entry 'mode' contradicts the image_closure certificate"),
     ], ids=["list", "certificate-not-object", "interpolation-without-g", "basis-without-ring",
             "rational-pair-without-args-g", "g-not-a-string", "basis-not-an-array", "map-not-an-array",
             "rational-pair-of-one", "relation-without-g", "depth-with-line-break", "depth-zero",
@@ -838,7 +885,7 @@ class TestVerify:
             "inverse-too-long", "ring-unknown", "ring-not-a-string", "jacobian-off-affine-space",
             "coords-determined-not-booleans", "kind-renamed", "command-without-session",
             "interpolate-args-g-changed", "divides-args-f-g-swapped", "gb-args-order-changed",
-            "determined-args-g-changed", "args-not-an-object"])
+            "determined-args-g-changed", "args-not-an-object", "image-args-mode-changed"])
     def test_malformed_report_refused(self, capsys, tmp_path, report, named):
         self._assert_refused(capsys, tmp_path, report, named)
 
