@@ -6,8 +6,12 @@ Each CHECKOUT is the root of a source checkout.  One subprocess per
 checkout imports polymap from its ``src/`` and, in-process through
 ``cli.main``, runs every fixture through every command of its
 ``cli._COMMANDS`` table that reads a session.  A command that declares
-``-g``, ``-f`` or ``--drop`` runs once with the first source variable and
-once with the first target variable as their value.  A command also runs
+``-g`` or ``--drop`` runs once with the first source variable and once
+with the first target variable as their value.  ``divides`` reads ``-f``
+and ``-g`` over the target ring, so it runs once with the first target
+variable as ``-f`` and the second, or the first again on a one-variable
+target, as ``-g``; on a target ring without variables it does not run.
+A command also runs
 once with each value of a ``choices`` flag other than its default, and
 once with each flag of a mutually exclusive group, one flag at a time.
 Every call runs with and without ``--human``, and ``verify`` runs on each
@@ -160,23 +164,34 @@ for label, text in SESSIONS.items():
     with open(label + ".session", "w", encoding="utf-8") as handle:
         handle.write(text)
     sources.append((label, ["--session", label + ".session"], parse_session(text)))
+# The values of a command's -g, -f and --drop flags, one dict per call.
+# divides reads f and g over the target ring: f is its first variable and
+# g its second, or the first again on a one-variable target.
+def flag_values(name, takes, echo):
+    if not takes:
+        return [{}]
+    if name == "divides":
+        ring = echo["target_ring"]
+        return [{"-f": ring[0], "-g": ring[1 if len(ring) > 1 else 0]}] if ring else []
+    firsts = dict.fromkeys(ring[0] for ring in (echo["source_ring"], echo["target_ring"]) if ring)
+    return [dict.fromkeys(takes, var) for var in firsts]
+
 for label, source, session in sources:
     echo = session.to_json_dict()
-    firsts = dict.fromkeys(ring[0] for ring in (echo["source_ring"], echo["target_ring"]) if ring)
     for name, command in cli._COMMANDS.items():
         if not command.session:
             continue
         takes = [f for f in VALUE_FLAGS if f in set(flag_names(command.flags))]
         for variant in [[]] + list(flag_variants(command.flags)):
-            for var in (firsts if takes else [None]):
-                argv = source + [name] + variant + [a for f in takes for a in (f, var)]
+            for values in flag_values(name, takes, echo):
+                argv = source + [name] + variant + [a for item in values.items() for a in item]
                 call(argv + ["--human"])
                 code, out = call(argv)
                 try:
                     json.loads(out)
                 except ValueError:
                     continue
-                words = [label, name] + [a.lstrip("-") for a in variant] + ([var] if var else [])
+                words = [label, name] + [a.lstrip("-") for a in variant] + list(dict.fromkeys(values.values()))
                 report = "-".join(words) + ".json"
                 with open(report, "w", encoding="utf-8") as handle:
                     handle.write(out)

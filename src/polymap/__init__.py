@@ -28,20 +28,9 @@ from .orders import Block, GREVLEX, GRLEX, LEX, GrevLex, GrLex, Lex, MonomialOrd
 from .poly import Poly, VarContext
 from .parsing import parse_poly
 from .groebner import Ideal, buchberger, normal_form, s_polynomial
-from .morphisms import (
-    AffineVariety,
-    BiregularReport,
-    ConstructibleSet,
-    InterpolationResult,
-    MinPolyResult,
-    Morphism,
-    SurjectivityReport,
-)
+from .morphisms import AffineVariety, Morphism
 from .endos import (
-    DichotomyReport,
     Endomorphism,
-    InversionResult,
-    JCReport,
     etale_dichotomy,
     invert,
     is_etale,
@@ -54,6 +43,27 @@ from .session import Session, parse_session
 from .fixtures import SNAPSHOTS, fixture_names, fixture_session_text, load_fixture
 
 __version__ = "0.1.0"
+
+# The verdicts' records (``polymap.reports``) load on first use, so that a
+# command that builds none never imports ``dataclasses``.
+_REPORTS = frozenset({
+    "BiregularReport",
+    "ConstructibleSet",
+    "DichotomyReport",
+    "InterpolationResult",
+    "InversionResult",
+    "JCReport",
+    "MinPolyResult",
+    "SurjectivityReport",
+})
+
+
+def __getattr__(name: str):
+    if name in _REPORTS:
+        from . import reports
+
+        return getattr(reports, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AffineVariety",

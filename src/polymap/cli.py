@@ -17,7 +17,6 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .endos import etale_dichotomy, is_nonzero_constant, jacobian_determinant, jc_criteria, require_self_map
@@ -29,6 +28,7 @@ from .orders import ORDERS_BY_NAME
 from .parsing import parse_poly
 from .poly import Poly
 from .session import Session, _entry, _texts, parse_session
+from .values import Value
 
 UNKNOWN_EXIT = 2
 
@@ -386,8 +386,7 @@ def _verify(ns):
 # -- the command table -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(Value):
     """One CLI command.  ``run`` gets (ns, session, morphism), or only ns
     when the command reads no session.  ``kinds`` maps each certificate kind
     it emits to None, carried as data, or to ``(check, positive)``: ``verify``
@@ -400,13 +399,17 @@ class _Command:
     ``inexact_undecided``, any inexact description.  A ``check`` verdict of
     false exits 1."""
 
-    run: Callable
-    flags: tuple = ()
-    kinds: dict = field(default_factory=dict)
-    session: bool = True
-    inexact_undecided: bool = False
-    check: bool = False
-    kind_args: dict = field(default_factory=dict)
+    __slots__ = _fields = ("run", "flags", "kinds", "session", "inexact_undecided", "check", "kind_args")
+
+    def __init__(self, run: Callable, flags: tuple = (), kinds: dict | None = None, session: bool = True,
+                 inexact_undecided: bool = False, check: bool = False, kind_args: dict | None = None):
+        object.__setattr__(self, "run", run)
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "kinds", {} if kinds is None else kinds)
+        object.__setattr__(self, "session", session)
+        object.__setattr__(self, "inexact_undecided", inexact_undecided)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "kind_args", {} if kind_args is None else kind_args)
 
 
 _INTERPOLATION = {"interpolation": (_check_interpolation, lambda v: v == "interpolant")}

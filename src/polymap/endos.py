@@ -18,8 +18,7 @@ voids its dichotomy guarantee.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import (
     EngineInconsistencyError,
@@ -28,8 +27,13 @@ from .errors import (
     NotInjectiveError,
     PreconditionError,
 )
-from .morphisms import DEFAULT_DEPTH, AffineVariety, Morphism, SurjectivityReport
+from .morphisms import DEFAULT_DEPTH, AffineVariety, Morphism
 from .poly import Poly, VarContext, poly_matrix_det
+
+if TYPE_CHECKING:
+    import random
+
+    from .reports import DichotomyReport, InversionResult, JCReport
 
 
 class Endomorphism(Morphism):
@@ -44,44 +48,6 @@ class Endomorphism(Morphism):
     def __init__(self, source_ctx: VarContext, target_ctx: VarContext, coords):
         super().__init__(AffineVariety.affine_space(source_ctx), AffineVariety.affine_space(target_ctx), coords)
         require_self_map(self)
-
-
-@dataclass(frozen=True)
-class InversionResult:
-    inverse: Endomorphism | None
-    failing_coordinate: int | None
-
-    @property
-    def ok(self) -> bool:
-        return self.inverse is not None
-
-
-@dataclass(frozen=True)
-class JCReport:
-    """Joint verdicts of the invertibility criteria for an etale map.
-
-    ``injective`` is ``all(coords_determined)``: a map is injective
-    exactly when every source coordinate is constant on its fibers.
-    ``consistent`` records that this fiber verdict agreed with
-    constructive invertibility, which works on the graph ideal instead;
-    a False value is a potential engine defect, never a mathematical
-    discovery.
-    """
-
-    etale: bool
-    injective: bool | None
-    coords_determined: tuple[bool, ...]
-    invertible: bool
-    inverse: tuple[Poly, ...] | None
-    consistent: bool
-
-
-@dataclass(frozen=True)
-class DichotomyReport:
-    branch: str | None  # "codim_one" | "biregular" | None (unknown image)
-    surjectivity: SurjectivityReport
-    complement_codim: int | None
-    inverse: tuple[Poly, ...] | None
 
 
 def _not_self_map(morphism: Morphism) -> str | None:
@@ -135,6 +101,8 @@ def invert(endo: Morphism) -> InversionResult:
     coordinate that does not interpolate, or None when every coordinate
     does but the map is not onto.
     """
+    from .reports import InversionResult
+
     require_self_map(endo)
     inverse, failing = endo.construct_inverse()
     return InversionResult(None if inverse is None else Endomorphism(endo.target.ctx, endo.source.ctx, inverse),
@@ -149,6 +117,8 @@ def jc_criteria(endo: Morphism) -> JCReport:
     and injectivity is their conjunction; constructive inversion
     interpolates on the graph ideal.  The two verdicts must agree.
     """
+    from .reports import JCReport
+
     require_etale(endo)
     determined = tuple(endo.determined_by(x) for x in Poly.variables(endo.source.ctx))
     injective = all(determined)
@@ -167,6 +137,8 @@ def etale_dichotomy(morphism: Morphism, depth: int = DEFAULT_DEPTH) -> Dichotomy
     on any other map it is taken from the ``assert_etale`` flag, and the
     verdict is only as good as that assertion.
     """
+    from .reports import DichotomyReport
+
     if _not_self_map(morphism) is None:
         require_etale(morphism)
     elif not morphism.assert_etale:

@@ -23,10 +23,8 @@ Verdict semantics worth pinning down:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
     ContextMismatchError,
@@ -40,6 +38,10 @@ from .errors import (
 from .groebner import Ideal, normal_form
 from .orders import Block
 from .poly import Poly, Powers, VarContext, poly_matrix_det
+from .values import Value
+
+if TYPE_CHECKING:
+    from .reports import BiregularReport, ConstructibleSet, InterpolationResult, MinPolyResult, SurjectivityReport
 
 # Rounds of leading-coefficient descent in ``constructible_image`` unless a
 # session sets its own ``depth``.
@@ -47,8 +49,7 @@ DEFAULT_DEPTH = 8
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class AffineVariety:
+class AffineVariety(Value):
     """An ambient coordinate ring plus a defining ideal.
 
     ``assert_factorial`` vouches for factoriality of the coordinate ring
@@ -59,14 +60,16 @@ class AffineVariety:
     variety.
     """
 
-    ctx: VarContext
-    ideal: Ideal
-    assert_irreducible: bool = False
-    assert_factorial: bool = False
+    __slots__ = _fields = ("ctx", "ideal", "assert_irreducible", "assert_factorial")
 
-    def __post_init__(self):
-        if self.ideal.ctx != self.ctx:
+    def __init__(self, ctx: VarContext, ideal: Ideal, assert_irreducible: bool = False,
+                 assert_factorial: bool = False):
+        if ideal.ctx != ctx:
             raise ContextMismatchError("variety ideal lives in a different context")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "assert_irreducible", assert_irreducible)
+        object.__setattr__(self, "assert_factorial", assert_factorial)
 
     @staticmethod
     def affine_space(ctx: VarContext) -> "AffineVariety":
@@ -102,118 +105,10 @@ def factorial(variety: AffineVariety) -> bool:
     return variety.assert_factorial
 
 
-@dataclass(frozen=True)
-class InterpolationResult:
-    """Outcome of asking for a regular target function with given pullback.
-
-    ``status`` is one of:
-
-    * ``"interpolant"``       - ``interpolant`` pulls back to g on the source.
-    * ``"not_in_subalgebra"`` - g is constant on fibers but no regular
-      target function pulls back to it.
-    * ``"not_determined"``    - g is not even constant on fibers.
-
-    ``witness`` is the reduction of g by the elimination basis of the
-    graph ideal; for failures it still contains source variables.
-    """
-
-    status: str
-    interpolant: Poly | None
-    witness: Poly
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "interpolant"
-
-
 def is_graph_relation(relation: Poly, var: str) -> bool:
     """Whether a graph-closure generator is a relation of g over the image:
     it has degree at least one in the line coordinate ``var``."""
     return relation.degree_in(var) >= 1
-
-
-@dataclass(frozen=True)
-class MinPolyResult:
-    """Defining relation of a function over the image of a map.
-
-    The relation lives in the target ring extended by ``var`` (the fresh
-    graph coordinate) and has degree at least one in it
-    (:func:`is_graph_relation`).  When that degree is one and the map is
-    dominant, ``rational_pair = (num, den)`` certifies g = (num/den) o map.
-    """
-
-    status: str  # "relation" | "no_relation" | "not_hypersurface"
-    relation: Poly | None
-    var: str
-    degree: int | None
-    rational_pair: tuple[Poly, Poly] | None
-    dominant: bool
-    graph_ideal: Ideal
-
-
-@dataclass(frozen=True)
-class ConstructibleSet:
-    """Finite union of pieces V(closed) - V(minus) inside an ambient ring.
-
-    ``exact`` distinguishes a proven description of a map's image from a
-    sound under-approximation: a subset of the image whose closure equals
-    the image closure when the source ideal is prime (on a reducible or
-    non-reduced source it may be smaller).  Membership of rational points
-    is decided by evaluation.
-    """
-
-    ctx: VarContext
-    pieces: tuple[tuple[Ideal, Ideal], ...]
-    exact: bool
-
-    def contains(self, point: Sequence[Fraction | int]) -> bool:
-        for closed, minus in self.pieces:
-            if all(g.evaluate(point) == 0 for g in closed.generators):
-                if any(g.evaluate(point) != 0 for g in minus.generators):
-                    return True
-        return False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pieces": [
-                {
-                    "closed": [str(g) for g in closed.generators],
-                    "minus": [str(g) for g in minus.generators],
-                }
-                for closed, minus in self.pieces
-            ],
-            "exact": self.exact,
-        }
-
-
-@dataclass(frozen=True)
-class SurjectivityReport:
-    """Image description plus the dimension bookkeeping behind the verdict.
-
-    ``complement_closure`` cuts out the closure of the target minus the
-    image description (it need not be radical) and ``complement_dim`` is
-    its dimension: the upper bound of the bracket in
-    :meth:`Morphism.almost_surjective`, exact when the description is.
-    ``almost_surjective`` / ``surjective`` are True, False, or None for
-    "unknown" (only possible when the description is inexact and the
-    bracket straddles the threshold).
-    """
-
-    image: ConstructibleSet
-    complement_closure: Ideal
-    complement_dim: int
-    target_dim: int
-    almost_surjective: bool | None
-    surjective: bool | None
-
-
-@dataclass(frozen=True)
-class BiregularReport:
-    verdict: bool | None
-    injective: bool
-    surjectivity: SurjectivityReport
-    inverse: tuple[Poly, ...] | None
-    consistent: bool
 
 
 class _GraphData:
@@ -381,6 +276,8 @@ class Morphism:
         identity interpolant o map = g (mod source ideal) is re-checked
         on every success.
         """
+        from .reports import InterpolationResult
+
         if g.ctx != self.source.ctx:
             raise ContextMismatchError("argument must live on the source ring")
         graph = self._graph()
@@ -415,6 +312,8 @@ class Morphism:
         or 1 on an empty source), or not principal (not a hypersurface).
         Degree one plus dominance certifies g as a ratio of pulled-back functions.
         """
+        from .reports import MinPolyResult
+
         if self.target.ideal.generators:
             raise TargetNotAffineSpaceError("minimal_polynomial needs a target with zero defining ideal")
         ideal, w = self.graph_closure(g)
@@ -491,6 +390,8 @@ class Morphism:
         Each round's ideal contains the one before, so each piece's closed
         ideal contains those of all earlier pieces: the pieces are nested.
         """
+        from .reports import ConstructibleSet
+
         if depth < 1:
             raise ValueError("depth must be at least 1")
         graph = self._graph()
@@ -526,6 +427,8 @@ class Morphism:
         not when lower > threshold, and unknown (None) otherwise; likewise
         surjective when upper == -1, not when lower >= 0.
         """
+        from .reports import SurjectivityReport
+
         target_ideal = self.target.ideal
         target_dim = target_ideal.dimension()
         image = self.constructible_image(depth)
@@ -556,6 +459,8 @@ class Morphism:
         radical source and target ideals and a factorial target, so a
         disagreement raises naming those hypotheses.
         """
+        from .reports import BiregularReport
+
         if not factorial(self.target):
             raise MissingAssertionError(
                 "biregularity test requires a factorial target: it is not affine space and assert_factorial is not set"

@@ -11,9 +11,10 @@ algorithms terminate.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import itemgetter, neg
 from typing import Callable
+
+from .values import Value
 
 Monomial = tuple[int, ...]
 
@@ -39,17 +40,21 @@ def _picker(indices: tuple[int, ...]) -> Callable[[Monomial], tuple]:
     return lambda exponents: tuple(exponents[i] for i in indices)
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Base class; subclasses are hashable and usable as cache keys."""
+class MonomialOrder(Value):
+    """Base class.  Orders are immutable values (:mod:`polymap.values`):
+    an order equals only an order of its own class, so orders are usable
+    as cache keys."""
+
+    __slots__ = ()
 
     def key_function(self, arity: int) -> Callable[[Monomial], tuple]:
         """The order compiled for exponent tuples of length ``arity``."""
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Lex(MonomialOrder):
+    __slots__ = ()
+
     def key_function(self, arity: int):
         return _lex_key
 
@@ -57,8 +62,9 @@ class Lex(MonomialOrder):
         return "lex"
 
 
-@dataclass(frozen=True)
 class GrLex(MonomialOrder):
+    __slots__ = ()
+
     def key_function(self, arity: int):
         return _grlex_key
 
@@ -66,8 +72,9 @@ class GrLex(MonomialOrder):
         return "grlex"
 
 
-@dataclass(frozen=True)
 class GrevLex(MonomialOrder):
+    __slots__ = ()
+
     def key_function(self, arity: int):
         return _grevlex_key
 
@@ -75,7 +82,6 @@ class GrevLex(MonomialOrder):
         return "grevlex"
 
 
-@dataclass(frozen=True)
 class Block(MonomialOrder):
     """Elimination order: the head variables dominate the rest.
 
@@ -88,7 +94,10 @@ class Block(MonomialOrder):
     of grevlex keys would.
     """
 
-    head: tuple[int, ...]
+    __slots__ = _fields = ("head",)
+
+    def __init__(self, head: tuple[int, ...]):
+        object.__setattr__(self, "head", head)
 
     @staticmethod
     def first(k: int) -> "Block":

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ContextMismatchError, PolymapError, UnknownVariableError
 from .orders import GREVLEX, MonomialOrder
+from .values import Value
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -39,11 +39,14 @@ Scalar = Union[int, Fraction]
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
 
 
-@dataclass(frozen=True)
-class VarContext:
-    """An ordered tuple of distinct variable names, fixing a polynomial ring."""
+class VarContext(Value):
+    """An ordered tuple of distinct variable names, fixing a polynomial ring.
 
-    names: tuple[str, ...]
+    Two contexts are equal when their names are; a context never equals
+    the bare tuple of its names."""
+
+    __slots__ = ("names", "_index")
+    _fields = ("names",)
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)

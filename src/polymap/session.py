@@ -28,13 +28,12 @@ generator is dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SessionFormatError
 from .morphisms import DEFAULT_DEPTH, AffineVariety, Morphism
 from .groebner import Ideal
 from .parsing import parse_poly
 from .poly import Poly, VarContext
+from .values import Value
 
 _FLAGS = ("assert_factorial", "assert_etale")
 _KEYS = ("source_ring", "source_ideal", "target_ring", "target_ideal", "map", "depth") + _FLAGS
@@ -69,13 +68,15 @@ def _texts(data, key: str, where: str, required: bool = True, length: int | None
     return texts
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(Value):
     """A map and the one setting that the commands read: the image
     descent's ``depth``."""
 
-    map: Morphism
-    depth: int = DEFAULT_DEPTH
+    __slots__ = _fields = ("map", "depth")
+
+    def __init__(self, map: Morphism, depth: int = DEFAULT_DEPTH):
+        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "depth", depth)
 
     def morphism(self) -> Morphism:
         return self.map

@@ -24,7 +24,8 @@ from polymap import (
     parse_poly,
     parse_session,
 )
-from polymap.morphisms import ConstructibleSet, _intersect_many, _piece_closure, factorial
+from polymap.morphisms import _intersect_many, _piece_closure, factorial
+from polymap.reports import ConstructibleSet
 
 from conftest import SEEDED_SITES, check_seeded_bases, random_point, random_poly, run_seeded_site
 
