@@ -234,7 +234,9 @@ def _check_interpolation(cert: dict, morphism: Morphism):
         return [], None
     g = parse_poly(_entry(cert, "g", where, str), morphism.source.ctx)
     p = parse_poly(interpolant, morphism.target.ctx)
-    return [("interpolant pulls back to g", morphism.pulls_back_to(p, g))], "interpolant"
+    # The interpolant is the witness normal form, moved to the target ring.
+    witness = parse_poly(_entry(cert, "witness_normal_form", where, str), morphism.target.ctx)
+    return [("interpolant pulls back to g", morphism.pulls_back_to(p, g))], "interpolant" if witness == p else None
 
 
 def _check_graph_relation(cert: dict, morphism: Morphism):
@@ -243,14 +245,19 @@ def _check_graph_relation(cert: dict, morphism: Morphism):
     if text is None:
         return [], None
     var = _entry(cert, "var", where, str)
-    relation = parse_poly(text, morphism.target.ctx.extended([var]))
+    line_ctx = morphism.target.ctx.extended([var])
+    relation = parse_poly(text, line_ctx)
     g = parse_poly(_entry(cert, "g", where, str), morphism.source.ctx)
     lines = [("relation vanishes on the graph", morphism.relation_vanishes(relation, g))]
     pair = _texts(cert, "rational_pair", where, required=False, length=2)
     if pair:
         num, den = (parse_poly(text, morphism.target.ctx) for text in pair)
         lines.append(("degree-1 pair represents g", morphism.pulls_back_to(num, morphism.pullback(den) * g)))
-    follows = is_graph_relation(relation, var) and _same(cert.get("degree"), relation.degree_in(var))
+    # The graph ideal is the principal ideal of the relation, which minpoly
+    # may print negated, and a pair is given only on a dominant map.
+    graph_ideal = [parse_poly(text, line_ctx) for text in _texts(cert, "graph_ideal", where)]
+    follows = (is_graph_relation(relation, var) and _same(cert.get("degree"), relation.degree_in(var))
+               and graph_ideal in ([relation], [-relation]) and (not pair or cert.get("dominant") is True))
     return lines, "relation" if follows else None
 
 
@@ -266,8 +273,11 @@ def _inverse_lines(cert: dict, morphism: Morphism) -> list:
 
 
 def _check_biregularity(cert: dict, morphism: Morphism):
+    # The engine raises rather than report an inconsistent verdict.
     almost = cert.get("almost_surjective")
-    return _inverse_lines(cert, morphism), None if almost is None else cert.get("injective") is True and almost is True
+    implied = None if almost is None or cert.get("consistent") is not True else (
+        cert.get("injective") is True and almost is True)
+    return _inverse_lines(cert, morphism), implied
 
 
 def _check_inversion(cert: dict, morphism: Morphism):
@@ -286,7 +296,10 @@ def _check_invertibility_criteria(cert: dict, morphism: Morphism):
 
 
 def _check_dichotomy(cert: dict, morphism: Morphism):
-    return _inverse_lines(cert, morphism), cert.get("branch")
+    # An isomorphism misses nothing: the missed set's closure is the unit ideal.
+    branch = cert.get("branch")
+    biregular_misses = branch == "biregular" and not _same(cert.get("complement_closure"), ["1"])
+    return _inverse_lines(cert, morphism), None if biregular_misses else branch
 
 
 def _check_divisibility(cert: dict, morphism: Morphism):

@@ -407,6 +407,14 @@ class Ideal:
         result._cache[GREVLEX] = tuple(kept)
         return result
 
+    def reduced(self) -> "Ideal":
+        """This ideal with its reduced grevlex basis as generators, the form
+        ``eliminate`` returns; the basis is cached on the result."""
+        basis = self.groebner_basis(GREVLEX)
+        result = Ideal(self.ctx, basis)
+        result._cache[GREVLEX] = basis
+        return result
+
     def _with_inverse(self, f: Poly) -> "Ideal":
         """I + <s*f - 1> over this context extended by a fresh last variable s.
 

@@ -241,22 +241,46 @@ class Morphism:
         target_ideal = self.target.ideal
         return all(target_ideal.radical_contains(g) for g in self.image_closure().generators)
 
+    def _graph_remainder(self, g: Poly) -> tuple[Poly, Poly | None]:
+        """(r, p): r is the normal form of g, moved to the graph ring, under
+        the graph ideal's block basis (source block dominant), and p is r
+        over the target ring when r uses no renamed source variable, else
+        None.  Then g - p lies in the graph ideal, so p o map = g modulo the
+        source ideal: p is the canonical interpolant, and g has one exactly
+        when r is free of the source (Shannon & Sweedler, J. Symb. Comp. 5,
+        1988)."""
+        if g.ctx != self.source.ctx:
+            raise ContextMismatchError("argument must live on the source ring")
+        graph = self._graph()
+        r = normal_form(g.transport(graph.ctx, graph.rename), graph.ideal.groebner_basis(graph.block), graph.block)
+        return r, None if r.variables_used() & set(graph.src_names) else r.transport(self.target.ctx)
+
     def graph_closure(self, g: Poly) -> tuple[Ideal, str]:
         """Closure of {(map(x), g(x))} in target x line; returns (ideal, var).
 
-        It is the image closure of the lifted map x -> (map(x), g(x)): the
-        graph ideal plus var - g, with the renamed source eliminated.  The
-        ideal lives on the target ring extended by the line coordinate
-        ``var``, a fresh name next to the graph's variables, and its
-        elimination basis starts from the graph ideal's.
+        It is the image closure of the lifted map x -> (map(x), g(x)): with
+        J the graph ideal, (J + <var - g>) meet k[u, var].  The line
+        coordinate ``var`` is a fresh name next to the graph's variables,
+        and the ideal lives on the target ring extended by it; its
+        generators are its reduced grevlex basis.
+
+        With r and p from :meth:`_graph_remainder`, J + <var - g> is
+        J + <var - r>.  When g interpolates, g - p(u) lies in J, and then
+        (J + <var - g>) meet k[u, var] = (J meet k[u]) + <var - p>: the
+        image closure plus one generator, whose basis starts from the image
+        closure's.  Otherwise the renamed source is eliminated from
+        J + <var - r>, a basis that starts from the graph ideal's.
         """
-        if g.ctx != self.source.ctx:
-            raise ContextMismatchError("graph argument must live on the source ring")
+        r, p = self._graph_remainder(g)
         graph = self._graph()
         w = graph.ctx.fresh_name("w")
-        ctx = graph.ctx.extended([w])
-        lifted = graph.ideal.extended(ctx, [Poly.variable(ctx, w) - g.transport(ctx, graph.rename)])
-        return lifted.eliminate(graph.src_names), w
+        if p is None:
+            ctx = graph.ctx.extended([w])
+            lifted = graph.ideal.extended(ctx, [Poly.variable(ctx, w) - r.transport(ctx)])
+            return lifted.eliminate(graph.src_names), w
+        image = self.image_closure()
+        ctx = image.ctx.extended([w])
+        return image.extended(ctx, [Poly.variable(ctx, w) - p.transport(ctx)]).reduced(), w
 
     # -- determinacy and interpolation ----------------------------------------------
 
@@ -278,16 +302,10 @@ class Morphism:
         """
         from .reports import InterpolationResult
 
-        if g.ctx != self.source.ctx:
-            raise ContextMismatchError("argument must live on the source ring")
-        graph = self._graph()
-        basis = graph.ideal.groebner_basis(graph.block)
-        nf = normal_form(g.transport(graph.ctx, graph.rename), basis, graph.block)
-        src_set = set(graph.src_names)
-        if nf.variables_used() & src_set:
+        nf, interpolant = self._graph_remainder(g)
+        if interpolant is None:
             status = "not_in_subalgebra" if self.determined_by(g) else "not_determined"
             return InterpolationResult(status, None, nf)
-        interpolant = nf.transport(self.target.ctx)
         if not self.pulls_back_to(interpolant, g):
             raise EngineInconsistencyError("interpolant certificate failed to verify")
         return InterpolationResult("interpolant", interpolant, nf)
@@ -311,6 +329,10 @@ class Morphism:
         with one free of it (no relation: zero, or the image's own equation,
         or 1 on an empty source), or not principal (not a hypersurface).
         Degree one plus dominance certifies g as a ratio of pulled-back functions.
+        When g has an interpolant p the closure is the image closure, which
+        dominance needs anyway, plus w - p (:meth:`graph_closure`), so no
+        elimination runs; on every path the relation is re-checked along
+        x -> (map(x), g(x)) (:meth:`relation_vanishes`).
         """
         from .reports import MinPolyResult
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from polymap import GREVLEX, Ideal, Morphism, Poly, VarContext, load_fixture, random_tame_automorphism
+from polymap import Endomorphism, GREVLEX, Ideal, Morphism, Poly, VarContext, load_fixture, random_tame_automorphism
 
 
 def random_poly(rng: random.Random, ctx: VarContext, max_deg: int = 3,
@@ -39,6 +39,19 @@ def random_nonzero_poly(rng, ctx, **kw) -> Poly:
 
 def random_point(rng: random.Random, arity: int, bound: int = 9) -> list[Fraction]:
     return [Fraction(rng.randint(-bound, bound), rng.randint(1, 4)) for _ in range(arity)]
+
+
+def nagata_shear(after: bool = True) -> Endomorphism:
+    """Nagata's automorphism (x - 2yq - zq^2, y + zq, z), q = xz + y^2,
+    followed by the shear (x + y, y - z, z), or preceded by it when
+    ``after`` is false."""
+    src, tgt = VarContext(("x", "y", "z")), VarContext(("u", "v", "w"))
+    x, y, z = Poly.variables(src)
+    if not after:
+        x, y, z = x + y, y - z, z
+    q = x * z + y * y
+    a, b, c = x - 2 * y * q - z * q * q, y + z * q, z
+    return Endomorphism(src, tgt, [a + b, b - c, c] if after else [a, b, c])
 
 
 @pytest.fixture(scope="session")
@@ -141,9 +154,11 @@ def run_seeded_site(site: str, m: Morphism, records: list) -> list:
                 closed.saturation(g)
         return records
     if site == "graph_closure":
+        # A g that interpolates extends the image closure by w - g's
+        # interpolant; any other g extends the graph ideal by w - g.
         for x in Poly.variables(m.source.ctx):
             m.graph_closure(x)
-        return [r for r in records if r[0].ctx.names[:-1] == graph.ctx.names]
+        return [r for r in records if r[0].ctx.names[:-1] == graph.ctx.names or r[0]._parent is m.image_closure()]
     if site == "constructible_image":
         m.constructible_image()
         return [r for r in records if r[0].ctx == graph.ctx]

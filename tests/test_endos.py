@@ -35,13 +35,12 @@ from polymap import (
 from polymap import endos
 from polymap.cli import main
 
-from conftest import SEEDED_SITES, check_seeded_bases, random_poly, run_seeded_site
+from conftest import SEEDED_SITES, check_seeded_bases, nagata_shear, random_poly, run_seeded_site
 
 XY = VarContext(("x", "y"))
 UV = VarContext(("u", "v"))
 PQ = VarContext(("p", "q"))
 WU = VarContext(("w", "u"))
-XYZ = VarContext(("x", "y", "z"))
 UVW = VarContext(("u", "v", "w"))
 
 
@@ -53,15 +52,6 @@ def compose(outer: Endomorphism, inner: Endomorphism) -> Endomorphism:
     assignment = dict(zip(outer.source.ctx.names, inner.coords))
     return Endomorphism(inner.source.ctx, outer.target.ctx,
                         [c.substitute(assignment) for c in outer.coords])
-
-
-def nagata_shear() -> Endomorphism:
-    """Nagata's automorphism (x - 2yq - zq^2, y + zq, z), q = xz + y^2,
-    followed by the shear (x + y, y - z, z)."""
-    x, y, z = Poly.variables(XYZ)
-    q = x * z + y * y
-    a, b, c = x - 2 * y * q - z * q * q, y + z * q, z
-    return Endomorphism(XYZ, UVW, [a + b, b - c, c])
 
 
 def det_by_permutations(rows, ctx):

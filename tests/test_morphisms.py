@@ -27,7 +27,7 @@ from polymap import (
 from polymap.morphisms import _intersect_many, _piece_closure, factorial
 from polymap.reports import ConstructibleSet
 
-from conftest import SEEDED_SITES, check_seeded_bases, random_point, random_poly, run_seeded_site
+from conftest import SEEDED_SITES, check_seeded_bases, nagata_shear, random_point, random_poly, run_seeded_site
 
 UV = VarContext(("u", "v"))
 
@@ -820,6 +820,16 @@ SEEDED_SITE_MAPS = {
     "clash-graph": "source_ring: w x\ntarget_ring: w\nmap: w = x*w\n",
 }
 
+# Beside SEEDED_SITE_MAPS: a bijection of a non-reduced source onto the
+# line, and an empty source.
+GRAPH_CLOSURE_MAPS = {
+    **SEEDED_SITE_MAPS,
+    "double-line": "source_ring: x y\nsource_ideal: y^2\ntarget_ring: u\nmap: u = x\n",
+    "empty-source": "source_ring: x y\nsource_ideal: 1\ntarget_ring: u v\nmap: u = x ; v = x*y\n",
+}
+# The maps whose pullback is onto the source ring, so every g interpolates.
+EVERY_G_INTERPOLATES = {"identity2", "triangular", "line-into-cross", "empty-source"}
+
 
 class TestSeededSites:
     """Each ideal that extends a cached one (the fiber and saturation
@@ -836,17 +846,35 @@ class TestSeededSites:
             owned += len(mine)
         assert owned > 0, site
 
-    @pytest.mark.parametrize("name", list(SEEDED_SITE_MAPS))
+    @pytest.mark.parametrize("name", list(GRAPH_CLOSURE_MAPS))
     def test_lifted_graph_ring_extends_graph_ring(self, name):
-        # graph_closure extends the graph ideal by w - g.  The lifted map's
-        # own graph ring must be the graph ring plus w, also when the source
-        # names clash with the target's or with w, and its unseeded image
-        # closure must be the same ideal.
-        m = parse_session(SEEDED_SITE_MAPS[name]).morphism()
+        # graph_closure extends the image closure by w - p when g has the
+        # interpolant p, and the graph ideal by w - g otherwise.  The lifted
+        # map's own graph ring must be the graph ring plus w, also when the
+        # source names clash with the target's or with w, and on both paths
+        # its unseeded image closure must be the same ideal.
+        m = parse_session(GRAPH_CLOSURE_MAPS[name]).morphism()
         graph = m._graph()
-        for x in Poly.variables(m.source.ctx):
-            closure, w = m.graph_closure(x)
-            lifted = reference_lifted(m, x, w)
+        rng = random.Random(name)
+        paths = set()
+        for g in (m.pullback(random_poly(rng, m.target.ctx)), *Poly.variables(m.source.ctx),
+                  random_poly(rng, m.source.ctx)):
+            closure, w = m.graph_closure(g)
+            lifted = reference_lifted(m, g, w)
             fresh = lifted._graph()
-            assert fresh.ctx.names == graph.ctx.names + (w,), (name, x)
-            assert closure.generators == lifted.image_closure().generators, (name, x)
+            assert fresh.ctx.names == graph.ctx.names + (w,), (name, g)
+            assert closure.generators == lifted.image_closure().generators, (name, g)
+            paths.add(m.interpolate(g).ok)
+        assert paths == ({True} if name in EVERY_G_INTERPOLATES else {True, False}), name
+
+
+def test_automorphism_graph_closures_match_lifted_maps(tame_pool):
+    # On an automorphism every g interpolates, so graph_closure extends the
+    # image closure by w - p, p the interpolant, and never eliminates.
+    rng = random.Random(52)
+    maps = [e for e, _ in tame_pool] + [nagata_shear(), nagata_shear(after=False)]
+    for index, m in enumerate(maps):
+        for g in (*Poly.variables(m.source.ctx), m.pullback(random_poly(rng, m.target.ctx, max_deg=2))):
+            closure, w = m.graph_closure(g)
+            assert closure.generators == reference_lifted(m, g, w).image_closure().generators, (index, g)
+            assert m.interpolate(g).ok, (index, g)

@@ -12,9 +12,11 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 
-from polymap import Block, GREVLEX, GRLEX, LEX, Ideal, Poly, VarContext, buchberger, normal_form  # noqa: E402
+from polymap import (  # noqa: E402
+    AffineVariety, Block, GREVLEX, GRLEX, LEX, Ideal, Morphism, Poly, VarContext, buchberger, normal_form,
+)
 
-from conftest import random_nonzero_poly  # noqa: E402
+from conftest import random_nonzero_poly, random_poly  # noqa: E402
 
 XYZ = VarContext(("x", "y", "z"))
 SYMBOLS = sympy.symbols("x y z")
@@ -27,13 +29,13 @@ ORDERS = {
 }
 
 
-def to_sympy(p: Poly):
-    return sum((sympy.Rational(c.numerator, c.denominator) * sympy.prod(s ** e for s, e in zip(SYMBOLS, m))
+def to_sympy(p: Poly, symbols=SYMBOLS):
+    return sum((sympy.Rational(c.numerator, c.denominator) * sympy.prod(s ** e for s, e in zip(symbols, m))
                 for m, c in p.terms()), sympy.Integer(0))
 
 
-def from_sympy(expr) -> Poly:
-    return Poly(XYZ, {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(expr, *SYMBOLS).terms()})
+def from_sympy(expr, ctx: VarContext = XYZ, symbols=SYMBOLS) -> Poly:
+    return Poly(ctx, {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(expr, *symbols).terms()})
 
 
 @pytest.mark.parametrize("name", ORDERS)
@@ -129,3 +131,31 @@ def test_eliminations_match_sympy(name):
         expected = {from_sympy(g).transport(small).monic() for g in reduced}
         ours = Ideal(XYZ, gens).eliminate([XYZ.names[i] for i in dropped]).groebner_basis()
         assert len(ours) == len(expected) and set(ours) == expected, (name, trial, gens)
+
+
+def test_graph_closures_match_sympy():
+    # The closure of {(map(x), g(x))} is (J + <w - g>) meet Q[u, v, w], J
+    # the graph ideal <u - map_1, v - map_2>: sympy eliminates x and y
+    # with a product order, and the x, y-free elements re-reduced under
+    # grevlex are the reduced basis.  Every other g is a pullback, so both
+    # of graph_closure's paths run.
+    xy, uvw = VarContext(("x", "y")), VarContext(("u", "v", "w"))
+    x, y, u, v, w = sympy.symbols("x y u v w")
+    eliminating = ProductOrder((grevlex, lambda m: m[:2]), (grevlex, lambda m: m[2:]))
+    rng = random.Random(4747)
+    interpolated = []
+    for trial in range(20):
+        coords = [random_nonzero_poly(rng, xy, max_deg=2, max_terms=2) for _ in range(2)]
+        m = Morphism(AffineVariety.affine_space(xy), AffineVariety.affine_space(VarContext(("u", "v"))), coords)
+        g = (m.pullback(random_poly(rng, m.target.ctx, max_deg=2)) if trial % 2
+             else random_nonzero_poly(rng, xy, max_deg=2, max_terms=2))
+        graph = [u - to_sympy(coords[0]), v - to_sympy(coords[1]), w - to_sympy(g)]
+        theirs = sympy.groebner(graph, x, y, u, v, w, order=eliminating, domain="QQ")
+        kept = [h for h in theirs.exprs if not h.has(x, y)]
+        reduced = sympy.groebner(kept, u, v, w, order="grevlex", domain="QQ").exprs if kept else []
+        expected = {from_sympy(h, uvw, (u, v, w)).monic() for h in reduced}
+        closure, var = m.graph_closure(g)
+        assert var == "w" and closure.ctx == uvw, trial
+        assert len(closure.generators) == len(expected) and set(closure.generators) == expected, (trial, coords, g)
+        interpolated.append(m.interpolate(g).ok)
+    assert True in interpolated and False in interpolated

@@ -715,12 +715,27 @@ class TestVerify:
         # A positive verdict with no certificate follows from nothing.
         (fixture_session_text("cusp"), ["biregular"], {"verdict": True, "certificates": []}),
         (fixture_session_text("triangular"), ["invert"], {"certificates": []}),
+        # The graph ideal is the relation's principal ideal, and a pair is
+        # given only on a dominant map.
+        (fixture_session_text("shear"), ["minpoly", "-g", "x"], {"graph_ideal": ["1"]}),
+        (fixture_session_text("shear"), ["minpoly", "-g", "x"], {"graph_ideal": ["u"]}),
+        (fixture_session_text("shear"), ["minpoly", "-g", "x"], {"graph_ideal": []}),
+        (fixture_session_text("shear"), ["minpoly", "-g", "x"], {"graph_ideal": ["u - w", "v"]}),
+        (fixture_session_text("shear"), ["minpoly", "-g", "x"], {"dominant": False}),
+        # The interpolant is the witness normal form over the target ring.
+        (fixture_session_text("triangular"), ["interpolate", "-g", "x"], {"witness_normal_form": "u^7 + 12"}),
+        # The engine reports only consistent verdicts, and an isomorphism
+        # misses nothing.
+        (fixture_session_text("triangular"), ["biregular"], {"consistent": False}),
+        (fixture_session_text("triangular"), ["dichotomy"], {"complement_closure": ["u"]}),
     ], ids=["relation", "rational-pair", "inverse", "one-sided-inverse", "inverse-off-source",
             "biregular-verdict", "biregular-verdict-one", "biregular-without-inverse", "biregular-fields-without-inverse",
             "interpolate-without-interpolant", "interpolate-verdict",
             "minpoly-verdict", "zero-relation", "minpoly-degree-true", "gb-verdict", "jc-injective", "determinant",
             "etale", "divides-one", "divides-witness", "divides-witness-off-factorial", "invert-failing-coordinate", "divides-f-pullback",
-            "divides-g-pullback", "biregular-without-certificate", "invert-without-certificate"])
+            "divides-g-pullback", "biregular-without-certificate", "invert-without-certificate",
+            "graph-ideal-unit", "graph-ideal-other", "graph-ideal-empty", "graph-ideal-two", "pair-not-dominant",
+            "witness-not-interpolant", "biregular-inconsistent", "dichotomy-complement"])
     def test_tampered_certificate_fails(self, capsys, tmp_path, text, argv, edits):
         session = tmp_path / "map.session"
         session.write_text(text)
@@ -731,6 +746,14 @@ class TestVerify:
         path.write_text(json.dumps(data))
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 1 and report["verdict"] is False
+
+    def test_witness_off_the_target_ring_refused(self, capsys, tmp_path):
+        # An interpolant's witness is read over the target ring, so one in
+        # the source variables is refused.
+        path = self._report_file(capsys, tmp_path, "--fixture", "triangular", "interpolate", "-g", "x")
+        data = json.loads(path.read_text())
+        data["certificates"][0]["witness_normal_form"] = "x^7 + 12"
+        self._assert_refused(capsys, tmp_path, data, "unknown variable 'x'")
 
     def test_session_echo_drops_retired_keys_and_verify_reads_past_them(self, capsys, tmp_path):
         # Reports once echoed assert_irreducible and order; verify ignores both.
