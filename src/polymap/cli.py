@@ -22,7 +22,7 @@ from typing import Callable
 from .endos import etale_dichotomy, is_nonzero_constant, jacobian_determinant, jc_criteria, require_self_map
 from .errors import PolymapError, SessionFormatError
 from .fixtures import fixture_names, fixture_session_text, load_fixture
-from .groebner import normal_form, s_polynomial
+from .groebner import Ideal, normal_form, s_polynomial
 from .morphisms import AffineVariety, Morphism, is_graph_relation
 from .orders import ORDERS_BY_NAME
 from .parsing import parse_poly
@@ -296,10 +296,20 @@ def _check_invertibility_criteria(cert: dict, morphism: Morphism):
 
 
 def _check_dichotomy(cert: dict, morphism: Morphism):
-    # An isomorphism misses nothing: the missed set's closure is the unit ideal.
+    # The codimension is read off the certificate's own complement closure.
+    # An isomorphism misses nothing, so its closure is the unit ideal; any
+    # other decided branch misses a hypersurface.
     branch = cert.get("branch")
-    biregular_misses = branch == "biregular" and not _same(cert.get("complement_closure"), ["1"])
-    return _inverse_lines(cert, morphism), None if biregular_misses else branch
+    lines = _inverse_lines(cert, morphism)
+    if branch not in ("biregular", "codim_one"):
+        return lines, branch
+    target = morphism.target
+    texts = _texts(cert, "complement_closure", "dichotomy certificate")
+    closure = Ideal(target.ctx, [parse_poly(text, target.ctx) for text in texts])
+    codim = target.ideal.dimension() - closure.dimension()
+    tied = _same(cert.get("complement_codim"), codim) and (
+        _same(texts, ["1"]) if branch == "biregular" else codim == 1)
+    return lines, branch if tied else None
 
 
 def _check_divisibility(cert: dict, morphism: Morphism):

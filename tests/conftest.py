@@ -67,6 +67,21 @@ def tame_pool():
     return [random_tame_automorphism(rng) for _ in range(50)]
 
 
+@pytest.fixture
+def rabinowitsch_ideals(monkeypatch):
+    """The f of every inverse-variable ideal I + <s*f - 1> (``Ideal._with_inverse``)
+    built while the test runs, in order."""
+    built = []
+    plain = Ideal._with_inverse
+
+    def counting(ideal, f):
+        built.append(f)
+        return plain(ideal, f)
+
+    monkeypatch.setattr(Ideal, "_with_inverse", counting)
+    return built
+
+
 class SeededRecords(list):
     """(ideal, order, basis) for every basis an extended ideal computes.
 

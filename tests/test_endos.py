@@ -186,6 +186,22 @@ class TestJCCriteria:
             assert rep.injective and all(rep.coords_determined) and rep.invertible
 
 
+class TestAutomorphismFibres:
+    """On an automorphism every g interpolates, so g(x) - g(x') lies in the
+    fibre ideal itself: fibre verdicts end at division, and build no
+    inverse-variable ideal I + <s*f - 1>."""
+
+    def test_no_inverse_variable_ideal(self, rabinowitsch_ideals, tame_pool):
+        for m in [e for e, _ in tame_pool[:5]] + [nagata_shear()]:
+            def fresh():
+                return Endomorphism(m.source.ctx, m.target.ctx, m.coords)
+
+            assert all(fresh().determined_by(x) for x in Poly.variables(m.source.ctx))
+            assert fresh().is_injective()
+            assert jc_criteria(fresh()).consistent
+            assert rabinowitsch_ideals == [], m
+
+
 class TestSelfMapShape:
     """Every criterion here refuses a map that is not a self-map of affine
     space, whichever caller asks."""

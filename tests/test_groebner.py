@@ -444,6 +444,26 @@ class TestRadicalMembership:
         assert squares.radical_contains(Poly.zero(XY))
         assert Ideal.unit(XY).radical_contains(Poly.variable(XY, "y"))
 
+    @pytest.mark.parametrize("gens, f, expected, rabinowitsch", [
+        (["x^2"], "x^2*y - 3*x^3", True, False),
+        (["1"], "y", True, False),
+        # in(I) = <xy> is squarefree, so I is radical.
+        (["x*y - 1"], "x - 1", False, False),
+        # The zero ideal is radical: its basis is empty.
+        ([], "x", False, False),
+        # Squarefree generators, but the reduced basis is {x + y, y^2}.
+        (["x*y", "x + y"], "y", True, True),
+        (["x^2"], "x", True, True),
+        (["x^2"], "y", False, True),
+    ], ids=["member", "unit-ideal", "squarefree-initial-ideal", "zero-ideal", "square-lead", "nilpotent",
+            "non-member"])
+    def test_paths(self, rabinowitsch_ideals, gens, f, expected, rabinowitsch):
+        # A member, or any f over an ideal whose initial ideal is
+        # squarefree, is decided without the inverse-variable ideal.
+        ideal = Ideal(XY, [parse_poly(g, XY) for g in gens])
+        assert ideal.radical_contains(parse_poly(f, XY)) is expected
+        assert len(rabinowitsch_ideals) == rabinowitsch
+
 
 class TestQuotientSaturation:
     def test_hand_examples(self):

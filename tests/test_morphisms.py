@@ -411,6 +411,13 @@ class TestImageClosure:
         assert fixture_morphisms["shear"].dominant()
         assert not fixture_morphisms["cusp"].dominant()
 
+    def test_non_dominant_into_affine_space_needs_no_inverse_variable(self, fixture_morphisms,
+                                                                      rabinowitsch_ideals):
+        # The zero ideal of the plane is radical, so u^3 - v^2, not in it,
+        # is not in its radical: division alone decides.
+        assert not fixture_morphisms["cusp"].dominant()
+        assert rabinowitsch_ideals == []
+
     def test_identity_on_variety_recovers_target_ideal(self):
         xz = VarContext(("x", "z"))
         pq = VarContext(("p", "q"))

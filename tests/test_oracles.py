@@ -85,24 +85,34 @@ def test_saturations_match_sympy():
         assert len(ours) == len(expected) and set(ours) == expected, (trial, gens, f)
 
 
-def test_radical_membership_matches_sympy():
+def test_radical_membership_matches_sympy(rabinowitsch_ideals):
     # f lies in the radical of I exactly when 1 lies in I + <s*f - 1>:
-    # sympy's reduced basis of that ideal is then [1].  Half the trials
-    # put f^2 into I, so both answers occur.
+    # sympy's reduced basis of that ideal is then [1].  The trials cycle
+    # through random ideals, ideals holding f^2, members f*g + h*g' of I,
+    # and linear ideals, whose initial ideals are squarefree, so that each
+    # of radical_contains' three exits (a member, a squarefree initial
+    # ideal, the inverse-variable ideal) answers some trial.
     s = sympy.Symbol("s")
     rng = random.Random(4545)
-    answers = []
-    for trial in range(30):
+    answers, paths = [], set()
+    for trial in range(40):
         f = random_nonzero_poly(rng, XYZ, max_deg=2, max_terms=2)
-        gens = [random_nonzero_poly(rng, XYZ, max_deg=2, max_terms=3) for _ in range(rng.randint(1, 2))]
-        if trial % 2:
-            gens[0] = gens[0] * f + f * f
+        degree = 1 if trial % 4 == 3 else 2
+        gens = [random_nonzero_poly(rng, XYZ, max_deg=degree, max_terms=3) for _ in range(rng.randint(1, 2))]
+        if trial % 4 == 1:
+            gens[0] = f * f
+        elif trial % 4 == 2:
+            f = f * gens[0] + random_poly(rng, XYZ, max_deg=1) * gens[-1]
         theirs = sympy.groebner([to_sympy(g) for g in gens] + [s * to_sympy(f) - 1], s, *SYMBOLS,
                                 order="grevlex", domain="QQ")
         expected = list(theirs.exprs) == [1]
-        assert Ideal(XYZ, gens).radical_contains(f) == expected, (trial, gens, f)
+        ideal = Ideal(XYZ, gens)
+        del rabinowitsch_ideals[:]
+        assert ideal.radical_contains(f) == expected, (trial, gens, f)
+        paths.add("member" if ideal.contains(f) else "inverse" if rabinowitsch_ideals else "squarefree")
         answers.append(expected)
     assert True in answers and False in answers
+    assert paths == {"member", "squarefree", "inverse"}
 
 
 # Variables to eliminate, with a sympy order on (x, y, z) that eliminates

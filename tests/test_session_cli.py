@@ -22,7 +22,7 @@ from polymap import (
     load_fixture,
     parse_session,
 )
-from polymap.cli import _COMMANDS, _G, build_parser, main
+from polymap.cli import _COMMANDS, _G, _check_dichotomy, build_parser, main
 
 from conftest import random_poly
 
@@ -728,6 +728,8 @@ class TestVerify:
         # misses nothing.
         (fixture_session_text("triangular"), ["biregular"], {"consistent": False}),
         (fixture_session_text("triangular"), ["dichotomy"], {"complement_closure": ["u"]}),
+        # The codimension is dim(target) - dim(complement_closure): 2 - (-1).
+        (fixture_session_text("triangular"), ["dichotomy"], {"complement_codim": 1}),
     ], ids=["relation", "rational-pair", "inverse", "one-sided-inverse", "inverse-off-source",
             "biregular-verdict", "biregular-verdict-one", "biregular-without-inverse", "biregular-fields-without-inverse",
             "interpolate-without-interpolant", "interpolate-verdict",
@@ -735,7 +737,8 @@ class TestVerify:
             "etale", "divides-one", "divides-witness", "divides-witness-off-factorial", "invert-failing-coordinate", "divides-f-pullback",
             "divides-g-pullback", "biregular-without-certificate", "invert-without-certificate",
             "graph-ideal-unit", "graph-ideal-other", "graph-ideal-empty", "graph-ideal-two", "pair-not-dominant",
-            "witness-not-interpolant", "biregular-inconsistent", "dichotomy-complement"])
+            "witness-not-interpolant", "biregular-inconsistent", "dichotomy-complement",
+            "dichotomy-codim"])
     def test_tampered_certificate_fails(self, capsys, tmp_path, text, argv, edits):
         session = tmp_path / "map.session"
         session.write_text(text)
@@ -746,6 +749,29 @@ class TestVerify:
         path.write_text(json.dumps(data))
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 1 and report["verdict"] is False
+
+    @pytest.mark.parametrize("text, edits, implied", [
+        (PUNCTURED_PLANE_TEXT, {}, "codim_one"),
+        (fixture_session_text("hyperbola"), {}, "codim_one"),
+        (PUNCTURED_PLANE_TEXT, {"complement_codim": 2}, None),
+        (PUNCTURED_PLANE_TEXT, {"complement_closure": ["u", "v"]}, None),
+        # Tied to its closure, but a codim_one branch misses a hypersurface.
+        (PUNCTURED_PLANE_TEXT, {"complement_closure": ["u", "v"], "complement_codim": 2}, None),
+    ], ids=["honest", "honest-hyperbola", "codim", "closure", "codim-and-closure"])
+    def test_codim_one_dichotomy_ties_its_codimension(self, capsys, tmp_path, text, edits, implied):
+        # codim_one is the negative answer and nothing is re-checked, so
+        # verify says null for the report either way; the tie shows in the
+        # verdict the certificate implies.
+        session = tmp_path / "map.session"
+        session.write_text(text)
+        path = self._report_file(capsys, tmp_path, "--session", str(session), "dichotomy")
+        data = json.loads(path.read_text())
+        data["certificates"][0].update(edits)
+        morphism = Session.from_json_dict(data["session"]).morphism()
+        assert _check_dichotomy(data["certificates"][0], morphism) == ([], implied)
+        path.write_text(json.dumps(data))
+        code, report = run_cli(capsys, "verify", str(path))
+        assert code == 0 and report["verdict"] is None
 
     def test_witness_off_the_target_ring_refused(self, capsys, tmp_path):
         # An interpolant's witness is read over the target ring, so one in
