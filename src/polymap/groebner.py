@@ -7,16 +7,22 @@ criteria and a normal selection strategy; inputs here are desk scale
 speed.  Reduced bases are canonical for (ideal, order): every run, under
 any selection strategy, returns the identical monic reduced basis.
 
-Every division goes through ``normal_form``, which keeps its pending terms
-ordered, as heap division does (Monagan & Pearce, "Sparse polynomial
-division using a heap", J. Symb. Comp. 2011), so each monomial's order
-key is computed once per call, when the monomial first enters the work
-set.  Order keys are flat tuples (``orders``), each polynomial keeps its
-last leading monomial, and inside a division an integral coefficient
-travels as a plain ``int`` (``poly._integral``, the rule ``Poly``'s own
-products and substitutions follow): ``Fraction`` arithmetic is paid only
-where a coefficient is not an integer.  Buchberger likewise ranks each
-critical pair once, when the pair is formed.
+Every division runs one loop, ``_reduce_terms``, on term maps: a work
+dict and a list of prepared divisors ``(lm, lc, tail)`` in, the
+remainder dict out.  It keeps its pending terms ordered, as heap
+division does (Monagan & Pearce, "Sparse polynomial division using a
+heap", J. Symb. Comp. 2011), so each monomial's order key is computed
+once per call, when the monomial first enters the work set.  Order keys
+are flat tuples (``orders``), each polynomial keeps its last leading
+monomial, and inside the loop an integral coefficient travels as a plain
+``int`` (``poly._integral``, the rule ``Poly``'s own products and
+substitutions follow): ``Fraction`` arithmetic is paid only where a
+coefficient is not an integer.  ``normal_form`` wraps the loop for
+``Poly``s.  ``buchberger`` calls it directly and builds no ``Poly``
+until it returns: its elements are monic prepared divisors, each made
+once, an S-pair is formed from their tails alone, and the final
+minimization and tail reduction work on the same divisors.  It ranks
+each critical pair once, when the pair is formed.
 
 An ideal built from another one plus extra generators (``Ideal.extended``,
 ``+``), on the same ring or on one that appends variables, starts its
@@ -53,7 +59,7 @@ from typing import Iterable, Sequence
 
 from .errors import ContextMismatchError
 from .orders import Block, GREVLEX, MonomialOrder, restriction
-from .poly import Monomial, Poly, VarContext, _integral, _integral_terms, _raw, _stored
+from .poly import Monomial, Poly, Scalar, VarContext, _integral, _integral_terms, _raw, _stored
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -72,15 +78,25 @@ def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(sub, a, b))
 
 
-def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) -> Poly:
-    """Remainder of multivariate division of ``f`` by ``basis``.
+Divisor = tuple[Monomial, Scalar, list[tuple[Monomial, Scalar]]]
 
-    Deterministic for a fixed basis tuple; canonical whenever the basis
-    is a Groebner basis for ``order``.
+
+def _divisor(g: Poly, order: MonomialOrder) -> Divisor:
+    """``g`` prepared for division, as ``(lm, lc, tail)``: its leading
+    monomial and coefficient, and its other terms as a list, coefficients
+    integral where they can be."""
+    lm = g.leading_monomial(order)
+    return lm, _integral(g._terms[lm]), [(m, _integral(c)) for m, c in g._terms.items() if m != lm]
+
+
+def _reduce_terms(work: dict[Monomial, Scalar], divisors: Sequence[Divisor], key) -> dict[Monomial, Scalar]:
+    """The remainder of the term map ``work``, which it consumes, on
+    division by the prepared ``divisors`` under the order of ``key``.
 
     Terms are reduced largest first.  The divisor picked at each step is
     the first one whose leading monomial divides the current leading
-    monomial.
+    monomial.  The remainder has no zero term and lists its terms in
+    descending order, so its first term is its leading one.
 
     The pending terms are kept ordered: ``pending`` is an ascending list
     of ``(key, monomial)`` with one entry per monomial of ``work``, so
@@ -88,33 +104,18 @@ def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) 
     ``work``.  A term that cancels keeps its entry with coefficient zero
     and is dropped when popped.
 
-    Inside the loop an integral coefficient is a plain ``int`` and only
-    the others are ``Fraction``; remainder terms go back to ``Fraction``,
-    so the result keeps ``Poly``'s all-``Fraction`` coefficients.  Two
-    ints are never divided with ``/``: a monic divisor's factor is the
+    Coefficients are ``int`` where integral and ``Fraction`` otherwise.
+    Two ints are never divided with ``/``: a monic divisor's factor is the
     coefficient itself, any other is an exact ``Fraction`` quotient.
     """
-    if not basis:
-        return f
-    for g in basis:
-        if g.ctx != f.ctx:
-            raise ContextMismatchError("normal_form: mixed contexts")
-    key = order.key_function(f.ctx.arity)
-    leads = []
-    for g in basis:
-        if not g.is_zero():
-            glm = g.leading_monomial(order)
-            tail = [(gm, _integral(gc)) for gm, gc in g._terms.items() if gm != glm]
-            leads.append((glm, _integral(g._terms[glm]), tail))
-    work = _integral_terms(f._terms)
     pending = sorted((key(m), m) for m in work)
-    remainder: dict[Monomial, Fraction] = {}
+    remainder: dict[Monomial, Scalar] = {}
     while pending:
         lm = pending.pop()[1]
         lc = work.pop(lm)
         if not lc:
             continue
-        for glm, glc, tail in leads:
+        for glm, glc, tail in divisors:
             if _divides(glm, lm):
                 break
         else:
@@ -130,16 +131,58 @@ def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) 
             else:
                 work[mono] = -factor * gc
                 insort(pending, (key(mono), mono))
+    return remainder
+
+
+def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) -> Poly:
+    """Remainder of multivariate division of ``f`` by ``basis``
+    (``_reduce_terms``).
+
+    Deterministic for a fixed basis tuple; canonical whenever the basis
+    is a Groebner basis for ``order``.  The remainder keeps ``Poly``'s
+    all-``Fraction`` coefficients.
+    """
+    if not basis:
+        return f
+    for g in basis:
+        if g.ctx != f.ctx:
+            raise ContextMismatchError("normal_form: mixed contexts")
+    divisors = [_divisor(g, order) for g in basis if not g.is_zero()]
+    remainder = _reduce_terms(_integral_terms(f._terms), divisors, order.key_function(f.ctx.arity))
     return _raw(f.ctx, _stored(remainder))
 
 
+def _s_terms(f: Divisor, g: Divisor) -> dict[Monomial, Scalar]:
+    """x^a*f_tail - x^b*g_tail for two monic divisors, with x^a*lm(f) =
+    x^b*lm(g) their lcm: the S-polynomial, whose leading terms cancel, so
+    are never formed.  A term that cancels stays, as zero."""
+    lcm = _mono_lcm(f[0], g[0])
+    a, b = _mono_sub(lcm, f[0]), _mono_sub(lcm, g[0])
+    work = {_mono_mul(m, a): c for m, c in f[2]}
+    for m, c in g[2]:
+        mono = _mono_mul(m, b)
+        acc = work.get(mono)
+        work[mono] = -c if acc is None else acc - c
+    return work
+
+
+def _monic_divisor(terms: dict[Monomial, Scalar]) -> Divisor:
+    """The prepared divisor of a nonzero remainder of ``_reduce_terms``
+    divided by its leading coefficient, which is its first."""
+    items = iter(terms.items())
+    lm, lc = next(items)
+    if lc == 1:
+        return lm, 1, [(m, _integral(c)) for m, c in items]
+    return lm, 1, [(m, _integral(Fraction(c, lc))) for m, c in items]
+
+
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    lf = f.leading_monomial(order)
-    lg = g.leading_monomial(order)
-    lcm = _mono_lcm(lf, lg)
-    mf = _raw(f.ctx, {_mono_sub(lcm, lf): Fraction(1) / f.leading_coefficient(order)})
-    mg = _raw(f.ctx, {_mono_sub(lcm, lg): Fraction(1) / g.leading_coefficient(order)})
-    return mf * f - mg * g
+    """lcm/lt(f)*f - lcm/lt(g)*g, with lcm that of the leading monomials."""
+    f._check_ctx(g)
+    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
+    monic = [(lm, 1, [(m, c / p._terms[lm]) for m, c in p._terms.items() if m != lm])
+             for p, lm in ((f, lf), (g, lg))]
+    return _raw(f.ctx, _stored(_s_terms(*monic)))
 
 
 def buchberger(
@@ -163,21 +206,35 @@ def buchberger(
     pairs with at least one element outside the seed are formed: the
     seed's own pairs reduce to zero, so the chain criterion may count
     them as done.  With no seed this is plain Buchberger.
+
+    The run works on term maps from start to end.  Every element is monic
+    and kept as its prepared divisor ``(lm, 1, tail)``, made once when
+    the element joins the basis; an S-pair is x^a*f_tail - x^b*g_tail
+    (``_s_terms``), reduced by ``_reduce_terms`` against the divisors.
+    The last step drops every element whose leading monomial another's
+    divides (of equal ones, all but the first), reduces each kept tail by
+    the other kept elements and builds one ``Poly`` per element, its
+    leading monomial cached.  An unknown ``strategy`` raises
+    ``ValueError`` and inputs over different rings raise
+    ``ContextMismatchError``, before any work.
     """
-    gens = [g for g in generators if not g.is_zero()]
+    if strategy not in ("normal", "first"):
+        raise ValueError(f"unknown selection strategy {strategy!r}")
+    given = list(generators)
+    if any(p.ctx != q.ctx for p, q in itertools.pairwise([*seed, *given])):
+        raise ContextMismatchError("buchberger: generators and seed over different contexts")
+    gens = [g for g in given if not g.is_zero()]
     if not gens:
         return tuple(seed)
     ctx = gens[0].ctx
-    if strategy not in ("normal", "first"):
-        raise ValueError(f"unknown selection strategy {strategy!r}")
     key = order.key_function(ctx.arity)
 
-    # Redundant generators are pruned once, by the final _reduce_basis.
-    basis = list(seed)
-    old = len(basis)
-    reduced = (normal_form(g, seed, order) for g in gens)
-    basis.extend(dict.fromkeys(h.monic(order) for h in reduced if not h.is_zero()))
-    lms = [g.leading_monomial(order) for g in basis]
+    # Redundant generators are pruned once, by the final minimization.
+    divisors = [_divisor(g, order) for g in seed]
+    old = len(divisors)
+    reduced = [_reduce_terms(_integral_terms(g._terms), divisors, key) for g in gens]
+    divisors += [_monic_divisor(h) for h in reduced if h]
+    lms = [d[0] for d in divisors]
 
     # Live pairs with their lcm, and a heap of (rank, pair).  A pair's rank
     # is computed once, when it is added; ranks are unique by ticket.
@@ -193,8 +250,8 @@ def buchberger(
         rank = (ticket,) if strategy == "first" else (sum(lcm), key(lcm), ticket)
         heapq.heappush(queue, (rank, pair))
 
-    for i in range(len(basis)):
-        for j in range(max(i + 1, old), len(basis)):
+    for i in range(len(divisors)):
+        for j in range(max(i + 1, old), len(divisors)):
             add_pair(i, j)
 
     while queue:
@@ -206,7 +263,7 @@ def buchberger(
         # Chain criterion: some k with LM(k) | lcm and both side pairs done
         # (a pair of two seed elements is never formed, so it counts as done).
         skip = False
-        for k in range(len(basis)):
+        for k in range(len(divisors)):
             if k == i or k == j:
                 continue
             if not _divides(lms[k], lcm):
@@ -218,41 +275,29 @@ def buchberger(
                 break
         if skip:
             continue
-        h = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if h.is_zero():
+        h = _reduce_terms(_s_terms(divisors[i], divisors[j]), divisors, key)
+        if not h:
             continue
-        h = h.monic(order)
-        basis.append(h)
-        lms.append(h.leading_monomial(order))
-        new = len(basis) - 1
+        divisors.append(_monic_divisor(h))
+        lms.append(divisors[-1][0])
+        new = len(divisors) - 1
         for k in range(new):
             add_pair(k, new)
 
-    return _reduce_basis(basis, order)
-
-
-def _reduce_basis(basis: list[Poly], order: MonomialOrder) -> tuple[Poly, ...]:
-    """Minimize (prune divisible leading terms) then tail-reduce; sort."""
-    lms = [g.leading_monomial(order) for g in basis]
-    keep: list[int] = []
-    for i, lm in enumerate(lms):
-        redundant = False
-        for j, other in enumerate(lms):
-            if i == j:
-                continue
-            if _divides(other, lm) and (other != lm or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
-    reduced: list[Poly] = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        reduced.append(normal_form(g, others, order).monic(order))
-    key = order.key_function(reduced[0].ctx.arity) if reduced else None
-    reduced.sort(key=lambda g: key(g.leading_monomial(order)), reverse=True)
-    return tuple(reduced)
+    # Minimize, sort by descending leading monomial, then reduce each kept
+    # tail by the other kept elements.
+    minimal = [d for i, d in enumerate(divisors)
+               if not any(_divides(other, d[0]) and (other != d[0] or j < i)
+                          for j, other in enumerate(lms) if j != i)]
+    minimal.sort(key=lambda d: key(d[0]), reverse=True)
+    basis = []
+    for i, (lm, _, tail) in enumerate(minimal):
+        terms = {lm: 1}
+        terms.update(_reduce_terms(dict(tail), minimal[:i] + minimal[i + 1:], key))
+        g = _raw(ctx, _stored(terms))
+        object.__setattr__(g, "_lead", (order, lm))
+        basis.append(g)
+    return tuple(basis)
 
 
 class Ideal:

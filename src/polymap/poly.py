@@ -12,8 +12,8 @@ equality; orders only matter for leading terms and printing.  All
 ``Poly`` values are immutable and safe to share between threads.
 
 Stored coefficients are always ``Fraction``.  Inside a routine that
-multiplies (products, powers, substitution, and division in
-``groebner.normal_form``) a coefficient that is an integer travels as a
+multiplies (products, powers, substitution, and the division loop
+of ``groebner``) a coefficient that is an integer travels as a
 plain ``int`` instead (:func:`_integral`), so ``Fraction`` arithmetic is
 paid only for the others, and the result goes back to ``Fraction`` once,
 when its term map is stored (:func:`_stored`).  A :class:`Powers` keeps

@@ -3,6 +3,8 @@ radicals, saturation, dimension, principality."""
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 import sys
 import threading
@@ -97,6 +99,73 @@ def reference_divide(f: Poly, divisors, order) -> Poly:
             else:
                 work.pop(mono, None)
     return Poly(f.ctx, remainder)
+
+
+def reference_s_polynomial(f: Poly, g: Poly, order) -> Poly:
+    """The classical mf*f - mg*g, by two monomial ``Poly``s, two products
+    and a subtraction."""
+    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
+    lcm = tuple(map(max, lf, lg))
+    mf = Poly(f.ctx, {tuple(a - b for a, b in zip(lcm, lf)): 1 / f.leading_coefficient(order)})
+    mg = Poly(g.ctx, {tuple(a - b for a, b in zip(lcm, lg)): 1 / g.leading_coefficient(order)})
+    return mf * f - mg * g
+
+
+def reference_buchberger(generators, order, strategy="normal", seed=()):
+    """Buchberger at the ``Poly`` level, with ``reference_divide`` for every
+    division: reduce the generators by the seed, run the pairs under the
+    two criteria, then minimize and tail-reduce.  The term-map kernel must
+    return the identical tuple."""
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
+        return tuple(seed)
+    key = order.key_function(gens[0].ctx.arity)
+    basis = list(seed)
+    old = len(basis)
+    reduced = (reference_divide(g, seed, order) for g in gens)
+    basis.extend(dict.fromkeys(h.monic(order) for h in reduced if not h.is_zero()))
+    lms = [g.leading_monomial(order) for g in basis]
+    pairs = {}
+    queue = []
+    counter = itertools.count()
+
+    def add_pair(i, j):
+        pair = (min(i, j), max(i, j))
+        lcm = tuple(map(max, lms[pair[0]], lms[pair[1]]))
+        pairs[pair] = lcm
+        ticket = next(counter)
+        rank = (ticket,) if strategy == "first" else (sum(lcm), key(lcm), ticket)
+        heapq.heappush(queue, (rank, pair))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    for i in range(len(basis)):
+        for j in range(max(i + 1, old), len(basis)):
+            add_pair(i, j)
+    while queue:
+        i, j = heapq.heappop(queue)[1]
+        lcm = pairs.pop((i, j))
+        if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
+            continue
+        if any(divides(lms[k], lcm) and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k in range(len(basis)) if k not in (i, j)):
+            continue
+        h = reference_divide(reference_s_polynomial(basis[i], basis[j], order), basis, order)
+        if h.is_zero():
+            continue
+        basis.append(h.monic(order))
+        lms.append(h.leading_monomial(order))
+        for k in range(len(basis) - 1):
+            add_pair(k, len(basis) - 1)
+
+    keep = [i for i, lm in enumerate(lms)
+            if not any(divides(other, lm) and (other != lm or j < i) for j, other in enumerate(lms) if j != i)]
+    minimal = [basis[i] for i in keep]
+    out = [reference_divide(g, minimal[:i] + minimal[i + 1:], order).monic(order) for i, g in enumerate(minimal)]
+    out.sort(key=lambda g: key(g.leading_monomial(order)), reverse=True)
+    return tuple(out)
 
 
 class TestDivisionKernel:
@@ -332,6 +401,63 @@ class TestSeededBuchberger:
             basis = extended.groebner_basis(order)
             assert (seeds_used[-1] > 0) == seeded, (ctx, order)
             assert basis == fresh.groebner_basis(order), (ctx, order)
+
+
+class TestTermMapBuchberger:
+    """The term-map kernel against the ``Poly``-level reference loop."""
+
+    ORDERS = (LEX, GRLEX, GREVLEX, Block.first(1), Block((1, 2)))
+
+    @staticmethod
+    def scaled(rng, p):
+        """``p`` with rational, non-monic coefficients."""
+        return Poly(p.ctx, {m: c * rng.choice((1, 1, 2, -3)) / rng.choice((1, 2, 3, 7)) for m, c in p.terms()})
+
+    @pytest.mark.parametrize("order", ORDERS, ids=str)
+    def test_matches_reference_buchberger(self, order):
+        rng = random.Random(3000)
+        key = order.key_function(XYZ.arity)
+        for trial in range(16):
+            gens = [self.scaled(rng, random_nonzero_poly(rng, XYZ, max_deg=3, max_terms=3))
+                    for _ in range(rng.randint(1, 3))]
+            extras = [self.scaled(rng, random_nonzero_poly(rng, XYZ, max_deg=2, max_terms=3))]
+            if trial % 4 == 0:
+                gens.append(gens[0] * Fraction(-5, 3))  # a scalar multiple of another generator
+            if trial % 4 == 1:
+                extras.append(Poly.zero(XYZ))
+            for strategy in ("normal", "first"):
+                basis = buchberger(gens, order, strategy)
+                assert basis == reference_buchberger(gens, order, strategy), (trial, strategy, gens)
+                seeded = buchberger(extras, order, strategy, basis)
+                assert seeded == reference_buchberger(extras, order, strategy, basis), (trial, strategy, extras)
+                for g in basis + seeded:
+                    assert all(type(c) is Fraction for _, c in g.terms())
+                    # The leading monomial comes cached with the basis.
+                    assert g._lead == (order, max(g.monomials(), key=key)), (trial, g)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=str)
+    def test_s_polynomial_is_classical(self, order):
+        rng = random.Random(3001)
+        for trial in range(40):
+            f, g = (self.scaled(rng, random_nonzero_poly(rng, XYZ, max_deg=3, max_terms=4)) for _ in range(2))
+            if trial % 5 == 0:
+                g = f * Fraction(2, 3)  # the S-polynomial is zero
+            s = groebner.s_polynomial(f, g, order)
+            assert s == reference_s_polynomial(f, g, order), (trial, f, g)
+            assert all(type(c) is Fraction for _, c in s.terms())
+
+    def test_inputs_checked_before_any_work(self):
+        x = Poly.variable(XY, "x")
+        u = Poly.variable(UV, "u")
+        for gens in ([], [Poly.zero(XY)], [x]):
+            with pytest.raises(ValueError, match="unknown selection strategy"):
+                buchberger(gens, strategy="bogus")
+        basis = buchberger([x])
+        for gens, seed in (([x, u], ()), ([u], basis), ([Poly.zero(UV)], basis), ([], (x, u))):
+            with pytest.raises(ContextMismatchError):
+                buchberger(gens, seed=seed)
+        with pytest.raises(ContextMismatchError):
+            groebner.s_polynomial(x, u, GREVLEX)
 
 
 class TestOrderRestriction:
