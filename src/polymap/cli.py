@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 import time
@@ -22,7 +21,7 @@ from typing import Callable
 from .endos import etale_dichotomy, is_nonzero_constant, jacobian_determinant, jc_criteria, require_self_map
 from .errors import PolymapError, SessionFormatError
 from .fixtures import fixture_names, fixture_session_text, load_fixture
-from .groebner import Ideal, normal_form, s_polynomial
+from .groebner import Basis, Ideal, normal_form
 from .morphisms import AffineVariety, Morphism, is_graph_relation
 from .orders import ORDERS_BY_NAME
 from .parsing import parse_poly
@@ -334,19 +333,18 @@ def _check_groebner_basis(cert: dict, morphism: Morphism):
         raise SessionFormatError(f"{where} entry 'ring' is neither \"source\" nor \"target\"")
     variety = _variety(morphism, ring)
     texts = _texts(cert, "basis", where)
-    basis = [parse_poly(text, variety.ctx) for text in texts]
+    polys = [parse_poly(text, variety.ctx) for text in texts]
     order = ORDERS_BY_NAME.get(_entry(cert, "order", where, str))
     if order is None:
         raise SessionFormatError(f"{where} entry 'order' is not a known order")
+    basis = Basis(polys, order)  # prepared once for both lines
     gens_reduce = all(normal_form(g, basis, order).is_zero() for g in variety.ideal.generators)
     basis_member = all(variety.ideal.contains(b) for b in basis)
     # Buchberger's criterion: the basis is a Groebner basis under ``order``
     # exactly when every S-polynomial of two elements reduces to zero by it.
-    nonzero = [b for b in basis if not b.is_zero()]
-    pairs = itertools.combinations(nonzero, 2)
     return [("basis and generators span the same ideal", gens_reduce and basis_member),
             ("every S-pair reduces to zero by the basis",
-             all(normal_form(s_polynomial(f, g, order), nonzero, order).is_zero() for f, g in pairs))], texts
+             all(normal_form(s, basis, order).is_zero() for s in basis.s_polynomials()))], texts
 
 
 def _check_image_closure(cert: dict, morphism: Morphism):

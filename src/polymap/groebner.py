@@ -8,43 +8,31 @@ speed.  Reduced bases are canonical for (ideal, order): every run, under
 any selection strategy, returns the identical monic reduced basis.
 
 Every division runs one loop, ``_reduce_terms``, on term maps: a work
-dict and a list of prepared divisors ``(lm, lc, tail)`` in, the
+dict and a list of monic prepared divisors ``(lm, tail)`` in, the
 remainder dict out.  It keeps its pending terms ordered, as heap
 division does (Monagan & Pearce, "Sparse polynomial division using a
 heap", J. Symb. Comp. 2011), so each monomial's order key is computed
-once per call, when the monomial first enters the work set.  Order keys
-are flat tuples (``orders``), each polynomial keeps its last leading
-monomial, and inside the loop an integral coefficient travels as a plain
-``int`` (``poly._integral``, the rule ``Poly``'s own products and
-substitutions follow): ``Fraction`` arithmetic is paid only where a
-coefficient is not an integer.  ``normal_form`` wraps the loop for
-``Poly``s.  ``buchberger`` calls it directly and builds no ``Poly``
-until it returns: its elements are monic prepared divisors, each made
-once, an S-pair is formed from their tails alone, and the final
-minimization and tail reduction work on the same divisors.  It ranks
-each critical pair once, when the pair is formed.
+once per call, when the monomial first enters the work set, and an
+integral coefficient travels as a plain ``int`` (``poly._integral``).
+``normal_form`` wraps the loop for ``Poly``s.  ``buchberger`` calls it
+directly and builds no ``Poly`` until it returns: its elements are
+divisors, each made once, an S-pair is formed from their tails alone,
+and the final minimization and tail reduction work on the same divisors.
+It ranks each critical pair once, when the pair is formed.  It returns a
+``Basis``, the ``Poly``s with the divisors it ended with, and an
+``Ideal`` caches that one object per order: every later reader of the
+basis reads the divisors, and no ``Poly`` is asked for its leading
+monomial.
 
 An ideal built from another one plus extra generators (``Ideal.extended``,
 ``+``), on the same ring or on one that appends variables, starts its
 Buchberger run from the other ideal's cached reduced basis (Gebauer &
 Moeller, "On the installation of Buchberger's algorithm", J. Symb.
-Comp. 1988): the extra generators are reduced by that basis and only
-pairs that involve one of them are ever formed.  The basis is taken for
-the order the new order restricts to on the old variables
-(``orders.restriction``): lex, grlex and grevlex restrict to themselves,
-a block order whose head lies among the old variables to itself, and
-one whose head holds only appended variables to grevlex.  Any other
-order, or a ring whose names do not begin with the old ring's, starts
-from the generators.  Reduced bases are unique, so the seeded start
-changes no basis.
-
-Radical membership (``Ideal.radical_contains``) tries the cheapest sound
-test first.  An f whose normal form is zero lies in I, so in its radical.
-Otherwise, if the reduced grevlex basis has only squarefree leading
-monomials, f is not in the radical, by the lemma that an ideal with a
-squarefree initial ideal is radical (proved in the method's docstring).
-Only the remaining cases build the inverse-variable ideal I + <s*f - 1>
-(Rabinowitsch), which starts from the same basis.
+Comp. 1988), taken for the order that the new one restricts to on the
+old variables (``orders.restriction``); any other order, or a ring
+whose names do not begin with the old ring's, starts from the
+generators.  Reduced bases are unique, so the seeded start changes no
+basis.
 """
 
 from __future__ import annotations
@@ -55,7 +43,7 @@ import threading
 from bisect import insort
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContextMismatchError
 from .orders import Block, GREVLEX, MonomialOrder, restriction
@@ -78,15 +66,29 @@ def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(sub, a, b))
 
 
-Divisor = tuple[Monomial, Scalar, list[tuple[Monomial, Scalar]]]
+Divisor = tuple[Monomial, list[tuple[Monomial, Scalar]]]
+
+
+def _monic(terms: Iterable[tuple[Monomial, Scalar]]) -> Divisor:
+    """Nonzero ``terms``, the first leading, prepared for division as
+    ``(lm, tail)``: made monic, coefficients integral where they can be.
+    Division by it leaves the remainder that division by their sum would."""
+    terms = iter(terms)
+    lm, lc = next(terms)
+    if lc == 1:
+        return lm, [(m, _integral(c)) for m, c in terms]
+    return lm, [(m, _integral(Fraction(c, lc))) for m, c in terms]
 
 
 def _divisor(g: Poly, order: MonomialOrder) -> Divisor:
-    """``g`` prepared for division, as ``(lm, lc, tail)``: its leading
-    monomial and coefficient, and its other terms as a list, coefficients
-    integral where they can be."""
+    """The nonzero ``g`` prepared for division under ``order``."""
     lm = g.leading_monomial(order)
-    return lm, _integral(g._terms[lm]), [(m, _integral(c)) for m, c in g._terms.items() if m != lm]
+    return _monic([(lm, g._terms[lm]), *((m, c) for m, c in g._terms.items() if m != lm)])
+
+
+def _prepared(basis: Sequence[Poly], order: MonomialOrder) -> Basis:
+    """``basis`` as a ``Basis`` under ``order``: itself when it is one."""
+    return basis if isinstance(basis, Basis) and basis.order == order else Basis(basis, order)
 
 
 def _reduce_terms(work: dict[Monomial, Scalar], divisors: Sequence[Divisor], key) -> dict[Monomial, Scalar]:
@@ -105,8 +107,8 @@ def _reduce_terms(work: dict[Monomial, Scalar], divisors: Sequence[Divisor], key
     and is dropped when popped.
 
     Coefficients are ``int`` where integral and ``Fraction`` otherwise.
-    Two ints are never divided with ``/``: a monic divisor's factor is the
-    coefficient itself, any other is an exact ``Fraction`` quotient.
+    Every divisor is monic, so a step subtracts the current coefficient
+    times the divisor's tail, and nothing is divided.
     """
     pending = sorted((key(m), m) for m in work)
     remainder: dict[Monomial, Scalar] = {}
@@ -115,21 +117,20 @@ def _reduce_terms(work: dict[Monomial, Scalar], divisors: Sequence[Divisor], key
         lc = work.pop(lm)
         if not lc:
             continue
-        for glm, glc, tail in divisors:
+        for glm, tail in divisors:
             if _divides(glm, lm):
                 break
         else:
             remainder[lm] = lc
             continue
         shift = _mono_sub(lm, glm)
-        factor = lc if glc == 1 else _integral(Fraction(lc, glc))
         # The leading term cancels lm exactly; only the tail is subtracted.
         for gm, gc in tail:
             mono = _mono_mul(gm, shift)
             if mono in work:
-                work[mono] -= factor * gc
+                work[mono] -= lc * gc
             else:
-                work[mono] = -factor * gc
+                work[mono] = -lc * gc
                 insort(pending, (key(mono), mono))
     return remainder
 
@@ -144,45 +145,67 @@ def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder = GREVLEX) 
     """
     if not basis:
         return f
-    for g in basis:
-        if g.ctx != f.ctx:
-            raise ContextMismatchError("normal_form: mixed contexts")
-    divisors = [_divisor(g, order) for g in basis if not g.is_zero()]
+    if any(g.ctx != f.ctx for g in basis):
+        raise ContextMismatchError("normal_form: mixed contexts")
+    divisors = _prepared(basis, order).divisors
     remainder = _reduce_terms(_integral_terms(f._terms), divisors, order.key_function(f.ctx.arity))
     return _raw(f.ctx, _stored(remainder))
 
 
 def _s_terms(f: Divisor, g: Divisor) -> dict[Monomial, Scalar]:
-    """x^a*f_tail - x^b*g_tail for two monic divisors, with x^a*lm(f) =
+    """x^a*f_tail - x^b*g_tail for two divisors, with x^a*lm(f) =
     x^b*lm(g) their lcm: the S-polynomial, whose leading terms cancel, so
     are never formed.  A term that cancels stays, as zero."""
     lcm = _mono_lcm(f[0], g[0])
     a, b = _mono_sub(lcm, f[0]), _mono_sub(lcm, g[0])
-    work = {_mono_mul(m, a): c for m, c in f[2]}
-    for m, c in g[2]:
+    work = {_mono_mul(m, a): c for m, c in f[1]}
+    for m, c in g[1]:
         mono = _mono_mul(m, b)
         acc = work.get(mono)
         work[mono] = -c if acc is None else acc - c
     return work
 
 
-def _monic_divisor(terms: dict[Monomial, Scalar]) -> Divisor:
-    """The prepared divisor of a nonzero remainder of ``_reduce_terms``
-    divided by its leading coefficient, which is its first."""
-    items = iter(terms.items())
-    lm, lc = next(items)
-    if lc == 1:
-        return lm, 1, [(m, _integral(c)) for m, c in items]
-    return lm, 1, [(m, _integral(Fraction(c, lc))) for m, c in items]
-
-
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     """lcm/lt(f)*f - lcm/lt(g)*g, with lcm that of the leading monomials."""
     f._check_ctx(g)
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    monic = [(lm, 1, [(m, c / p._terms[lm]) for m, c in p._terms.items() if m != lm])
-             for p, lm in ((f, lf), (g, lg))]
-    return _raw(f.ctx, _stored(_s_terms(*monic)))
+    return _raw(f.ctx, _stored(_s_terms(_divisor(f, order), _divisor(g, order))))
+
+
+class Basis(tuple):
+    """A tuple of polynomials with its nonzero elements, in sequence,
+    prepared for division under ``order`` as ``divisors``, here unless
+    given, and never changed.  A reduced basis from ``buchberger`` comes
+    with the divisors its run ended with."""
+
+    def __new__(cls, polys: Iterable[Poly], order: MonomialOrder, divisors: list[Divisor] | None = None):
+        basis = super().__new__(cls, polys)
+        basis.order = order
+        basis.divisors = [_divisor(g, order) for g in basis if g] if divisors is None else divisors
+        return basis
+
+    def leading_monomials(self) -> list[Monomial]:
+        """The leading monomial of each nonzero element, in sequence."""
+        return [lm for lm, _ in self.divisors]
+
+    def __reduce__(self):
+        return Basis, (tuple(self), self.order, self.divisors)
+
+    def s_polynomials(self) -> Iterator[Poly]:
+        """``s_polynomial`` of each pair of nonzero elements, pairs in combination order."""
+        for f, g in itertools.combinations(self.divisors, 2):
+            yield _raw(self[0].ctx, _stored(_s_terms(f, g)))
+
+
+def _basis(ctx: VarContext, order: MonomialOrder, divisors: list[Divisor]) -> Basis:
+    """The ``Basis`` under ``order`` of the polynomials that ``divisors`` prepare."""
+    return Basis([_raw(ctx, _stored(dict([(lm, 1), *tail]))) for lm, tail in divisors], order, divisors)
+
+
+def _moved(divisors: Sequence[Divisor], ctx: VarContext, order: MonomialOrder, move) -> Basis:
+    """``_basis`` of ``divisors`` with every monomial mapped by ``move``,
+    which must keep each leading monomial leading under ``order``."""
+    return _basis(ctx, order, [(move(lm), [(move(m), c) for m, c in tail]) for lm, tail in divisors])
 
 
 def buchberger(
@@ -190,7 +213,7 @@ def buchberger(
     order: MonomialOrder = GREVLEX,
     strategy: str = "normal",
     seed: Sequence[Poly] = (),
-) -> tuple[Poly, ...]:
+) -> Basis:
     """The unique monic reduced Groebner basis of the generated ideal.
 
     ``strategy`` picks the next critical pair: "normal" selects a pair of
@@ -207,16 +230,14 @@ def buchberger(
     seed's own pairs reduce to zero, so the chain criterion may count
     them as done.  With no seed this is plain Buchberger.
 
-    The run works on term maps from start to end.  Every element is monic
-    and kept as its prepared divisor ``(lm, 1, tail)``, made once when
-    the element joins the basis; an S-pair is x^a*f_tail - x^b*g_tail
-    (``_s_terms``), reduced by ``_reduce_terms`` against the divisors.
-    The last step drops every element whose leading monomial another's
-    divides (of equal ones, all but the first), reduces each kept tail by
-    the other kept elements and builds one ``Poly`` per element, its
-    leading monomial cached.  An unknown ``strategy`` raises
-    ``ValueError`` and inputs over different rings raise
-    ``ContextMismatchError``, before any work.
+    Every element is kept as its divisor, made once when it joins the
+    basis; an S-pair is x^a*f_tail - x^b*g_tail (``_s_terms``).  The last
+    step drops every element whose leading monomial another's divides (of
+    equal ones, all but the first), reduces each kept tail by the other
+    kept elements and returns them as a ``Basis``.  A seed that is a
+    ``Basis`` under ``order`` is read through its divisors.  An unknown
+    ``strategy`` raises ``ValueError`` and inputs over different rings
+    raise ``ContextMismatchError``, before any work.
     """
     if strategy not in ("normal", "first"):
         raise ValueError(f"unknown selection strategy {strategy!r}")
@@ -224,16 +245,17 @@ def buchberger(
     if any(p.ctx != q.ctx for p, q in itertools.pairwise([*seed, *given])):
         raise ContextMismatchError("buchberger: generators and seed over different contexts")
     gens = [g for g in given if not g.is_zero()]
+    seed = _prepared(seed, order)
     if not gens:
-        return tuple(seed)
+        return seed
     ctx = gens[0].ctx
     key = order.key_function(ctx.arity)
 
     # Redundant generators are pruned once, by the final minimization.
-    divisors = [_divisor(g, order) for g in seed]
+    divisors = list(seed.divisors)
     old = len(divisors)
     reduced = [_reduce_terms(_integral_terms(g._terms), divisors, key) for g in gens]
-    divisors += [_monic_divisor(h) for h in reduced if h]
+    divisors += [_monic(h.items()) for h in reduced if h]
     lms = [d[0] for d in divisors]
 
     # Live pairs with their lcm, and a heap of (rank, pair).  A pair's rank
@@ -242,8 +264,11 @@ def buchberger(
     queue: list[tuple[tuple, tuple[int, int]]] = []
     counter = itertools.count()
 
+    def ordered(i: int, j: int) -> tuple[int, int]:
+        return (i, j) if i < j else (j, i)
+
     def add_pair(i: int, j: int) -> None:
-        pair = (i, j) if i < j else (j, i)
+        pair = ordered(i, j)
         lcm = _mono_lcm(lms[pair[0]], lms[pair[1]])
         pairs[pair] = lcm
         ticket = next(counter)
@@ -262,23 +287,13 @@ def buchberger(
             continue
         # Chain criterion: some k with LM(k) | lcm and both side pairs done
         # (a pair of two seed elements is never formed, so it counts as done).
-        skip = False
-        for k in range(len(divisors)):
-            if k == i or k == j:
-                continue
-            if not _divides(lms[k], lcm):
-                continue
-            a = (i, k) if i < k else (k, i)
-            b = (j, k) if j < k else (k, j)
-            if a not in pairs and b not in pairs:
-                skip = True
-                break
-        if skip:
+        if any(_divides(lms[k], lcm) and ordered(i, k) not in pairs and ordered(j, k) not in pairs
+               for k in range(len(divisors)) if k != i and k != j):
             continue
         h = _reduce_terms(_s_terms(divisors[i], divisors[j]), divisors, key)
         if not h:
             continue
-        divisors.append(_monic_divisor(h))
+        divisors.append(_monic(h.items()))
         lms.append(divisors[-1][0])
         new = len(divisors) - 1
         for k in range(new):
@@ -290,22 +305,16 @@ def buchberger(
                if not any(_divides(other, d[0]) and (other != d[0] or j < i)
                           for j, other in enumerate(lms) if j != i)]
     minimal.sort(key=lambda d: key(d[0]), reverse=True)
-    basis = []
-    for i, (lm, _, tail) in enumerate(minimal):
-        terms = {lm: 1}
-        terms.update(_reduce_terms(dict(tail), minimal[:i] + minimal[i + 1:], key))
-        g = _raw(ctx, _stored(terms))
-        object.__setattr__(g, "_lead", (order, lm))
-        basis.append(g)
-    return tuple(basis)
+    tails = [_reduce_terms(dict(tail), minimal[:i] + minimal[i + 1:], key) for i, (_, tail) in enumerate(minimal)]
+    return _basis(ctx, order, [_monic([(lm, 1), *t.items()]) for (lm, _), t in zip(minimal, tails)])
 
 
 class Ideal:
     """An ideal of a polynomial ring, with cached reduced Groebner bases.
 
-    The generator list is immutable; the per-order basis cache is
-    lock-protected and idempotent, so instances are safe to share
-    between threads.
+    The generator list is immutable; the per-order cache of the ``Basis``
+    that ``buchberger`` returns is lock-protected and idempotent, so
+    instances are safe to share between threads.
 
     An ideal made by ``extended`` or ``+`` holds only the ideal it
     extends, as its parent, and its own extra generators.  Its basis for
@@ -327,7 +336,7 @@ class Ideal:
                 gens.append(g)
         self.ctx = ctx
         self._own = tuple(gens)
-        self._cache: dict[MonomialOrder, tuple[Poly, ...]] = {}
+        self._cache: dict[MonomialOrder, Basis] = {}
         self._lock = threading.Lock()
         # Set by ``extended``, which also clears ``_generators``: those of
         # an extended ideal are built on first read.
@@ -359,7 +368,7 @@ class Ideal:
 
     # -- bases ---------------------------------------------------------------
 
-    def groebner_basis(self, order: MonomialOrder = GREVLEX) -> tuple[Poly, ...]:
+    def groebner_basis(self, order: MonomialOrder = GREVLEX) -> Basis:
         with self._lock:
             got = self._cache.get(order)
         if got is not None:
@@ -371,12 +380,12 @@ class Ideal:
         if restricted is None:
             basis = buchberger(self.generators, order)
         else:
-            # The parent's basis, padded with zero exponents for the
-            # appended variables, is a reduced basis under ``order`` too.
+            # The parent's basis, padded with zero exponents for the appended
+            # variables, is reduced under ``order`` too, with the same leads.
             seed = parent.groebner_basis(restricted)
             pad = (0,) * (self.ctx.arity - parent.ctx.arity)
             if pad:
-                seed = tuple(_raw(self.ctx, {m + pad: c for m, c in g.terms()}) for g in seed)
+                seed = _moved(seed.divisors, self.ctx, order, lambda m: m + pad)
             basis = buchberger(self._own, order, seed=seed)
         with self._lock:
             return self._cache.setdefault(order, basis)
@@ -417,7 +426,7 @@ class Ideal:
         basis = self.groebner_basis()
         if normal_form(f, basis).is_zero():
             return True
-        if all(e <= 1 for g in basis for e in g.leading_monomial(GREVLEX)):
+        if all(e <= 1 for lm in basis.leading_monomials() for e in lm):
             return False
         return self._with_inverse(f).is_unit()
 
@@ -461,20 +470,17 @@ class Ideal:
         if not drop:
             return self
         indices = tuple(sorted(self.ctx.index(name) for name in drop))
-        order = Block(indices)
-        basis = self.groebner_basis(order)
-        dropped = set(indices)
-        kept_names = [n for i, n in enumerate(self.ctx.names) if i not in dropped]
-        small = VarContext(kept_names)
-        kept = [
-            g.transport(small)
-            for g in basis
-            if all(all(m[i] == 0 for i in indices) for m in g.monomials())
-        ]
-        result = Ideal(small, kept)
-        # The head-free part of a reduced block basis is itself the reduced
-        # grevlex basis of the elimination ideal; seed the cache with it.
-        result._cache[GREVLEX] = tuple(kept)
+        basis = self.groebner_basis(Block(indices))
+        kept = [i for i in range(self.ctx.arity) if i not in indices]
+        # Under a block order an element is free of the head exactly when
+        # its leading monomial is.  The head-free part of a reduced block
+        # basis is itself the reduced grevlex basis of the elimination
+        # ideal; seed the cache with it.
+        free = [d for d in basis.divisors if not any(d[0][i] for i in indices)]
+        small = VarContext([self.ctx.names[i] for i in kept])
+        reduced = _moved(free, small, GREVLEX, lambda m: tuple(m[i] for i in kept))
+        result = Ideal(small, reduced)
+        result._cache[GREVLEX] = reduced
         return result
 
     def reduced(self) -> "Ideal":
@@ -537,7 +543,7 @@ class Ideal:
             return self.ctx.arity
         if self.is_unit():
             return -1
-        supports = [frozenset(i for i, e in enumerate(g.leading_monomial(GREVLEX)) if e) for g in basis]
+        supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in basis.leading_monomials()]
         n = self.ctx.arity
         for size in range(n, 0, -1):
             for subset in itertools.combinations(range(n), size):
@@ -557,9 +563,7 @@ class Ideal:
         basis = self.groebner_basis(GREVLEX)
         if not basis:
             return Poly.zero(self.ctx)
-        if len(basis) == 1:
-            return basis[0]
-        return None
+        return basis[0] if len(basis) == 1 else None
 
     def __str__(self) -> str:
         return "<" + ", ".join(str(g) for g in self.generators) + ">"

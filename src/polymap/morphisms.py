@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
     TargetNotAffineSpaceError,
 )
-from .groebner import Ideal, normal_form
+from .groebner import Basis, Ideal, normal_form
 from .orders import Block
 from .poly import Poly, Powers, VarContext, poly_matrix_det
 from .values import Value
@@ -530,14 +530,14 @@ class Morphism:
 # -- constructible-set helpers ------------------------------------------------------
 
 
-def _lc_product(basis: Sequence[Poly], block: Block, ctx: VarContext) -> Poly:
+def _lc_product(basis: Basis, block: Block, ctx: VarContext) -> Poly:
     """Product, over ``ctx``, of the leading coefficients over ``block``'s
     head of the basis elements that involve the head: away from its zeros
     every point of the eliminated variety lifts to the head variables."""
     head = block.head
     product = Poly.one(ctx)
-    for g in basis:
-        head_part = tuple(g.leading_monomial(block)[i] for i in head)
+    for g, lm in zip(basis, basis.leading_monomials()):
+        head_part = tuple(lm[i] for i in head)
         if any(head_part):
             lead_coeff = Poly(g.ctx, {
                 tuple(0 if i in head else e for i, e in enumerate(m)): c

@@ -8,8 +8,9 @@ fixed :class:`VarContext`:
 
 The zero polynomial is the empty map.  Storage is canonical and
 independent of any monomial order, so equality is plain term-map
-equality; orders only matter for leading terms and printing.  All
-``Poly`` values are immutable and safe to share between threads.
+equality; orders only matter for leading terms and printing.  A
+``Poly`` holds its context and its term map and nothing else, so it is
+immutable and safe to share between threads.
 
 Stored coefficients are always ``Fraction``.  Inside a routine that
 multiplies (products, powers, substitution, and the division loop
@@ -100,7 +101,7 @@ def _scalar_text(value: Fraction) -> str:
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("ctx", "_terms", "_lead")
+    __slots__ = ("ctx", "_terms")
 
     def __init__(self, ctx: VarContext, terms: Mapping[Monomial, Scalar] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -115,10 +116,12 @@ class Poly:
                 clean[tuple(mono)] = coeff
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return _raw, (self.ctx, self._terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -194,17 +197,10 @@ class Poly:
     # -- order-dependent views --------------------------------------------
 
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
-        """The largest monomial under ``order``.  The last answer is kept,
-        with its order, in ``_lead``, so asking again under the same order
-        costs no key evaluations."""
-        lead = self._lead
-        if lead is not None and lead[0] == order:
-            return lead[1]
+        """The largest monomial under ``order``."""
         if not self._terms:
             raise ValueError("the zero polynomial has no leading monomial")
-        mono = max(self._terms, key=order.key_function(self.ctx.arity))
-        object.__setattr__(self, "_lead", (order, mono))
-        return mono
+        return max(self._terms, key=order.key_function(self.ctx.arity))
 
     def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> Fraction:
         return self._terms[self.leading_monomial(order)]
@@ -276,9 +272,7 @@ class Poly:
         if lc == 1:
             return self
         inv = Fraction(1) / lc
-        scaled = _raw(self.ctx, {m: c * inv for m, c in self._terms.items()})
-        object.__setattr__(scaled, "_lead", self._lead)  # same monomials, same leading one
-        return scaled
+        return _raw(self.ctx, {m: c * inv for m, c in self._terms.items()})
 
     # -- calculus / substitution -------------------------------------------
 
@@ -435,7 +429,6 @@ def _raw(ctx: VarContext, terms: dict[Monomial, Fraction]) -> Poly:
     p = object.__new__(Poly)
     object.__setattr__(p, "ctx", ctx)
     object.__setattr__(p, "_terms", terms)
-    object.__setattr__(p, "_lead", None)
     return p
 
 

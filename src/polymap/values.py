@@ -4,8 +4,9 @@
 importing ``dataclasses`` (and ``inspect`` behind it) and without the
 methods that it compiles for each class at import time, a cost that every
 ``python -m polymap`` process would pay.  A subclass names its fields in
-``_fields``, usually its ``__slots__`` as well, and sets them in its
-``__init__`` through ``object.__setattr__``.
+``_fields``, usually its ``__slots__`` as well; its ``__init__`` takes
+them in that order, as ``copy`` and ``pickle`` pass them, and sets them
+through ``object.__setattr__``.
 
 Two values are equal when they are one object, or of one class with equal
 fields; a value hashes by its class and fields and prints as
@@ -42,6 +43,9 @@ class Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")

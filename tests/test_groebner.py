@@ -430,10 +430,16 @@ class TestTermMapBuchberger:
                 assert basis == reference_buchberger(gens, order, strategy), (trial, strategy, gens)
                 seeded = buchberger(extras, order, strategy, basis)
                 assert seeded == reference_buchberger(extras, order, strategy, basis), (trial, strategy, extras)
-                for g in basis + seeded:
-                    assert all(type(c) is Fraction for _, c in g.terms())
-                    # The leading monomial comes cached with the basis.
-                    assert g._lead == (order, max(g.monomials(), key=key)), (trial, g)
+                ideal = Ideal(XYZ, gens)
+                cached = (ideal.groebner_basis(order), (ideal + extras).groebner_basis(order))
+                assert cached == (basis, seeded), (trial, strategy)
+                for b in (basis, seeded, *cached):
+                    # Each element comes prepared with the basis: monic, its
+                    # leading monomial the largest under the order.
+                    for g, (lm, tail) in zip(b, b.divisors, strict=True):
+                        assert all(type(c) is Fraction for _, c in g.terms())
+                        assert lm == max(g.monomials(), key=key), (trial, g)
+                        assert {lm: 1, **dict(tail)} == dict(g.terms()), (trial, g)
 
     @pytest.mark.parametrize("order", ORDERS, ids=str)
     def test_s_polynomial_is_classical(self, order):
@@ -458,6 +464,103 @@ class TestTermMapBuchberger:
                 buchberger(gens, seed=seed)
         with pytest.raises(ContextMismatchError):
             groebner.s_polynomial(x, u, GREVLEX)
+
+
+@pytest.fixture
+def leading_calls(monkeypatch):
+    """Every polynomial whose ``leading_monomial`` is asked while the test runs."""
+    calls = []
+    plain = Poly.leading_monomial
+
+    def counting(p, order=GREVLEX):
+        calls.append(p)
+        return plain(p, order)
+
+    monkeypatch.setattr(Poly, "leading_monomial", counting)
+    return calls
+
+
+class TestPreparedBases:
+    """A reduced basis is kept as the monic divisors that division reads,
+    so no reader of a cached basis asks a ``Poly`` for its leading
+    monomial again."""
+
+    def test_cached_bases_answer_without_leading_monomials(self, leading_calls):
+        x, y = Poly.variables(XY)
+        # (generators, f, f in I, f in the radical, dimension): f in I; f
+        # outside an ideal with a squarefree initial ideal; f in the radical
+        # but not in the ideal, which takes the Rabinowitsch ideal.
+        cases = [([x * x - y, x * y - 1], x ** 3 - 1, True, True, 0),
+                 ([x * y], x, False, False, 1),
+                 ([x * x, y ** 3], x + y, False, True, 0)]
+        for gens, f, member, radical, dim in cases:
+            ideal = Ideal(XY, gens)
+            ideal.groebner_basis(GREVLEX)
+            ideal.groebner_basis(LEX)
+            del leading_calls[:]
+            answers = (ideal.contains(f), ideal.normal_form(f).is_zero(), ideal.normal_form(f, LEX).is_zero(),
+                       ideal.radical_contains(f), ideal.dimension(), ideal.is_unit())
+            assert leading_calls == [], gens
+            assert answers == (member, member, member, radical, dim, False), gens
+
+    def test_seeded_runs_read_the_parents_divisors(self, leading_calls, seeds_used):
+        rng = random.Random(3100)
+        for trial in range(10):
+            parent = Ideal(XY, [random_nonzero_poly(rng, XY, max_deg=3, max_terms=3) for _ in range(2)])
+            big = [random_nonzero_poly(rng, XYS, max_deg=2, max_terms=3)]
+            for order in (LEX, GRLEX, GREVLEX, Block.first(1), Block((2,))):
+                seed = parent.groebner_basis(restriction(order, XY.arity))
+                del leading_calls[:], seeds_used[:]
+                extended = parent.extended(XYS, big)
+                basis = extended.groebner_basis(order)
+                assert leading_calls == [] and seeds_used == [len(seed)] and seed, (trial, order)
+                assert basis == Ideal(XYS, extended.generators).groebner_basis(order), (trial, order)
+            seed = parent.groebner_basis(GREVLEX)
+            del leading_calls[:], seeds_used[:]
+            inverse = parent._with_inverse(random_nonzero_poly(rng, XY, max_deg=2, max_terms=2))
+            basis = inverse.groebner_basis()
+            assert leading_calls == [] and seeds_used == [len(seed)], trial
+            assert basis == Ideal(inverse.ctx, inverse.generators).groebner_basis(), trial
+
+    def test_eliminate_reads_the_block_basis(self, leading_calls):
+        rng = random.Random(3101)
+        for trial in range(20):
+            ideal = Ideal(XYZ, [random_nonzero_poly(rng, XYZ, max_deg=2, max_terms=3) for _ in range(2)])
+            drop = rng.choice((["x"], ["y"], ["x", "z"]))
+            ideal.groebner_basis(Block(tuple(sorted(XYZ.index(n) for n in drop))))
+            del leading_calls[:]
+            small = ideal.eliminate(drop)
+            assert leading_calls == [], trial
+            cached = small.groebner_basis()
+            assert cached == buchberger(small.generators) == small.generators, trial
+            key = GREVLEX.key_function(small.ctx.arity)
+            for g, (lm, tail) in zip(cached, cached.divisors, strict=True):
+                assert lm == max(g.monomials(), key=key), (trial, g)
+                assert {lm: 1, **dict(tail)} == dict(g.terms()), (trial, g)
+
+    def test_verify_prepares_a_listed_basis_once(self, leading_calls):
+        from polymap import AffineVariety, Morphism, cli
+
+        ctx = VarContext(("x", "y", "z"))
+        ideal = Ideal(ctx, [parse_poly(t, ctx) for t in ("x^2 - y", "x*y - z", "y*z - 1")])
+        line = VarContext(("t",))
+        morphism = Morphism(AffineVariety(ctx, ideal), AffineVariety.affine_space(line), [parse_poly("x", ctx)])
+        for name, order in (("lex", LEX), ("grevlex", GREVLEX)):
+            listed = [str(g) for g in ideal.groebner_basis(order)] + ["0"]
+            cert = {"kind": "groebner_basis", "ring": "source", "order": name, "basis": listed}
+            del leading_calls[:]
+            lines, _ = cli._check_groebner_basis(cert, morphism)
+            assert [ok for _, ok in lines] == [True, True], name
+            assert len(leading_calls) == len(listed) - 1 >= 3, name
+
+    def test_bases_copy_with_their_divisors(self):
+        import copy
+        import pickle
+
+        basis = Ideal(XY, [parse_poly("x^2 - y", XY), parse_poly("x*y - 1", XY)]).groebner_basis(LEX)
+        for copied in (copy.copy(basis), copy.deepcopy(basis), pickle.loads(pickle.dumps(basis))):
+            assert copied == basis and type(copied) is type(basis), copied
+            assert (copied.order, copied.divisors) == (basis.order, basis.divisors)
 
 
 class TestOrderRestriction:

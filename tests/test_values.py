@@ -3,8 +3,10 @@ load on first use, and the modules the command path imports."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +97,17 @@ def test_values_are_immutable(value, field):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
             delattr(value, name)
+
+
+def test_values_copy_and_pickle():
+    monomials = [(0, 1, 1), (2, 0, 0), (1, 0, 1), (0, 0, 3)]
+    for value in (XY, Block((0, 2)), LEX, GRLEX, GREVLEX):
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert copied == value and type(copied) is type(value), copied
+            if isinstance(value, VarContext):
+                assert (copied.index("x"), copied.index("y")) == (0, 1)
+            else:
+                assert sorted(monomials, key=copied.key_function(3)) == sorted(monomials, key=value.key_function(3))
 
 
 def test_affine_variety_refuses_an_ideal_over_another_ring():
