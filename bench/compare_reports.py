@@ -22,7 +22,8 @@ a ``verify`` report's path field compares equal.
 Beside the fixtures it sweeps the sessions in ``SESSIONS`` below, written
 to session files: maps whose variable names clash with the names the
 engine picks for the graph and the line coordinate, a parabola whose
-coordinate inverse is only one-sided, maps whose image descents end in
+coordinate inverse is only one-sided, the twisted cubic
+t -> (t, t^2, t^3), a closed immersion that is not dominant, maps whose image descents end in
 each of the ways a descent can end, an isomorphism of two points, two
 maps into a ring without variables (for which no value is taken from
 the target ring), shallow descents and further maps whose
@@ -83,6 +84,7 @@ SESSIONS = {
     "clash-rings": "source_ring: x y\ntarget_ring: x y\nmap: x = x + y^2 ; y = y\n",
     "clash-graph": "source_ring: w x\ntarget_ring: w\nmap: w = x*w\n",
     "parabola": "source_ring: t\ntarget_ring: u v\nmap: u = t ; v = t^2\nassert_factorial: true\n",
+    "twisted-cubic": "source_ring: t\ntarget_ring: u v w\nmap: u = t ; v = t^2 ; w = t^3\n",
     "x2-xy": "source_ring: x y\ntarget_ring: u v\nmap: u = x^2 ; v = x*y\n",
     "three-pieces": "source_ring: x y\ntarget_ring: u v\nmap: u = x*y ; v = x*y^2 + x\n",
     "nodal": "source_ring: t\ntarget_ring: u v\nmap: u = t^2 - 1 ; v = t^3 - t\n",

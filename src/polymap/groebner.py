@@ -202,10 +202,10 @@ def _basis(ctx: VarContext, order: MonomialOrder, divisors: list[Divisor]) -> Ba
     return Basis([_raw(ctx, _stored(dict([(lm, 1), *tail]))) for lm, tail in divisors], order, divisors)
 
 
-def _moved(divisors: Sequence[Divisor], ctx: VarContext, order: MonomialOrder, move) -> Basis:
-    """``_basis`` of ``divisors`` with every monomial mapped by ``move``,
-    which must keep each leading monomial leading under ``order``."""
-    return _basis(ctx, order, [(move(lm), [(move(m), c) for m, c in tail]) for lm, tail in divisors])
+def _moved(divisors: Sequence[Divisor], move) -> list[Divisor]:
+    """``divisors`` with every monomial mapped by ``move``, which must keep
+    each leading monomial leading under the order they are read in."""
+    return [(move(lm), [(move(m), c) for m, c in tail]) for lm, tail in divisors]
 
 
 def buchberger(
@@ -225,10 +225,12 @@ def buchberger(
     ``seed``, when given, is a monic reduced Groebner basis under
     ``order`` over the generators' ring, and the result is the reduced
     basis of the ideal that the seed and the generators generate
-    together.  The generators are reduced by the seed first, and only
-    pairs with at least one element outside the seed are formed: the
-    seed's own pairs reduce to zero, so the chain criterion may count
-    them as done.  With no seed this is plain Buchberger.
+    together.  Beside a nonzero generator, so that it is never returned,
+    the seed may come as its divisors under ``order`` alone, and then no
+    ``Poly`` is built for it.  The generators are reduced by the seed
+    first, and only pairs with at least one element outside the seed are
+    formed: the seed's own pairs reduce to zero, so the chain criterion
+    may count them as done.  With no seed this is plain Buchberger.
 
     Every element is kept as its divisor, made once when it joins the
     basis; an S-pair is x^a*f_tail - x^b*g_tail (``_s_terms``).  The last
@@ -242,17 +244,19 @@ def buchberger(
     if strategy not in ("normal", "first"):
         raise ValueError(f"unknown selection strategy {strategy!r}")
     given = list(generators)
-    if any(p.ctx != q.ctx for p, q in itertools.pairwise([*seed, *given])):
+    divided = bool(seed) and not isinstance(seed[0], Poly)
+    if any(p.ctx != q.ctx for p, q in itertools.pairwise([*given] if divided else [*seed, *given])):
         raise ContextMismatchError("buchberger: generators and seed over different contexts")
     gens = [g for g in given if not g.is_zero()]
-    seed = _prepared(seed, order)
+    if not divided:
+        seed = _prepared(seed, order)
     if not gens:
         return seed
     ctx = gens[0].ctx
     key = order.key_function(ctx.arity)
 
     # Redundant generators are pruned once, by the final minimization.
-    divisors = list(seed.divisors)
+    divisors = list(seed if divided else seed.divisors)
     old = len(divisors)
     reduced = [_reduce_terms(_integral_terms(g._terms), divisors, key) for g in gens]
     divisors += [_monic(h.items()) for h in reduced if h]
@@ -382,10 +386,13 @@ class Ideal:
         else:
             # The parent's basis, padded with zero exponents for the appended
             # variables, is reduced under ``order`` too, with the same leads.
+            # Its padded ``Poly``s are built only when it is the basis.
             seed = parent.groebner_basis(restricted)
             pad = (0,) * (self.ctx.arity - parent.ctx.arity)
             if pad:
-                seed = _moved(seed.divisors, self.ctx, order, lambda m: m + pad)
+                seed = _moved(seed.divisors, lambda m: m + pad)
+                if not self._own:
+                    seed = _basis(self.ctx, order, seed)
             basis = buchberger(self._own, order, seed=seed)
         with self._lock:
             return self._cache.setdefault(order, basis)
@@ -478,7 +485,7 @@ class Ideal:
         # ideal; seed the cache with it.
         free = [d for d in basis.divisors if not any(d[0][i] for i in indices)]
         small = VarContext([self.ctx.names[i] for i in kept])
-        reduced = _moved(free, small, GREVLEX, lambda m: tuple(m[i] for i in kept))
+        reduced = _basis(small, GREVLEX, _moved(free, lambda m: tuple(m[i] for i in kept)))
         result = Ideal(small, reduced)
         result._cache[GREVLEX] = reduced
         return result

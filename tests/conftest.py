@@ -158,8 +158,9 @@ def run_seeded_site(site: str, m: Morphism, records: list) -> list:
     owns: those on the ideals that site extends."""
     graph = m._graph()
     if site in ("with_inverse", "fiber"):
+        # The fiber test itself: determined_by skips it on closed immersions.
         for x in Poly.variables(m.source.ctx):
-            m.determined_by(x)
+            m._fiber_determines(x)
         return records if site == "with_inverse" else [r for r in records if r[0].ctx == m._fiber()[0]]
     if site == "saturation":
         pieces = m.constructible_image().pieces

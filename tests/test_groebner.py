@@ -522,6 +522,30 @@ class TestPreparedBases:
             assert leading_calls == [] and seeds_used == [len(seed)], trial
             assert basis == Ideal(inverse.ctx, inverse.generators).groebner_basis(), trial
 
+    def test_padded_seeds_build_polys_only_when_returned(self, monkeypatch):
+        # A seeded run over appended variables pads the parent's divisors.
+        # It builds the Polys of its result only, and those of the padded
+        # seed only when the seed is the result: no extra generator.
+        built = []
+        plain = groebner._raw
+
+        def counting(ctx, terms):
+            built.append(ctx)
+            return plain(ctx, terms)
+
+        monkeypatch.setattr(groebner, "_raw", counting)
+        rng = random.Random(3102)
+        for trial in range(10):
+            parent = Ideal(XY, [random_nonzero_poly(rng, XY, max_deg=3, max_terms=3) for _ in range(2)])
+            big = [random_nonzero_poly(rng, XYS, max_deg=2, max_terms=3)]
+            for order in (LEX, GREVLEX, Block((2,))):
+                seed = parent.groebner_basis(restriction(order, XY.arity))
+                for extra in (big, []):
+                    del built[:]
+                    basis = parent.extended(XYS, extra).groebner_basis(order)
+                    assert built == [XYS] * len(basis), (trial, order, extra)
+                    assert basis == Ideal(XYS, [g.transport(XYS) for g in seed] + extra).groebner_basis(order)
+
     def test_eliminate_reads_the_block_basis(self, leading_calls):
         rng = random.Random(3101)
         for trial in range(20):

@@ -11,6 +11,7 @@ import pytest
 from polymap import (
     AffineVariety,
     DegenerateDivisorError,
+    Endomorphism,
     Ideal,
     MissingAssertionError,
     Morphism,
@@ -885,3 +886,53 @@ def test_automorphism_graph_closures_match_lifted_maps(tame_pool):
             closure, w = m.graph_closure(g)
             assert closure.generators == reference_lifted(m, g, w).image_closure().generators, (index, g)
             assert m.interpolate(g).ok, (index, g)
+
+
+# Beside GRAPH_CLOSURE_MAPS: three sessions of bench/compare_reports.py, a
+# parabola, five points projected to the line and the line onto a point.
+IMMERSION_MAPS = {
+    **GRAPH_CLOSURE_MAPS,
+    "parabola": "source_ring: t\ntarget_ring: u v\nmap: u = t ; v = t^2\nassert_factorial: true\n",
+    "five-points": "source_ring: x y\nsource_ideal: x^2 + y^3 ; x*y - 1\ntarget_ring: u\nmap: u = x\n"
+                   "assert_factorial: true\n",
+    "line-to-point": "source_ring: x\ntarget_ring:\nmap:\n",
+}
+CLOSED_IMMERSIONS = {"identity2", "triangular", "line-into-cross", "parabola", "five-points"}
+NOT_CLOSED_IMMERSIONS = {"cusp", "hyperbola", "double-line", "sym2", "shear", "square", "line-to-point"}
+
+
+class TestClosedImmersion:
+    """``determined_by`` answers True on a closed immersion, read off the
+    graph basis, and must agree with the fiber test everywhere."""
+
+    @staticmethod
+    def check(m: Morphism, rng: random.Random, where) -> bool:
+        """Whether the rule fires on ``m``, after checking ``determined_by``
+        against the fiber test and every x_i - psi_i that the rule reads."""
+        gs = [*Poly.variables(m.source.ctx), *(random_poly(rng, m.source.ctx) for _ in range(3))]
+        assert [m.determined_by(g) for g in gs] == [m._fiber_determines(g) for g in gs], where
+        fires = m._closed_immersion()
+        if fires:
+            graph = m._graph()
+            read = 0
+            for element in graph.ideal.groebner_basis(graph.block):
+                lead = element.leading_monomial(graph.block)
+                if sum(lead) != 1 or (i := lead.index(1)) >= m.source.ctx.arity:
+                    continue
+                psi = (Poly.variable(graph.ctx, graph.src_names[i]) - element).transport(m.target.ctx)
+                x = Poly.variables(m.source.ctx)[i]
+                assert m.interpolate(x).interpolant == psi and m.pulls_back_to(psi, x), (where, x)
+                read += 1
+            assert read == m.source.ctx.arity, where
+        return fires
+
+    @pytest.mark.parametrize("name", list(IMMERSION_MAPS))
+    def test_sessions(self, name):
+        fires = self.check(parse_session(IMMERSION_MAPS[name]).morphism(), random.Random(name), name)
+        if name in CLOSED_IMMERSIONS | NOT_CLOSED_IMMERSIONS:
+            assert fires == (name in CLOSED_IMMERSIONS), name
+
+    def test_automorphisms(self, tame_pool):
+        maps = [Endomorphism(e.source.ctx, e.target.ctx, e.coords) for e, _ in tame_pool[:5]] + [nagata_shear()]
+        for index, m in enumerate(maps):
+            assert self.check(m, random.Random(index), index), index
