@@ -38,11 +38,14 @@ plane automorphism (x + (y + x^2)^2, y + x^2), and two asserted-etale
 maps for ``dichotomy``'s gates: one that is not injective and an open
 immersion of the punctured plane that misses the line u = 0, the five
 points x^2 + y^3 = xy - 1 = 0 projected to the line, whose lex and
-grevlex bases differ, a point onto a point, whose inverse is empty, and
-the plane onto a line in the plane, (x, y) -> (y, 0), over whose image x
-is free: its graph closure is principal with a generator free of the
-line coordinate, which ``minpoly`` reads as no relation.  Four more
-sessions exercise the factoriality and etaleness rules: the cusp map
+grevlex bases differ, a point onto a point, whose inverse is empty, a
+source ring without variables and with the unit ideal mapped into the
+plane, whose image closure is the unit ideal with nothing to
+eliminate, and the plane onto a line in the plane, (x, y) -> (y, 0),
+over whose image x is free: its graph closure is principal with a
+generator free of the line coordinate, which ``minpoly`` reads as no
+relation.  Four more sessions exercise the factoriality and
+etaleness rules: the cusp map
 t -> (t^2, t^3) onto the cusp curve u^3 = v^2, a bijection onto a target
 that is not factorial, without and with a (refuted) ``assert_factorial``;
 squaring on the hyperbola xz = 1, etale but not injective; and the
@@ -122,6 +125,7 @@ SESSIONS = {
     "five-points": "source_ring: x y\nsource_ideal: x^2 + y^3 ; x*y - 1\ntarget_ring: u\nmap: u = x\n"
                    "assert_factorial: true\n",
     "point-onto-point": "source_ring:\ntarget_ring: u\ntarget_ideal: u - 2\nmap: u = 2\nassert_factorial: true\n",
+    "nothing-into-plane": "source_ring:\nsource_ideal: 2\ntarget_ring: u v\nmap: u = 2 ; v = 3\n",
     "free-over-image": "source_ring: x y\ntarget_ring: u v\nmap: u = y ; v = 0\n",
     "cusp-curve": "source_ring: t\ntarget_ring: u v\ntarget_ideal: u^3 - v^2\nmap: u = t^2 ; v = t^3\n",
     "cusp-curve-asserted": "source_ring: t\ntarget_ring: u v\ntarget_ideal: u^3 - v^2\nmap: u = t^2 ; v = t^3\n"

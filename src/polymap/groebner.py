@@ -29,10 +29,10 @@ An ideal built from another one plus extra generators (``Ideal.extended``,
 Buchberger run from the other ideal's cached reduced basis (Gebauer &
 Moeller, "On the installation of Buchberger's algorithm", J. Symb.
 Comp. 1988), taken for the order that the new one restricts to on the
-old variables (``orders.restriction``); any other order, or a ring
-whose names do not begin with the old ring's, starts from the
-generators.  Reduced bases are unique, so the seeded start changes no
-basis.
+old variables (``orders.restriction``) and padded with zero exponents
+for appended variables; any other order, or a ring whose names do not
+begin with the old ring's, starts from the generators.  Reduced bases
+are unique, so the seeded start changes no basis.
 """
 
 from __future__ import annotations
@@ -225,12 +225,11 @@ def buchberger(
     ``seed``, when given, is a monic reduced Groebner basis under
     ``order`` over the generators' ring, and the result is the reduced
     basis of the ideal that the seed and the generators generate
-    together.  Beside a nonzero generator, so that it is never returned,
-    the seed may come as its divisors under ``order`` alone, and then no
-    ``Poly`` is built for it.  The generators are reduced by the seed
-    first, and only pairs with at least one element outside the seed are
-    formed: the seed's own pairs reduce to zero, so the chain criterion
-    may count them as done.  With no seed this is plain Buchberger.
+    together; with no nonzero generator it is the seed, as a ``Basis``.
+    The generators are reduced by the seed first, and only pairs with at
+    least one element outside the seed are formed: the seed's own pairs
+    reduce to zero, so the chain criterion may count them as done.  With
+    no seed this is plain Buchberger.
 
     Every element is kept as its divisor, made once when it joins the
     basis; an S-pair is x^a*f_tail - x^b*g_tail (``_s_terms``).  The last
@@ -244,19 +243,17 @@ def buchberger(
     if strategy not in ("normal", "first"):
         raise ValueError(f"unknown selection strategy {strategy!r}")
     given = list(generators)
-    divided = bool(seed) and not isinstance(seed[0], Poly)
-    if any(p.ctx != q.ctx for p, q in itertools.pairwise([*given] if divided else [*seed, *given])):
+    if any(p.ctx != q.ctx for p, q in itertools.pairwise([*seed, *given])):
         raise ContextMismatchError("buchberger: generators and seed over different contexts")
     gens = [g for g in given if not g.is_zero()]
-    if not divided:
-        seed = _prepared(seed, order)
+    seed = _prepared(seed, order)
     if not gens:
         return seed
     ctx = gens[0].ctx
     key = order.key_function(ctx.arity)
 
     # Redundant generators are pruned once, by the final minimization.
-    divisors = list(seed if divided else seed.divisors)
+    divisors = list(seed.divisors)
     old = len(divisors)
     reduced = [_reduce_terms(_integral_terms(g._terms), divisors, key) for g in gens]
     divisors += [_monic(h.items()) for h in reduced if h]
@@ -320,13 +317,11 @@ class Ideal:
     that ``buchberger`` returns is lock-protected and idempotent, so
     instances are safe to share between threads.
 
-    An ideal made by ``extended`` or ``+`` holds only the ideal it
-    extends, as its parent, and its own extra generators.  Its basis for
-    an order starts from the parent's cached reduced basis for the
-    restricted order (``orders.restriction``), and ``buchberger`` then
-    works only on the extras.  ``generators`` (the parent's, moved to
-    this ring, then the extras) is built on first read and cached the
-    same way as the bases.
+    An ideal made by ``extended`` or ``+`` keeps the ideal it extends, as
+    its parent, and its own extra generators.  Its basis for an order
+    starts from the parent's cached reduced basis for the restricted
+    order (``orders.restriction``), and ``buchberger`` then works only on
+    the extras.
     """
 
     __slots__ = ("ctx", "_own", "_generators", "_cache", "_lock", "_parent")
@@ -342,25 +337,15 @@ class Ideal:
         self._own = tuple(gens)
         self._cache: dict[MonomialOrder, Basis] = {}
         self._lock = threading.Lock()
-        # Set by ``extended``, which also clears ``_generators``: those of
-        # an extended ideal are built on first read.
+        # Both set by ``extended``.
         self._parent: Ideal | None = None
-        self._generators: tuple[Poly, ...] | None = self._own
+        self._generators = self._own
 
     @property
     def generators(self) -> tuple[Poly, ...]:
         """The nonzero generators: for an extended ideal, the parent's moved
-        to this ring and then the extras, built on first read."""
-        gens = self._generators
-        if gens is None:
-            parent, ctx = self._parent, self.ctx
-            same = parent.ctx == ctx
-            gens = tuple(g if same else g.transport(ctx) for g in parent.generators) + self._own
-            with self._lock:
-                if self._generators is None:
-                    self._generators = gens
-                gens = self._generators
-        return gens
+        to this ring and then the extras."""
+        return self._generators
 
     @staticmethod
     def zero(ctx: VarContext) -> "Ideal":
@@ -386,13 +371,10 @@ class Ideal:
         else:
             # The parent's basis, padded with zero exponents for the appended
             # variables, is reduced under ``order`` too, with the same leads.
-            # Its padded ``Poly``s are built only when it is the basis.
             seed = parent.groebner_basis(restricted)
             pad = (0,) * (self.ctx.arity - parent.ctx.arity)
             if pad:
-                seed = _moved(seed.divisors, lambda m: m + pad)
-                if not self._own:
-                    seed = _basis(self.ctx, order, seed)
+                seed = _basis(self.ctx, order, _moved(seed.divisors, lambda m: m + pad))
             basis = buchberger(self._own, order, seed=seed)
         with self._lock:
             return self._cache.setdefault(order, basis)
@@ -456,15 +438,14 @@ class Ideal:
     def extended(self, ctx: VarContext, extra: Iterable[Poly] = ()) -> "Ideal":
         """This ideal over ``ctx``, which holds its variables, plus ``extra``.
 
-        The result holds only this ideal, as its parent, and ``extra``:
-        this ideal's generators are moved to ``ctx`` only if its
-        ``generators`` are read.  Its bases start from this ideal's (see
-        the class docstring) when ``ctx``'s names begin with this ideal's
-        names.
+        Its generators are this ideal's, moved to ``ctx``, then ``extra``.
+        Its bases start from this ideal's (see the class docstring) when
+        ``ctx``'s names begin with this ideal's names.
         """
         ideal = Ideal(ctx, extra)
+        same = self.ctx == ctx
+        ideal._generators = tuple(g if same else g.transport(ctx) for g in self.generators) + ideal._own
         ideal._parent = self
-        ideal._generators = None
         return ideal
 
     def eliminate(self, drop: Iterable[str]) -> "Ideal":

@@ -232,9 +232,12 @@ class Morphism:
         return all(ideal.contains(f.substitute(powers) - y) for f, y in expected)
 
     def image_closure(self) -> Ideal:
-        """Ideal of the Zariski closure of the image."""
+        """Ideal of the Zariski closure of the image, with its reduced
+        grevlex basis as generators.  On a source ring without variables
+        the graph ideal is already over the target ring, and only reduced."""
         graph = self._graph()
-        return self._derived("image_closure", lambda: graph.ideal.eliminate(graph.src_names))
+        ideal, names = graph.ideal, graph.src_names
+        return self._derived("image_closure", lambda: ideal.eliminate(names) if names else ideal.reduced())
 
     def dominant(self) -> bool:
         """Whether the image is dense in the target variety."""

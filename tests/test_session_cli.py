@@ -64,6 +64,8 @@ CUSP_CURVE_TEXT = "source_ring: t\ntarget_ring: u v\ntarget_ideal: u^3 - v^2\nma
 FIVE_POINTS_TEXT = ("source_ring: x y\nsource_ideal: x^2 + y^3 ; x*y - 1\ntarget_ring: u\nmap: u = x\n"
                     "assert_factorial: true\n")
 POINT_ONTO_POINT_TEXT = "source_ring:\ntarget_ring: u\ntarget_ideal: u - 2\nmap: u = 2\nassert_factorial: true\n"
+# A source ring without variables whose ideal is the unit ideal: its image is empty.
+NOTHING_INTO_PLANE_TEXT = "source_ring:\nsource_ideal: 2\ntarget_ring: u v\nmap: u = 2 ; v = 3\n"
 NESTING_ERROR = "error: nesting deeper than 100 levels (at position 100)\n"
 # The kinds that verify re-checks, read off the command table.
 CHECKED_KINDS = {kind for command in _COMMANDS.values() for kind, entry in command.kinds.items() if entry}
@@ -364,6 +366,14 @@ class TestCLI:
     def test_image_closure_cusp(self, capsys):
         code, report = run_cli(capsys, "--fixture", "cusp", "image", "--closure")
         assert code == 0 and report["verdict"] == ["u^3 - v^2"]
+
+    def test_image_closure_from_ring_without_variables(self, capsys, tmp_path):
+        # Nothing is eliminated, and the closure is still the reduced basis.
+        session = tmp_path / "nothing.session"
+        session.write_text(NOTHING_INTO_PLANE_TEXT)
+        code, report = run_cli(capsys, "--session", str(session), "image", "--closure")
+        assert code == 0 and report["verdict"] == ["1"]
+        assert report["certificates"][0]["generators"] == ["1"]
 
     def test_divides_and_determined(self, capsys):
         code, report = run_cli(capsys, "--fixture", "cusp", "divides", "-f", "u", "-g", "v")
